@@ -46,15 +46,18 @@ def _parse_grid(text):
     return np.arange(int(round(start)), int(round(stop)) + 1) * scale
 
 
-def _resolve(args):
-    """Fill argparse defaults from the config file and the seed env var."""
+def _resolve(args, argv):
+    """Fill argparse defaults from the config file and the seed env var.
+    ``argv`` is the parsed command line; a flag given there, as ``--flag
+    value`` or ``--flag=value``, wins over the config file."""
     if getattr(args, "config", None):
         file_values = _read_config_file(args.config)
+        given = {token.partition("=")[0] for token in argv if token.startswith("--")}
         for key, raw in file_values.items():
             if not hasattr(args, key):
                 raise ValueError(f"unknown config key {key!r}")
             current = getattr(args, key)
-            if f"--{key.replace('_', '-')}" in sys.argv or key in sys.argv:
+            if f"--{key.replace('_', '-')}" in given:
                 continue  # explicit flag wins
             caster = type(current) if current is not None else str
             if caster is bool:
@@ -206,13 +209,33 @@ def _cmd_sweep(args):
     return 0
 
 
+def _forecast_csv(grid, forecasts):
+    """The per-batch NTP forecasts of a delta-T grid as one table: a delta_t
+    column, then the ``NtpForecast.to_csv`` columns, one row per (delta-T, batch)."""
+    lines = []
+    for delta_t, forecast in zip(grid, forecasts):
+        header, *rows = forecast.to_csv().splitlines()
+        if not lines:
+            lines.append(f"delta_t,{header}")
+        lines.extend(f"{delta_t:.12g},{row}" for row in rows)
+    return "".join(line + "\n" for line in lines)
+
+
 def _cmd_predict(args):
+    if args.forecast_out and args.model != "ntp":
+        print("error: --forecast-out needs --model ntp; the sota model has no per-batch forecast",
+              file=sys.stderr)
+        return 2
     with open(args.snapshot, encoding="utf-8") as fh:
         snap = formal.snapshot_from_csv(fh.read())
     if snap.config.variant.value != args.model:
         raise ValueError(f"snapshot is for the {snap.config.variant.value} variant, not {args.model}")
     grid = _parse_grid(args.grid)
     curve = formal.success_curve(snap, grid, horizon=args.horizon)
+    if args.forecast_out:
+        forecasts = formal.ntp_forecasts(snap, grid, args.horizon)
+        with open(args.forecast_out, "w", encoding="utf-8") as fh:
+            fh.write(_forecast_csv(grid, forecasts))
     _write_output(args, curve.to_csv())
     return 0
 
@@ -323,6 +346,8 @@ def build_parser():
     p.add_argument("--snapshot", required=True)
     p.add_argument("--grid", required=True, help="start:stop:scale, e.g. -50:50:1e-6")
     p.add_argument("--horizon", type=int, default=60)
+    p.add_argument("--forecast-out",
+                   help="also write the per-batch NTP forecast for every delta-T (ntp model only)")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("compare", help="area deviation error between two curves")
@@ -379,7 +404,7 @@ def main(argv=None):
             break
     args = parser.parse_args(argv)
     try:
-        _resolve(args)
+        _resolve(args, argv)
         _announce(args)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -30,6 +30,7 @@ __all__ = [
     "sota_success_prob",
     "lplus_max",
     "ntp_forecast",
+    "ntp_forecasts",
     "cusum_success_recursion",
     "ntp_success_prob",
     "success_curve",
@@ -207,35 +208,33 @@ def sota_success_prob(snapshot, delta_t):
     return SotaPrediction(mu_e=mu_e, sigma_e=sigma_e, tau=tau, p_success=min(max(p, 0.0), 1.0))
 
 
-def ntp_forecast(snapshot, delta_t, horizon):
-    """Forecast the NTP detector's state over ``horizon`` attack batches.
-
-    Noise terms are taken at their means, the RLS output is approximated by
-    the lambda-weighted least-squares slope over the full history, and the
-    CUSUM reference statistics are advanced by their own update rule.
-    """
+def _forecast_sums(snapshot):
+    """The delta-T independent start of the NTP forecast: the lambda-weighted
+    LS sums over the pre-attack O_acc/t history and the sums of the CUSUM
+    reference set, as (a_sum, b_sum, ref_sum, ref_sumsq, ref_n)."""
     if snapshot.period is None:
         raise ValueError("NTP forecast requires the nominal period in the snapshot")
     if not snapshot.o_acc_history:
         raise ValueError("NTP forecast requires the pre-attack O_acc/t history")
-    cfg = snapshot.config
-    n = cfg.batch_size
-    lam = cfg.rls_lambda
-    period = snapshot.period
-    offset = period - snapshot.mu  # per-period offset O
-    sigma_eta = snapshot.sigma / math.sqrt(2.0)
-
+    lam = snapshot.config.rls_lambda
     a_sum = 0.0
     b_sum = 0.0
     for o_i, t_i in zip(snapshot.o_acc_history, snapshot.t_history):
         a_sum = lam * a_sum + o_i * t_i
         b_sum = lam * b_sum + t_i * t_i
-    skew_prev = a_sum / b_sum
+    ref = snapshot.reference_errors
+    return a_sum, b_sum, sum(ref), sum(e * e for e in ref), len(ref)
 
-    ref = list(snapshot.reference_errors)
-    ref_sum = sum(ref)
-    ref_sumsq = sum(e * e for e in ref)
-    ref_n = len(ref)
+
+def _forecast(snapshot, sums, delta_t, horizon):
+    cfg = snapshot.config
+    n = cfg.batch_size
+    lam = cfg.rls_lambda
+    offset = snapshot.period - snapshot.mu  # per-period offset O
+    sigma_eta = snapshot.sigma / math.sqrt(2.0)
+
+    a_sum, b_sum, ref_sum, ref_sumsq, ref_n = sums
+    skew_prev = a_sum / b_sum
     mu_c = snapshot.mu_cusum
     sigma_c = snapshot.sigma_cusum
 
@@ -279,6 +278,23 @@ def ntp_forecast(snapshot, delta_t, horizon):
     )
 
 
+def ntp_forecast(snapshot, delta_t, horizon):
+    """Forecast the NTP detector's state over ``horizon`` attack batches.
+
+    Noise terms are taken at their means, the RLS output is approximated by
+    the lambda-weighted least-squares slope over the full history, and the
+    CUSUM reference statistics are advanced by their own update rule.
+    """
+    return _forecast(snapshot, _forecast_sums(snapshot), delta_t, horizon)
+
+
+def ntp_forecasts(snapshot, delta_t_grid, horizon):
+    """``ntp_forecast`` for every delta-T of a grid; the history sums, which
+    do not depend on delta-T, are taken once."""
+    sums = _forecast_sums(snapshot)
+    return [_forecast(snapshot, sums, float(dt), horizon) for dt in delta_t_grid]
+
+
 def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
     """Probability that neither CUSUM limit exceeds the detection threshold
     within the horizon, by backward recursion over the limit state.
@@ -288,17 +304,28 @@ def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
     modeling assumption kappa >= Gamma, under which at most one control limit
     is nonzero at a time and the state space collapses to the two axes of
     [0, Gamma]^2.
+
+    The transition kernels are Toeplitz: on grid node z_i and cell midpoint
+    u_j they depend only on z_i - u_j = (i - j - 1/2) h. Each step therefore
+    evaluates the Gaussian density on the 2M distinct offsets only and
+    applies the (M+1) x M kernels as a convolution of that vector with g.
+    Once both axes of g are exactly 0, every earlier step keeps them at 0
+    (the kernels act on zeros and the reset term is scaled by g(0, 0) = 0),
+    so the recursion stops there and returns 0.0.
     """
     if kappa < big_gamma:
         raise ValueError(f"recursion assumes kappa >= Gamma, got kappa={kappa}, Gamma={big_gamma}")
     densities = list(error_densities)
-    n = len(densities)
-    if n == 0:
+    if not densities:
         raise ValueError("need at least one error density")
+    if any(std <= 0.0 for _, std in densities):
+        raise ValueError("error densities must have positive std")
     big_m = cfg.grid_resolution
     h = big_gamma / big_m
     z = np.linspace(0.0, big_gamma, big_m + 1)
-    u_mid = (np.arange(big_m) + 0.5) * h  # cell midpoints for quadrature
+    # z_i - kappa - u_j on the offsets i - j = -(M-1) .. M; the "valid" part
+    # of its convolution with a length-M vector is indexed by i = 0 .. M
+    lower_arg = (np.arange(1 - big_m, big_m + 1) - 0.5) * h - kappa
 
     g_plus = np.ones(big_m + 1)   # g(z, 0)
     g_minus = np.ones(big_m + 1)  # g(0, z)
@@ -310,18 +337,16 @@ def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
         return ndtr((x - mean) / std)
 
     for mean, std in reversed(densities):
-        if std <= 0.0:
-            raise ValueError("error densities must have positive std")
+        if not (g_plus.any() or g_minus.any()):
+            return 0.0
         g_mid_minus = 0.5 * (g_minus[:-1] + g_minus[1:])
         g_mid_plus = 0.5 * (g_plus[:-1] + g_plus[1:])
         g00 = g_minus[0]
 
         # term 1: lower limit lands in (0, Gamma];  r = z_minus - kappa - u
-        f1 = norm_pdf(z[:, None] - kappa - u_mid[None, :], mean, std)
-        term1 = h * f1 @ g_mid_minus
+        term1 = h * np.convolve(norm_pdf(lower_arg, mean, std), g_mid_minus, "valid")
         # term 3: upper limit lands in (0, Gamma];  r = kappa - z_plus + u
-        f3 = norm_pdf(kappa - z[:, None] + u_mid[None, :], mean, std)
-        term3 = h * f3 @ g_mid_plus
+        term3 = h * np.convolve(norm_pdf(-lower_arg, mean, std), g_mid_plus, "valid")
         # term 2: both limits reset to zero
         p_mid_plus = norm_cdf(kappa - z, mean, std) - norm_cdf(-kappa, mean, std)
         p_mid_minus = norm_cdf(kappa, mean, std) - norm_cdf(z - kappa, mean, std)
@@ -334,15 +359,18 @@ def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
     return float(g_minus[0])
 
 
-def ntp_success_prob(snapshot, delta_t, horizon, cfg=None):
-    """Cloaking success probability against the NTP detector."""
+def _ntp_success(snapshot, forecast, cfg):
     if cfg is None:
-        cfg = CusumRecursionConfig(horizon=horizon)
-    forecast = ntp_forecast(snapshot, delta_t, horizon)
+        cfg = CusumRecursionConfig(horizon=len(forecast.batches))
     densities = list(zip(forecast.e_n_mean, forecast.e_n_std))
     p = cusum_success_recursion(densities, snapshot.config.detection_threshold,
                                 snapshot.config.sensitivity, cfg)
     return min(max(p, 0.0), 1.0)
+
+
+def ntp_success_prob(snapshot, delta_t, horizon, cfg=None):
+    """Cloaking success probability against the NTP detector."""
+    return _ntp_success(snapshot, ntp_forecast(snapshot, delta_t, horizon), cfg)
 
 
 def success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
@@ -356,7 +384,8 @@ def success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
     if snapshot.config.variant is Variant.SOTA:
         p = np.array([sota_success_prob(snapshot, dt).p_success for dt in grid])
     else:
-        p = np.array([ntp_success_prob(snapshot, dt, horizon, recursion_cfg) for dt in grid])
+        forecasts = ntp_forecasts(snapshot, grid, horizon)
+        p = np.array([_ntp_success(snapshot, fc, recursion_cfg) for fc in forecasts])
     return SuccessCurve(grid=grid, p_success=p, trials=0, horizon=horizon, source="PREDICTED")
 
 
@@ -389,11 +418,21 @@ def snapshot_to_csv(snapshot):
 
 
 def snapshot_from_csv(text):
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or header[:2] != ["key", "value"]:
+    """Parse what ``snapshot_to_csv`` writes. The lines are split at their
+    first comma rather than read with the csv module, whose per-field size
+    limit a full 10 000-entry reference set exceeds; the writer never quotes
+    a field, since no key or value holds a comma."""
+    lines = text.splitlines()
+    if not lines or lines[0] != "key,value":
         raise ValueError("expected header 'key,value'")
-    raw = {row[0]: row[1] for row in reader if row}
+    raw = {}
+    for number, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        key, sep, value = line.partition(",")
+        if not sep:
+            raise ValueError(f"snapshot line {number}: expected key,value, got {line[:40]!r}")
+        raw[key] = value
     try:
         config = IdsConfig(
             variant=Variant(raw["variant"]),

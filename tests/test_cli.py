@@ -4,6 +4,7 @@ import pytest
 
 from canskew.cli import main
 from canskew.curves import SuccessCurve
+from canskew.formal import ntp_forecast, snapshot_from_csv
 
 
 def run_cli(args, capsys):
@@ -48,6 +49,15 @@ class TestPlumbing:
         assert lines[0] == "timestamp,can_id,data"
         assert len(lines) == 13
 
+    @pytest.mark.parametrize("flags", [["--count", "100"], ["--count=100"]])
+    def test_explicit_flag_beats_config_file(self, capsys, tmp_path, flags):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("count=50\nformat=csv\n")
+        out = tmp_path / "t.csv"
+        code, _, _ = run_cli(["generate", *flags, "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 100
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus_key=1\n")
@@ -78,6 +88,62 @@ class TestWorkflows:
         parsed = SuccessCurve.from_csv(curve.read_text())
         assert len(parsed.grid) == 21
         assert parsed.p_success.max() > 0.9
+
+    def test_full_reference_fifo_snapshot_reads_back(self, capsys, tmp_path):
+        # 10 060 batches of 20 messages: the detector's 10 000-entry CUSUM
+        # reference FIFO fills, so the snapshot's reference field is long
+        trace = tmp_path / "trace.log"
+        snap = tmp_path / "snap.csv"
+        assert run_cli(["generate", "--count", str(10_060 * 20), "--out", str(trace)], capsys)[0] == 0
+        code, _, _ = run_cli([
+            "detect", "--input", str(trace), "--variant", "ntp", "--warmup", "50",
+            "--snapshot-out", str(snap), "--out", str(tmp_path / "report.csv"),
+        ], capsys)
+        assert code == 0
+        line = next(row for row in snap.read_text().splitlines() if row.startswith("reference_errors,"))
+        assert len(line.split(",", 1)[1].split()) == 10_000
+        code, _, err = run_cli([
+            "predict", "--model", "ntp", "--snapshot", str(snap),
+            "--grid", "-2:2:1e-7", "--horizon", "10", "--out", str(tmp_path / "pred.csv"),
+        ], capsys)
+        assert code == 0, err
+
+    def test_predict_forecast_out(self, capsys, tmp_path):
+        trace = tmp_path / "trace.log"
+        snap = tmp_path / "snap.csv"
+        forecast = tmp_path / "forecast.csv"
+        assert run_cli(["generate", "--count", "4020", "--seed", "3", "--out", str(trace)], capsys)[0] == 0
+        assert run_cli(["detect", "--input", str(trace), "--variant", "ntp", "--warmup", "150",
+                        "--snapshot-out", str(snap), "--out", str(tmp_path / "r.csv")], capsys)[0] == 0
+        code, _, _ = run_cli([
+            "predict", "--model", "ntp", "--snapshot", str(snap), "--grid", "-1:1:1e-7",
+            "--horizon", "4", "--forecast-out", str(forecast), "--out", str(tmp_path / "pred.csv"),
+        ], capsys)
+        assert code == 0
+        snapshot = snapshot_from_csv(snap.read_text())
+        lines = forecast.read_text().splitlines()
+        assert lines[0] == "delta_t," + ntp_forecast(snapshot, 0.0, 4).to_csv().splitlines()[0]
+        assert len(lines) == 1 + 3 * 4
+        for k, delta_t in enumerate((-1e-7, 0.0, 1e-7)):
+            rows = ntp_forecast(snapshot, delta_t, 4).to_csv().splitlines()[1:]
+            block = lines[1 + 4 * k: 1 + 4 * (k + 1)]
+            assert [row.split(",", 1)[1] for row in block] == rows
+            assert all(float(row.split(",", 1)[0]) == pytest.approx(delta_t, abs=1e-18) for row in block)
+
+    def test_predict_forecast_out_rejects_sota(self, capsys, tmp_path):
+        trace = tmp_path / "trace.log"
+        snap = tmp_path / "snap.csv"
+        assert run_cli(["generate", "--count", "4020", "--out", str(trace)], capsys)[0] == 0
+        assert run_cli(["detect", "--input", str(trace), "--variant", "sota", "--warmup", "150",
+                        "--snapshot-out", str(snap), "--out", str(tmp_path / "r.csv")], capsys)[0] == 0
+        forecast = tmp_path / "forecast.csv"
+        code, _, err = run_cli([
+            "predict", "--model", "sota", "--snapshot", str(snap), "--grid", "-1:1:1e-6",
+            "--forecast-out", str(forecast),
+        ], capsys)
+        assert code == 2
+        assert "--forecast-out" in err
+        assert not forecast.exists()
 
     def test_attack_emits_longer_trace(self, capsys, tmp_path):
         out = tmp_path / "attack.log"

@@ -1,6 +1,7 @@
 """Success-probability models: closed-form SOTA bound, NTP forecast, and the
 CUSUM control-limit recursion."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from canskew.formal import (
     gaussian_cdf,
     lplus_max,
     ntp_forecast,
+    ntp_forecasts,
     ntp_success_prob,
     snapshot_from_csv,
     snapshot_to_csv,
@@ -24,8 +26,18 @@ from canskew.formal import (
     take_snapshot,
 )
 from canskew.harness import ExperimentConfig, _warmup_state
-from canskew.ids import Variant
+from canskew.ids import REFERENCE_CAP, Variant
 from conftest import MESSAGE_ID, PERIOD, make_config
+
+# The acceptance NTP curve (61 points of 0.1 us, horizon 60, M = 100) from
+# the seed-0 warmup of 1000 batches, as the recursion computed it when it
+# evaluated the dense (M+1) x M Gaussian kernels on every step and ran all 60
+# steps for every point. The 52 points outside the middle are exactly 0.
+PINNED_NTP_CURVE = [0.0] * 26 + [
+    1.0852999895550252e-125, 1.8019437448357257e-12, 0.9998110617134435,
+    0.9999999994752388, 0.9999999999999394, 0.9999999864594564,
+    0.7943833772046641, 1.3619675393308855e-55, 2.8367403174385378e-255,
+] + [0.0] * 26
 
 
 def manual_snapshot(variant=Variant.SOTA, **overrides):
@@ -113,6 +125,18 @@ class TestSnapshot:
     def test_csv_round_trip(self, ntp_snapshot):
         restored = snapshot_from_csv(snapshot_to_csv(ntp_snapshot))
         assert restored == ntp_snapshot
+
+    def test_csv_round_trip_full_reference_set(self, ntp_snapshot):
+        rng = np.random.default_rng(4)
+        full = replace(ntp_snapshot, reference_errors=tuple(rng.normal(0.0, 1e-4, REFERENCE_CAP).tolist()))
+        text = snapshot_to_csv(full)
+        assert max(len(line) for line in text.splitlines()) > 131_072  # the csv module's field limit
+        assert snapshot_from_csv(text) == full
+
+    def test_csv_line_without_value_rejected(self, ntp_snapshot):
+        text = snapshot_to_csv(ntp_snapshot).replace("\nskew,", "\nskew\n", 1)
+        with pytest.raises(ValueError, match="expected key,value"):
+            snapshot_from_csv(text)
 
 
 class TestSotaInitialError:
@@ -234,6 +258,11 @@ class TestCusumRecursion:
                                            CusumRecursionConfig(grid_resolution=100))
             assert pred == pytest.approx(mc, abs=0.03)
 
+    def test_std_checked_before_early_exit(self):
+        # the last batch alone drives g to 0; the bad first batch must still fail
+        with pytest.raises(ValueError):
+            cusum_success_recursion([(0.0, -1.0), (100.0, 1.0)], 5.0, 8.0, CusumRecursionConfig())
+
     def test_grid_convergence(self):
         densities = [(9.0, 1.0)] * 20
         p100 = cusum_success_recursion(densities, 5.0, 8.0, CusumRecursionConfig(grid_resolution=100))
@@ -276,6 +305,14 @@ class TestNtpForecast:
         )
         fc = ntp_forecast(snap, -slope * PERIOD / (1 + slope), 1)
         assert fc.e_hat[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_grid_forecasts_match_single_forecasts(self, ntp_snapshot):
+        grid = np.arange(-3, 4) * 1e-7
+        for dt, fc in zip(grid, ntp_forecasts(ntp_snapshot, grid, 30)):
+            single = ntp_forecast(ntp_snapshot, float(dt), 30)
+            for name in ("t_hat", "o_acc_hat", "skew_hat", "e_hat", "mu_cusum_hat",
+                         "sigma_cusum_hat", "e_n_mean", "e_n_std"):
+                assert np.array_equal(getattr(fc, name), getattr(single, name)), name
 
     def test_requires_history(self):
         snap = manual_snapshot(Variant.NTP)
@@ -322,6 +359,17 @@ class TestSuccessCurve:
         peak = int(np.argmax(p))
         assert np.all(np.diff(p[: peak + 1]) >= -1e-6)
         assert np.all(np.diff(p[peak:]) <= 1e-6)
+
+    def test_pinned_acceptance_curve(self, schedule, target_clock, noise):
+        cfg = ExperimentConfig(ids=make_config(Variant.NTP), warmup_batches=1000,
+                               trials=1, horizon=60, grid=np.array([0.0]), seed=0)
+        normal_seed = int(np.random.default_rng(0).integers(0, 2**63))
+        normal = synthesize_trace(schedule, target_clock, noise, 1001 * 20, normal_seed)
+        snap = take_snapshot(None, _warmup_state(normal.arrivals(MESSAGE_ID), cfg, PERIOD), 1001)
+        grid = np.arange(-30, 31) * 1e-7
+        p = success_curve(snap, grid, horizon=60,
+                          recursion_cfg=CusumRecursionConfig(grid_resolution=100, horizon=60)).p_success
+        assert np.max(np.abs(p - np.array(PINNED_NTP_CURVE))) <= 1e-12
 
     def test_grid_validation(self, ntp_snapshot):
         with pytest.raises(ValueError):

@@ -117,6 +117,21 @@ class TestFormalInvariants:
                                     CusumRecursionConfig(grid_resolution=30))
         assert 0.0 <= p <= 1.0
 
+    @given(prefix=st.lists(st.tuples(st.floats(min_value=-30, max_value=30),
+                                     st.floats(min_value=0.05, max_value=5.0)), max_size=8),
+           sign=st.sampled_from((-1.0, 1.0)),
+           std=st.floats(min_value=0.05, max_value=5.0),
+           sigmas_out=st.floats(min_value=40.0, max_value=1e3))
+    @settings(max_examples=50, deadline=None)
+    def test_far_last_batch_gives_exact_zero(self, prefix, sign, std, sigmas_out):
+        # the last batch lands beyond kappa + Gamma on either side with
+        # certainty, whatever happened before it
+        kappa, big_gamma = 8.0, 5.0
+        last = (sign * (kappa + big_gamma + sigmas_out * std), std)
+        p = cusum_success_recursion(prefix + [last], big_gamma, kappa,
+                                    CusumRecursionConfig(grid_resolution=30))
+        assert p == 0.0
+
     @given(e0=st.floats(min_value=8.01, max_value=30.0),
            tau=st.floats(min_value=0.01, max_value=5.0))
     def test_lplus_max_nonnegative(self, e0, tau):
