@@ -46,24 +46,42 @@ def _parse_grid(text):
     return np.arange(int(round(start)), int(round(stop)) + 1) * scale
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that keeps its actions by dest, so config file keys
+    can be matched to their options."""
+
+    def __init__(self, *args, **kwargs):
+        self.actions_by_dest = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.actions_by_dest[action.dest] = action
+        return action
+
+
 def _resolve(args, argv):
     """Fill argparse defaults from the config file and the seed env var.
-    ``argv`` is the parsed command line; a flag given there, as ``--flag
-    value`` or ``--flag=value``, wins over the config file."""
+
+    ``argv`` is the parsed command line. A config key names the dest of one
+    of the subcommand's options (positionals are not settable); when one of
+    the option's strings is on the command line, as ``--flag value`` or
+    ``--flag=value``, the flag wins over the file. File values are converted
+    with the option's own type, so ``message_id=0x185`` reads as ``--id 0x185``.
+    """
     if getattr(args, "config", None):
         file_values = _read_config_file(args.config)
         given = {token.partition("=")[0] for token in argv if token.startswith("--")}
         for key, raw in file_values.items():
-            if not hasattr(args, key):
+            action = args._actions.get(key)
+            if action is None or not action.option_strings or not hasattr(args, key):
                 raise ValueError(f"unknown config key {key!r}")
-            current = getattr(args, key)
-            if f"--{key.replace('_', '-')}" in given:
+            if given.intersection(action.option_strings):
                 continue  # explicit flag wins
-            caster = type(current) if current is not None else str
-            if caster is bool:
+            if isinstance(action.default, bool):  # store_true flags
                 setattr(args, key, raw.lower() in ("1", "true", "yes"))
             else:
-                setattr(args, key, caster(raw))
+                setattr(args, key, (action.type or str)(raw))
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None and hasattr(args, "seed"):
         args.seed = int(env_seed)
@@ -71,7 +89,7 @@ def _resolve(args, argv):
 
 
 def _announce(args):
-    items = sorted((k, repr(v)) for k, v in vars(args).items() if k != "func")
+    items = sorted((k, repr(v)) for k, v in vars(args).items() if k not in ("func", "_actions"))
     digest = hashlib.sha256("\n".join(f"{k}={v}" for k, v in items).encode()).hexdigest()
     seed = getattr(args, "seed", None)
     print(f"seed={seed} config_digest={digest}", file=sys.stderr)
@@ -190,7 +208,9 @@ def _cmd_detect(args):
 
 
 def _cmd_attack(args):
-    schedule = MessageSchedule(args.message_id, args.period)
+    # first nominal arrival at 1 s, as generate's default, so jitter cannot
+    # push a timestamp below zero
+    schedule = MessageSchedule(args.message_id, args.period, start_time=1.0)
     spec = _attack_spec(args, args.attack_batches)
     trace = attacks.cloaked_trace(spec, schedule, _target_clock(args), _target_noise(args),
                                   args.normal_count, args.batch_size, args.seed)
@@ -297,7 +317,7 @@ def _cmd_consistency(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="canskew",
                                      description="Clock-skew IDS and cloaking-attack toolkit for periodic CAN traffic")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("generate", help="synthesize a periodic trace")
     _add_common(p)
@@ -389,6 +409,8 @@ def build_parser():
     p.add_argument("inputs", nargs="+")
     p.set_defaults(func=_cmd_consistency)
 
+    for command in sub.choices.values():
+        command.set_defaults(_actions=command.actions_by_dest)
     return parser
 
 

@@ -1,9 +1,12 @@
 """Monte Carlo sweeps, curve metrics, and the estimation-consistency study.
 
-``monte_carlo_ps`` runs the warmup once per curve and branches the detector
-state per (trial, grid point): trials redraw only the attack-stream noise, and
-grid points translate that trial's arrivals analytically. Success counts are
-integers, so aggregation order cannot change the result.
+``monte_carlo_ps`` warms a detector once per curve (synthetic source) or once
+per trial (recorded source), then runs the armed attack phase of every
+(trial, grid point) stream together: ``ids.IdsStreams`` advances all live
+streams by one batch per step and drops those that alarm. Trials redraw only
+the attack-stream noise, and grid points translate that trial's arrivals
+analytically. Success counts are integers, so aggregation order cannot change
+the result.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .clock import (
     synthesize_trace,
 )
 from .curves import SuccessCurve
-from .ids import IdsConfig, Variant, batch_arrivals, clone_state, init_state, process_batch, run_ids
+from .ids import IdsConfig, IdsStreams, Variant, init_state, process_batch, run_ids
 
 __all__ = [
     "SyntheticSource",
@@ -96,16 +99,6 @@ def _warmup_state(arrivals, cfg, period):
     return state
 
 
-def _survives(base_state, arrivals, horizon, batch_size):
-    """True when no alarm fires over the attack horizon."""
-    state = clone_state(base_state)
-    batches = arrivals.reshape(horizon, batch_size)
-    for k in range(horizon):
-        if process_batch(state, batches[k], armed=True).alarm:
-            return False
-    return True
-
-
 def monte_carlo_ps(source, attack, cfg, vary="delta_t", message_id=None, period=None):
     """Experimental success curve: fraction of trials with no alarm during the
     attack horizon, per grid point.
@@ -117,13 +110,26 @@ def monte_carlo_ps(source, attack, cfg, vary="delta_t", message_id=None, period=
     """
     if vary not in ("delta_t", "mistiming"):
         raise ValueError(f"vary must be 'delta_t' or 'mistiming', got {vary!r}")
+    # each trial's stream at grid value 0, unquantized: the grid translates it
+    spec = dataclasses.replace(
+        attack,
+        **{vary: 0.0},
+        attack_batches=cfg.horizon,
+        attacker_noise=dataclasses.replace(attack.attacker_noise, quantization_step=0.0),
+    )
     if isinstance(source, SyntheticSource):
-        return _monte_carlo_synthetic(source, attack, cfg, vary)
-    if isinstance(source, Trace):
+        bases, trial_base, arrivals0 = _synthetic_trials(source, spec, cfg)
+    elif isinstance(source, Trace):
         if message_id is None or period is None:
             raise ValueError("replay mode requires message_id and period")
-        return _monte_carlo_replay(source, message_id, period, attack, cfg, vary)
-    raise TypeError(f"source must be SyntheticSource or Trace, got {type(source).__name__}")
+        bases, trial_base, arrivals0 = _replay_trials(source, message_id, period, spec, cfg)
+    else:
+        raise TypeError(f"source must be SyntheticSource or Trace, got {type(source).__name__}")
+    shift_units = _grid_shift_units(attack, vary, cfg.horizon * cfg.ids.batch_size)
+    successes = _attack_phase(bases, trial_base, arrivals0, shift_units, cfg.grid,
+                              attack.attacker_noise.quantization_step, cfg.horizon)
+    return SuccessCurve(grid=cfg.grid, p_success=successes / cfg.trials,
+                        trials=cfg.trials, horizon=cfg.horizon, source="EXPERIMENTAL")
 
 
 def _grid_shift_units(attack, vary, count):
@@ -139,49 +145,27 @@ def _grid_shift_units(attack, vary, count):
     return np.ones(count, dtype=np.float64)
 
 
-def _sweep_one_trial(base_state, arrivals0, shift_units, grid, qstep, horizon, batch_size):
-    successes = np.zeros(len(grid), dtype=np.int64)
-    for gi, g in enumerate(grid):
-        arr = quantize(arrivals0 + g * shift_units, qstep)
-        if _survives(base_state, arr, horizon, batch_size):
-            successes[gi] = 1
-    return successes
-
-
-def _monte_carlo_synthetic(source, attack, cfg, vary):
+def _synthetic_trials(source, spec, cfg):
+    """One warm state shared by every trial, and each trial's attack arrivals."""
     n = cfg.ids.batch_size
-    period = source.schedule.period
     rng = np.random.default_rng(cfg.seed)
     normal_seed = int(rng.integers(0, 2**63))
     trial_seeds = rng.integers(0, 2**63, size=cfg.trials)
 
     normal_count = (cfg.warmup_batches + 1) * n
     normal = synthesize_trace(source.schedule, source.clock, source.noise, normal_count, normal_seed)
-    base_state = _warmup_state(normal.arrivals(source.schedule.message_id), cfg, period)
-
-    qstep = attack.attacker_noise.quantization_step
-    base_spec = dataclasses.replace(
-        attack,
-        **{vary: 0.0},
-        attack_batches=cfg.horizon,
-        attacker_noise=dataclasses.replace(attack.attacker_noise, quantization_step=0.0),
-    )
-    count = cfg.horizon * n
-    shift_units = _grid_shift_units(attack, vary, count)
-
-    successes = np.zeros(len(cfg.grid), dtype=np.int64)
-    for seed in trial_seeds:
-        trial_rng = np.random.default_rng(int(seed))
-        arrivals0 = attack_arrivals(
-            base_spec, source.schedule, source.clock, source.noise.delay_mean,
-            normal_count, n, trial_rng,
-        )
-        successes += _sweep_one_trial(base_state, arrivals0, shift_units, cfg.grid, qstep, cfg.horizon, n)
-    return SuccessCurve(grid=cfg.grid, p_success=successes / cfg.trials,
-                        trials=cfg.trials, horizon=cfg.horizon, source="EXPERIMENTAL")
+    base_state = _warmup_state(normal.arrivals(source.schedule.message_id), cfg, source.schedule.period)
+    arrivals0 = np.array([
+        attack_arrivals(spec, source.schedule, source.clock, source.noise.delay_mean,
+                        normal_count, n, np.random.default_rng(int(seed)))
+        for seed in trial_seeds
+    ])
+    return [base_state], np.zeros(cfg.trials, dtype=np.intp), arrivals0
 
 
-def _monte_carlo_replay(trace, message_id, period, attack, cfg, vary):
+def _replay_trials(trace, message_id, period, spec, cfg):
+    """A warm state per trial, on the log window that trial starts after, and
+    each trial's attack arrivals anchored to its window."""
     n = cfg.ids.batch_size
     a = trace.arrivals(message_id)
     warmup_len = (cfg.warmup_batches + 1) * n
@@ -191,39 +175,62 @@ def _monte_carlo_replay(trace, message_id, period, attack, cfg, vary):
         )
     rng = np.random.default_rng(cfg.seed)
     trial_seeds = rng.integers(0, 2**63, size=cfg.trials)
-    qstep = attack.attacker_noise.quantization_step
-    base_spec = dataclasses.replace(
-        attack,
-        **{vary: 0.0},
-        attack_batches=cfg.horizon,
-        attacker_noise=dataclasses.replace(attack.attacker_noise, quantization_step=0.0),
-    )
-    count = cfg.horizon * n
-    shift_units = _grid_shift_units(attack, vary, count)
     schedule = MessageSchedule(message_id, period)
 
-    successes = np.zeros(len(cfg.grid), dtype=np.int64)
+    bases, arrivals0 = [], []
     for i, seed in enumerate(trial_seeds):
         window = a[i : i + warmup_len]
         state = _warmup_state(window, cfg, period)
         mu_hat, _ = state.inter_arrival_stats()
         # anchor the spoofed stream at the recorded stream's own cadence
         target_skew = period / mu_hat - 1.0
-        trial_rng = np.random.default_rng(int(seed))
-        arrivals0 = attack_arrivals(
-            base_spec,
+        arrivals = attack_arrivals(
+            spec,
             dataclasses.replace(schedule, start_time=float(window[0])),
             ClockSpec(skew=target_skew),
             0.0,
             warmup_len,
             n,
-            trial_rng,
+            np.random.default_rng(int(seed)),
         )
         # re-anchor: the recorded last arrival replaces the synthetic one
-        arrivals0 = arrivals0 - (float(window[0]) + (warmup_len - 1) * mu_hat) + float(window[-1])
-        successes += _sweep_one_trial(state, arrivals0, shift_units, cfg.grid, qstep, cfg.horizon, n)
-    return SuccessCurve(grid=cfg.grid, p_success=successes / cfg.trials,
-                        trials=cfg.trials, horizon=cfg.horizon, source="EXPERIMENTAL")
+        arrivals0.append(arrivals - (float(window[0]) + (warmup_len - 1) * mu_hat) + float(window[-1]))
+        bases.append(state)
+    return bases, np.arange(cfg.trials), np.array(arrivals0)
+
+
+def _attack_phase(bases, trial_base, arrivals0, shift_units, grid, qstep, horizon):
+    """Surviving trials per grid point. Stream (trial t, grid point g) starts
+    from trial t's warm state and sees arrivals0[t] translated by
+    grid[g] * shift_units, quantized; batch k of every stream is formed and
+    stepped at once, so no (streams, horizon * N) array is built.
+
+    An alarmed stream leaves the live set at once, but the arrays shrink only
+    to the smallest power of two that holds the live streams: dropping
+    streams at every alarm gave the per-step arrays a new size almost every
+    step, and the heap fragmented (resident memory grew by about 3 MB per 100
+    sweeps and kept growing).
+    """
+    n = bases[0].config.batch_size
+    points = len(grid)
+    trial, point = np.divmod(np.arange(len(arrivals0) * points), points)
+    streams = IdsStreams(bases, trial_base[trial])
+    alive = np.ones(len(trial), dtype=bool)
+    for k in range(horizon):
+        cols = slice(k * n, (k + 1) * n)
+        batch = arrivals0[trial, cols]
+        batch += grid[point, None] * shift_units[cols]
+        alive &= ~streams.step(quantize(batch, qstep))
+        live = int(np.count_nonzero(alive))
+        if not live:
+            break
+        size = 1 << (live - 1).bit_length()
+        if size < len(alive):
+            keep = alive.copy()
+            keep[np.flatnonzero(~alive)[: size - live]] = True
+            streams.keep(keep)
+            trial, point, alive = trial[keep], point[keep], alive[keep]
+    return np.bincount(point[alive], minlength=points)
 
 
 def epsilon_msi(curve, epsilon):

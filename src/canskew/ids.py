@@ -3,11 +3,12 @@ tracking, and CUSUM change detection, in two variants (SOTA and NTP-based).
 """
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -28,7 +29,7 @@ __all__ = [
     "cusum_step",
     "init_state",
     "process_batch",
-    "clone_state",
+    "IdsStreams",
     "run_ids",
 ]
 
@@ -115,18 +116,6 @@ class CusumState:
 
     def normalize(self, e):
         return (e - self.mu_cusum) / max(self.sigma_cusum, _SIGMA_FLOOR)
-
-    def copy(self):
-        return CusumState(
-            mu_cusum=self.mu_cusum,
-            sigma_cusum=self.sigma_cusum,
-            reference_errors=deque(self.reference_errors, maxlen=REFERENCE_CAP),
-            l_plus=self.l_plus,
-            l_minus=self.l_minus,
-            alarmed=self.alarmed,
-            _sum=self._sum,
-            _sumsq=self._sumsq,
-        )
 
 
 @dataclass
@@ -343,15 +332,148 @@ def process_batch(state, batch_arrivals, armed=True):
     )
 
 
-def clone_state(state):
-    """Independent copy of detector state, for branching what-if runs."""
-    clone = replace(state)
-    clone.rls = RlsState(skew=state.rls.skew, gain_denominator=state.rls.gain_denominator)
-    clone.cusum = state.cusum.copy()
-    clone._bootstrap_errors = list(state._bootstrap_errors)
-    clone.o_acc_history = list(state.o_acc_history)
-    clone.t_history = list(state.t_history)
-    return clone
+def _pow2(x):
+    """x**2 per element as Python floats compute it: through libm pow, which
+    rounds differently from x * x in about one case in a thousand."""
+    return np.array([v**2 for v in x.tolist()], dtype=np.float64)
+
+
+class IdsStreams:
+    """Armed detector state of S independent streams, one array entry per
+    stream, advanced together one batch per ``step``.
+
+    Stream s branches from ``bases[base_index[s]]``, an ``IdsState`` after its
+    unarmed warmup; the bases are read, not kept or changed. Every entry goes
+    through the operations of ``process_batch`` on a copy of its base in the
+    same order, so a stream alarms at exactly the batch where that copy
+    would. Only what the armed step reads is held: the reference FIFO is its
+    count and running sums (mu/sigma follow from them), plus each base's own
+    references, which are the first evicted once the FIFO is full.
+    """
+
+    _PER_STREAM = ("base", "evicted", "t_origin", "prev_batch_mean", "prev_last_arrival", "o_acc",
+                   "skew", "gain_denominator", "l_plus", "l_minus", "ref_count", "ref_sum", "ref_sumsq")
+
+    def __init__(self, bases, base_index):
+        first = bases[0]
+        if any(b.config != first.config or b.period != first.period for b in bases):
+            raise ValueError("base states must share one detector config and period")
+        if len({b.cusum.ready for b in bases}) > 1:
+            raise ValueError("base states must all have reference statistics, or all lack them")
+        self.config = first.config
+        self.period = first.period
+        # an unready base seeds its references from its bootstrap errors plus
+        # the first armed error; fold the shared part in now
+        self._bootstrapping = not first.cusum.ready
+        cusums = []
+        for b in bases:
+            cusum = b.cusum
+            if self._bootstrapping:
+                if not b._bootstrap_errors:
+                    raise ValueError("base state has processed no batch")
+                cusum = copy.deepcopy(cusum)
+                for err in b._bootstrap_errors:
+                    cusum.add_reference(err)
+            cusums.append(cusum)
+        self._base_refs = np.full((len(bases), max(len(c.reference_errors) for c in cusums)), np.nan)
+        for row, c in zip(self._base_refs, cusums):
+            row[: len(c.reference_errors)] = c.reference_errors
+        self._base_len = np.array([len(c.reference_errors) for c in cusums])
+
+        self.base = np.asarray(base_index, dtype=np.intp)
+
+        def per_stream(values, dtype=np.float64):
+            return np.array(values, dtype=dtype)[self.base]
+
+        self.evicted = np.zeros(len(self.base), dtype=np.int64)
+        self.t_origin = per_stream([b.t_origin for b in bases])
+        self.prev_batch_mean = per_stream([b.prev_batch_mean for b in bases])
+        self.prev_last_arrival = per_stream([b.prev_last_arrival for b in bases])
+        self.o_acc = per_stream([b.o_acc for b in bases])
+        self.skew = per_stream([b.rls.skew for b in bases])
+        self.gain_denominator = per_stream([b.rls.gain_denominator for b in bases])
+        self.l_plus = per_stream([c.l_plus for c in cusums])
+        self.l_minus = per_stream([c.l_minus for c in cusums])
+        self.ref_count = per_stream([len(c.reference_errors) for c in cusums], np.int64)
+        self.ref_sum = per_stream([c._sum for c in cusums])
+        self.ref_sumsq = per_stream([c._sumsq for c in cusums])
+
+    def __len__(self):
+        return len(self.base)
+
+    @property
+    def mu_cusum(self):
+        return self.ref_sum / self.ref_count
+
+    @property
+    def sigma_cusum(self):
+        n = self.ref_count
+        return np.sqrt(np.maximum(0.0, (self.ref_sumsq - n * _pow2(self.mu_cusum)) / (n - 1)))
+
+    def keep(self, mask):
+        """Drop every stream where ``mask`` is False."""
+        for name in self._PER_STREAM:
+            setattr(self, name, getattr(self, name)[mask])
+
+    def step(self, batches):
+        """Advance every stream by one armed batch; row s of ``batches`` holds
+        stream s's N arrivals. Returns the per-stream alarm mask."""
+        cfg = self.config
+        n = cfg.batch_size
+        a = np.asarray(batches, dtype=np.float64)
+        if a.shape != (len(self), n):
+            raise ValueError(f"expected batches of shape ({len(self)}, {n}), got {a.shape}")
+        last = a[:, -1].copy()  # kept as prev_last_arrival: no view into the caller's array
+
+        if cfg.variant is Variant.SOTA:
+            # in place, as a[1:] - (a[0] + i * prev_mean) per row: one (S, N-1) temporary
+            offsets = np.arange(1, n) * self.prev_batch_mean[:, None]
+            offsets += a[:, :1]
+            o_avg = np.mean(np.subtract(a[:, 1:], offsets, out=offsets), axis=1)
+            self.o_acc = self.o_acc + np.abs(o_avg)
+        else:
+            o_avg = self.period - (last - self.prev_last_arrival) / n
+            self.o_acc = self.o_acc + n * o_avg
+        t_k = last - self.t_origin
+        if np.any(t_k <= 0.0):
+            raise ValueError("elapsed time must be > 0")
+        e = self.o_acc - self.skew * t_k
+
+        if self._bootstrapping:
+            alarm = np.zeros(len(self), dtype=bool)
+            add = np.ones(len(self), dtype=bool)
+            self._bootstrapping = False
+        else:
+            e_n = (e - self.mu_cusum) / np.maximum(self.sigma_cusum, _SIGMA_FLOOR)
+            self.l_plus = np.maximum(0.0, self.l_plus + e_n - cfg.sensitivity)
+            self.l_minus = np.maximum(0.0, self.l_minus - e_n - cfg.sensitivity)
+            add = np.abs(e_n) < cfg.update_threshold
+            alarm = np.maximum(self.l_plus, self.l_minus) > cfg.detection_threshold
+        self._add_references(add, e)
+
+        p = self.gain_denominator
+        gain = p * t_k / (cfg.rls_lambda + t_k * t_k * p)
+        self.skew = self.skew + gain * (self.o_acc - self.skew * t_k)
+        self.gain_denominator = (p - gain * t_k * p) / cfg.rls_lambda
+
+        self.prev_batch_mean = (last - self.prev_last_arrival) / n
+        self.prev_last_arrival = last
+        return alarm
+
+    def _add_references(self, add, e):
+        """``CusumState.add_reference(e)`` on the streams where ``add`` holds."""
+        full = add & (self.ref_count == REFERENCE_CAP)
+        if full.any():
+            base, index = self.base[full], self.evicted[full]
+            if np.any(index >= self._base_len[base]):
+                raise ValueError(f"a stream outlived its base's references ({REFERENCE_CAP} batches)")
+            old = self._base_refs[base, index]
+            self.ref_sum[full] -= old
+            self.ref_sumsq[full] -= old * old
+            self.evicted[full] += 1
+        self.ref_sum = np.where(add, self.ref_sum + e, self.ref_sum)
+        self.ref_sumsq = np.where(add, self.ref_sumsq + e * e, self.ref_sumsq)
+        self.ref_count = self.ref_count + (add & ~full)
 
 
 def batch_arrivals(trace, message_id, batch_size):

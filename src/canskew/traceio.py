@@ -1,8 +1,9 @@
 """Reading, writing, and gap-repair of CAN timestamp logs.
 
 Two formats: candump text lines "(sec.micros) iface ID#data" and CSV with
-header "timestamp,can_id,data". Payload bytes are discarded on parse — only
-timing matters here. Timestamps serialize at microsecond resolution.
+header "timestamp,can_id,data", whose can_id is hex with a 0x prefix and
+decimal without one. Payload bytes are discarded on parse — only timing
+matters here. Timestamps serialize at microsecond resolution.
 """
 from __future__ import annotations
 
@@ -64,7 +65,8 @@ def _parse_csv(lines):
             raise ParseError(number, f"expected at least timestamp and can_id: {line!r}")
         try:
             ts = float(row[0])
-            can_id = int(row[1], 16) if row[1].strip().lower().startswith("0x") else int(row[1], 16)
+            text = row[1].strip()
+            can_id = int(text, 16) if text.lower().startswith("0x") else int(text, 10)
         except ValueError as exc:
             raise ParseError(number, str(exc)) from exc
         if ts < 0.0:
@@ -94,14 +96,16 @@ def _microseconds(t):
 
 def _format_us(t):
     us = _microseconds(t)
-    sign = "-" if us < 0 else ""
-    us = abs(us)
-    return f"{sign}{us // 1_000_000}.{us % 1_000_000:06d}"
+    if us < 0:
+        raise ValueError(f"cannot write negative timestamp {t:.9f} s: logs hold only non-negative times")
+    return f"{us // 1_000_000}.{us % 1_000_000:06d}"
 
 
 def write_trace(trace, fmt):
     """Serialize a trace; timestamps truncate to microseconds, so a
-    parse/write round-trip is exact at microsecond resolution."""
+    parse/write round-trip is exact at microsecond resolution. A timestamp
+    below zero at that resolution raises ValueError naming the first one,
+    since parse_log rejects negative times."""
     if fmt is LogFormat.CANDUMP:
         out = []
         for t, mid in zip(trace.times, trace.ids):

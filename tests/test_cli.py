@@ -5,6 +5,7 @@ import pytest
 from canskew.cli import main
 from canskew.curves import SuccessCurve
 from canskew.formal import ntp_forecast, snapshot_from_csv
+from canskew.traceio import LogFormat, parse_log
 
 
 def run_cli(args, capsys):
@@ -58,12 +59,48 @@ class TestPlumbing:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 100
 
+    def test_flag_named_apart_from_its_key_beats_config_file(self, capsys, tmp_path):
+        # --id sets message_id
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("message_id=389\n")
+        out = tmp_path / "t.log"
+        code, _, _ = run_cli(["generate", "--count", "3", "--id", "0x200", "--config", str(cfg),
+                              "--out", str(out)], capsys)
+        assert code == 0
+        assert [line.split()[-1] for line in out.read_text().splitlines()] == ["200#"] * 3
+
+    @pytest.mark.parametrize("value, written", [("0x1A0", "1A0#"), ("389", "185#")])
+    def test_config_value_read_with_the_option_type(self, capsys, tmp_path, value, written):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"count=2\nmessage_id={value}\n")
+        out = tmp_path / "t.log"
+        code, _, err = run_cli(["generate", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 0, err
+        assert [line.split()[-1] for line in out.read_text().splitlines()] == [written] * 2
+
+    def test_bad_config_value_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("message_id=0xZZ\n")
+        code, _, err = run_cli(["generate", "--config", str(cfg), "--out", str(tmp_path / "t.log")], capsys)
+        assert code == 1
+        assert "0xZZ" in err
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bogus_key=1\n")
         code, _, err = run_cli(["generate", "--config", str(cfg)], capsys)
         assert code == 1
         assert "bogus_key" in err
+
+    def test_positional_config_key_rejected(self, capsys, tmp_path):
+        trace = tmp_path / "t1.log"
+        run_cli(["generate", "--count", "400", "--out", str(trace)], capsys)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"inputs={trace}\n")
+        code, _, err = run_cli(["consistency", "--config", str(cfg), "--batch-sizes", "20",
+                                "--warmup", "5", str(trace)], capsys)
+        assert code == 1
+        assert "unknown config key 'inputs'" in err
 
 
 class TestWorkflows:
@@ -153,6 +190,8 @@ class TestWorkflows:
         ], capsys)
         assert code == 0
         assert len(out.read_text().splitlines()) == 1020 + 200
+        # readable back: no record before time 0
+        assert len(parse_log(out.read_text(), LogFormat.CANDUMP)) == 1020 + 200
 
     def test_sweep_compare_msi(self, capsys, tmp_path):
         exp = tmp_path / "exp.csv"

@@ -1,5 +1,6 @@
 """Success-probability models: closed-form SOTA bound, NTP forecast, and the
 CUSUM control-limit recursion."""
+import copy
 import math
 from dataclasses import replace
 
@@ -322,7 +323,7 @@ class TestNtpForecast:
     def test_forecast_tracks_simulated_errors(self, ntp_snapshot, warm_states, schedule,
                                                target_clock, attacker_clock, noise, matched_delta_t0):
         from canskew.attacks import AttackSpec, attack_arrivals
-        from canskew.ids import clone_state, process_batch
+        from canskew.ids import process_batch
 
         delta_t = 5e-6
         horizon = 60
@@ -333,7 +334,7 @@ class TestNtpForecast:
         for trial in range(100):
             rng = np.random.default_rng(1000 + trial)
             arrivals = attack_arrivals(spec, schedule, target_clock, 0.0, 301 * 20, 20, rng)
-            state = clone_state(warm_states[Variant.NTP])
+            state = copy.deepcopy(warm_states[Variant.NTP])
             for k, batch in enumerate(arrivals.reshape(horizon, 20)):
                 sims[trial, k] = process_batch(state, batch, armed=True).e
         mean_e = sims.mean(axis=0)

@@ -1,16 +1,31 @@
 """Detector building blocks and end-to-end runs for both variants."""
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from canskew.clock import ClockSpec, InsufficientDataError, MessageSchedule, NoiseModel, ppm, synthesize_trace
+from canskew.attacks import AttackSpec, attack_arrivals, compute_delta_t0
+from canskew.clock import (
+    ClockSpec,
+    InsufficientDataError,
+    MessageSchedule,
+    NoiseModel,
+    ppm,
+    quantize,
+    synthesize_trace,
+)
+from canskew.harness import _attack_phase, _grid_shift_units
 from canskew.ids import (
+    REFERENCE_CAP,
     CusumState,
     IdsConfig,
+    IdsStreams,
     RlsState,
     Variant,
     accumulate_offset,
     batch_arrivals,
-    clone_state,
     cusum_step,
     init_state,
     ntp_avg_offset,
@@ -240,17 +255,6 @@ class TestRunIds:
 
 
 class TestStateUtilities:
-    def test_clone_is_independent(self):
-        trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(jitter_std=1e-5), NoiseModel(), 400, seed=9)
-        batches = batch_arrivals(trace, 1, 20)
-        state = init_state(make_config(Variant.NTP), batches[0], period=0.1)
-        for k in range(1, 10):
-            process_batch(state, batches[k], armed=False)
-        clone = clone_state(state)
-        process_batch(clone, batches[10], armed=False)
-        assert clone.batch_index == state.batch_index + 1
-        assert state.o_acc != clone.o_acc
-
     def test_batch_arrivals_discards_partial(self):
         trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(), NoiseModel(), 45, seed=0)
         assert batch_arrivals(trace, 1, 20).shape == (2, 20)
@@ -259,3 +263,144 @@ class TestStateUtilities:
         trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(), NoiseModel(), 5, seed=0)
         with pytest.raises(InsufficientDataError):
             batch_arrivals(trace, 1, 20)
+
+
+STREAM_PERIOD = 0.1
+STREAM_TARGET = ClockSpec(skew=ppm(100), jitter_std=25e-6)
+STREAM_ATTACKER = ClockSpec(skew=ppm(150), jitter_std=25e-6)
+
+
+def warm_state(config, warmup, seed):
+    """Detector state after batch 0 and ``warmup`` unarmed batches."""
+    trace = synthesize_trace(MessageSchedule(1, STREAM_PERIOD), STREAM_TARGET, NoiseModel(),
+                             (warmup + 1) * config.batch_size, seed)
+    return run_ids(trace, 1, config, warmup, period=STREAM_PERIOD).final_state
+
+
+def cloak_arrivals(config, warmup, horizon, seed):
+    """A matched cloak's spoofed arrivals after a ``warm_state`` warmup."""
+    spec = AttackSpec(delta_t0=compute_delta_t0(STREAM_ATTACKER.skew, STREAM_TARGET.skew, STREAM_PERIOD),
+                      start_batch=warmup + 1, attack_batches=horizon, attacker_clock=STREAM_ATTACKER)
+    n = config.batch_size
+    return attack_arrivals(spec, MessageSchedule(1, STREAM_PERIOD), STREAM_TARGET, 0.0,
+                           (warmup + 1) * n, n, np.random.default_rng(seed))
+
+
+def assert_streams_match_process_batch(bases, trial_base, arrivals0, shift_units, grid, qstep, horizon):
+    """Stream (trial, grid point) of IdsStreams and of the harness attack
+    phase behaves as process_batch on a deep copy of its base: the same alarm
+    and the same detector scalars, bit for bit, after every batch, and the
+    same survivors."""
+    n = bases[0].config.batch_size
+    trial, point = np.divmod(np.arange(len(arrivals0) * len(grid)), len(grid))
+    arrivals = quantize(arrivals0[trial] + grid[point, None] * shift_units, qstep)
+    states = [copy.deepcopy(bases[trial_base[t]]) for t in trial]
+    streams = IdsStreams(bases, trial_base[trial])
+    alarmed = np.zeros(len(trial), dtype=bool)
+    for k in range(horizon):
+        batches = arrivals[:, k * n:(k + 1) * n]
+        alarm = streams.step(batches)
+        assert alarm.tolist() == [process_batch(s, b, armed=True).alarm for s, b in zip(states, batches)]
+        alarmed |= alarm
+        scalars = {
+            "o_acc": [s.o_acc for s in states],
+            "skew": [s.rls.skew for s in states],
+            "gain_denominator": [s.rls.gain_denominator for s in states],
+            "l_plus": [s.cusum.l_plus for s in states],
+            "l_minus": [s.cusum.l_minus for s in states],
+            "ref_count": [len(s.cusum.reference_errors) for s in states],
+            "mu_cusum": [s.cusum.mu_cusum for s in states],
+            "sigma_cusum": [s.cusum.sigma_cusum for s in states],
+            "prev_batch_mean": [s.prev_batch_mean for s in states],
+        }
+        for name, values in scalars.items():
+            assert getattr(streams, name).tolist() == values, (name, k)
+
+    survivors = np.bincount(point[~alarmed], minlength=len(grid))
+    counts = _attack_phase(bases, trial_base, arrivals0, shift_units, grid, qstep, horizon)
+    assert counts.tolist() == survivors.tolist()
+
+
+class TestIdsStreams:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        kappa=st.floats(0.0, 10.0),
+        big_gamma=st.floats(0.5, 10.0),
+        gamma=st.floats(0.5, 6.0),
+        warmup=st.integers(1, 80),  # below 50 the reference set is still bootstrapping
+        trials=st.integers(1, 3),
+        shared_base=st.booleans(),
+        vary=st.sampled_from(["delta_t", "mistiming"]),
+        grid_units=st.lists(st.integers(-40, 40), min_size=1, max_size=6),
+        grid_scale=st.sampled_from([1e-7, 1e-6, 1e-5]),
+        qstep=st.sampled_from([0.0, 1e-6]),
+        horizon=st.integers(1, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_streams_match_process_batch(self, variant, kappa, big_gamma, gamma, warmup, trials, shared_base,
+                                         vary, grid_units, grid_scale, qstep, horizon, seed):
+        config = make_config(variant, sensitivity=kappa, detection_threshold=big_gamma, update_threshold=gamma)
+        bases = [warm_state(config, warmup, seed + i) for i in range(1 if shared_base else trials)]
+        trial_base = np.zeros(trials, dtype=int) if shared_base else np.arange(trials)
+        arrivals0 = np.array([cloak_arrivals(config, warmup, horizon, seed + 100 + t) for t in range(trials)])
+        spec = AttackSpec(delta_t0=0.0, attacker_clock=STREAM_ATTACKER)
+        shift_units = _grid_shift_units(spec, vary, horizon * config.batch_size)
+        grid = np.array(grid_units) * grid_scale
+        assert_streams_match_process_batch(bases, trial_base, arrivals0, shift_units, grid, qstep, horizon)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_full_reference_fifo_evicts_base_references(self, variant):
+        config = make_config(variant)
+        warmup, horizon = REFERENCE_CAP + 100, 40
+        base = warm_state(config, warmup, seed=3)
+        assert len(base.cusum.reference_errors) == REFERENCE_CAP
+        arrivals0 = np.array([cloak_arrivals(config, warmup, horizon, seed) for seed in (4, 5)])
+        shift_units = _grid_shift_units(AttackSpec(delta_t0=0.0), "delta_t", horizon * config.batch_size)
+        grid = np.array([-2.0, -0.5, 0.0, 0.5, 2.0]) * (1e-5 if variant is Variant.SOTA else 1e-7)
+        assert_streams_match_process_batch([base], np.zeros(2, dtype=int), arrivals0, shift_units, grid, 0.0,
+                                           horizon)
+
+    def test_reference_stats_round_like_add_reference(self):
+        # Python's mu**2 goes through libm pow, which rounds differently from
+        # mu * mu now and then; with two nearly equal references the variance
+        # cancels down to that last bit
+        rng = np.random.default_rng(12)
+        cusums = []
+        while len(cusums) < 5:
+            mid = rng.uniform(1e-6, 1e-3)
+            cusum = CusumState()
+            cusum.add_reference(mid * (1 + 1e-9))
+            cusum.add_reference(mid * (1 - 1e-9))
+            if cusum.mu_cusum**2 != cusum.mu_cusum * cusum.mu_cusum:
+                cusums.append(cusum)
+        bases = []
+        for cusum in cusums:
+            base = warm_state(make_config(Variant.SOTA), 60, seed=1)
+            base.cusum = cusum
+            bases.append(base)
+        streams = IdsStreams(bases, np.arange(len(bases)))
+        assert streams.mu_cusum.tolist() == [c.mu_cusum for c in cusums]
+        assert streams.sigma_cusum.tolist() == [c.sigma_cusum for c in cusums]
+
+    def test_bases_left_unchanged(self):
+        config = make_config(Variant.NTP)
+        base = warm_state(config, 60, seed=1)
+        before = copy.deepcopy(base)
+        streams = IdsStreams([base], np.zeros(3, dtype=int))
+        streams.step(np.tile(cloak_arrivals(config, 60, 1, seed=2), (3, 1)))
+        assert base.o_acc == before.o_acc and base.cusum._sum == before.cusum._sum
+        assert list(base.cusum.reference_errors) == list(before.cusum.reference_errors)
+
+    def test_rejects_mismatched_bases(self):
+        ntp = warm_state(make_config(Variant.NTP), 60, seed=1)
+        sota = warm_state(make_config(Variant.SOTA), 60, seed=1)
+        with pytest.raises(ValueError):
+            IdsStreams([ntp, sota], np.array([0, 1]))
+        with pytest.raises(ValueError):
+            IdsStreams([ntp, warm_state(make_config(Variant.NTP), 10, seed=1)], np.array([0, 1]))
+
+    def test_rejects_wrong_batch_shape(self):
+        streams = IdsStreams([warm_state(make_config(Variant.NTP), 60, seed=1)], np.zeros(2, dtype=int))
+        with pytest.raises(ValueError):
+            streams.step(np.zeros((3, 20)))

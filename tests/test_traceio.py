@@ -1,8 +1,11 @@
 """Log parsing, serialization round-trips, and gap repair."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from canskew.clock import ClockSpec, MessageSchedule, NoiseModel, Trace, ppm, synthesize_trace
+from canskew.cli import main as cli_main
+from canskew.clock import MAX_CAN_ID, ClockSpec, MessageSchedule, NoiseModel, Trace, ppm, synthesize_trace
 from canskew.traceio import LogFormat, ParseError, fill_missing, parse_log, write_trace
 
 
@@ -39,6 +42,17 @@ class TestParse:
     def test_id_out_of_range(self):
         with pytest.raises(ParseError):
             parse_log("(1.000000) can0 FFFFFFFF#\n", LogFormat.CANDUMP)
+
+    @pytest.mark.parametrize("text, can_id", [("0x185", 0x185), ("0X1a0", 0x1A0), ("389", 389), (" 17 ", 17)])
+    def test_csv_id_hex_with_prefix_else_decimal(self, text, can_id):
+        trace = parse_log(f"timestamp,can_id,data\n0.5,{text},\n", LogFormat.CSV)
+        assert trace.records == [(0.5, can_id)]
+
+    @pytest.mark.parametrize("text", ["1A0", "0x", "0xZZ", "", "3.5"])
+    def test_csv_bad_id(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_log(f"timestamp,can_id,data\n0.5,0x1,\n0.6,{text},\n", LogFormat.CSV)
+        assert exc.value.line_number == 3
 
     def test_csv_bad_header(self):
         with pytest.raises(ParseError):
@@ -77,6 +91,40 @@ class TestWrite:
         trace = Trace.from_records([(0.000001499, 0x1), (1.9999996, 0x1)])
         restored = parse_log(write_trace(trace, fmt), fmt)
         assert np.allclose(restored.times, [1e-6, 1.999999], atol=1e-12)
+
+
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    def test_negative_timestamp_rejected(self, fmt):
+        trace = Trace.from_records([(0.5, 0x1), (-4.2e-6, 0x2), (-1.0, 0x3)])
+        with pytest.raises(ValueError, match=r"-0\.0000042"):
+            write_trace(trace, fmt)
+
+    def test_sub_microsecond_negative_rounds_to_zero(self):
+        # rounding at nanoseconds first: -0.4 ns is written as 0
+        trace = Trace.from_records([(-4e-10, 0x1)])
+        assert write_trace(trace, LogFormat.CANDUMP) == "(0.000000) can0 001#\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.lists(st.tuples(st.floats(0.0, 1e6), st.integers(0, MAX_CAN_ID)), min_size=1, max_size=30),
+        fmt=st.sampled_from(list(LogFormat)),
+    )
+    def test_non_negative_traces_round_trip(self, records, fmt):
+        records.sort(key=lambda r: r[0])
+        trace = Trace.from_records(records)
+        restored = parse_log(write_trace(trace, fmt), fmt)
+        # the writer rounds at nanoseconds, then truncates to microseconds
+        expected_us = [round(t * 1e9) // 1000 for t, _ in records]
+        assert np.round(restored.times * 1e6).astype(np.int64).tolist() == expected_us
+        assert restored.ids.tolist() == [mid for _, mid in records]
+
+    def test_generate_refuses_negative_times(self, tmp_path, capsys):
+        out = tmp_path / "t.log"
+        code = cli_main(["generate", "--start-time", "0", "--count", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "negative timestamp" in err
+        assert not out.exists()
 
 
 class TestFillMissing:
