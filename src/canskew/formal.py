@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .curves import SuccessCurve
 from .ids import IdsConfig, Variant
@@ -313,6 +312,11 @@ def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
     (the kernels act on zeros and the reset term is scaled by g(0, 0) = 0),
     so the recursion stops there and returns 0.0.
     """
+    # loaded here, not with the module: scipy.special adds about 24 MB of
+    # resident memory to every process that imports canskew, and only this
+    # recursion uses it
+    from scipy.special import ndtr
+
     if kappa < big_gamma:
         raise ValueError(f"recursion assumes kappa >= Gamma, got kappa={kappa}, Gamma={big_gamma}")
     densities = list(error_densities)
