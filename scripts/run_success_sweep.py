@@ -11,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from canskew.clock import ClockSpec, MessageSchedule, NoiseModel, ppm, synthesize_trace
+from canskew.clock import ClockSpec, MessageSchedule, NoiseModel, ppm
 from canskew.attacks import AttackSpec, compute_delta_t0
 from canskew.formal import success_curve, take_snapshot
-from canskew.harness import ExperimentConfig, SyntheticSource, _warmup_state, ade, epsilon_msi, monte_carlo_ps
+from canskew.harness import (ExperimentConfig, SyntheticSource, ade, epsilon_msi, monte_carlo_ps,
+                             synthetic_warm_state)
 from canskew.ids import IdsConfig, Variant
 
 
@@ -47,8 +48,7 @@ def main():
     schedule = MessageSchedule(0x185, args.period)
     target = ClockSpec(skew=ppm(args.skew_ppm), jitter_std=args.jitter_std)
     attacker = ClockSpec(skew=ppm(args.attacker_skew_ppm), jitter_std=args.jitter_std)
-    noise = NoiseModel()
-    source = SyntheticSource(schedule, target, noise)
+    source = SyntheticSource(schedule, target, NoiseModel())
     attack = AttackSpec(
         delta_t0=compute_delta_t0(attacker.skew, target.skew, args.period),
         start_batch=args.warmup + 1, attack_batches=args.horizon,
@@ -62,12 +62,7 @@ def main():
         experimental = monte_carlo_ps(source, attack, cfg)
 
         # freeze the same warmup the sweep used, then predict analytically
-        rng = np.random.default_rng(args.seed)
-        normal_seed = int(rng.integers(0, 2**63))
-        count = (args.warmup + 1) * cfg.ids.batch_size
-        normal = synthesize_trace(schedule, target, noise, count, normal_seed)
-        state = _warmup_state(normal.arrivals(schedule.message_id), cfg, args.period)
-        snapshot = take_snapshot(None, state, args.warmup + 1)
+        snapshot = take_snapshot(None, synthetic_warm_state(source, cfg), args.warmup + 1)
         predicted = success_curve(snapshot, cfg.grid, horizon=args.horizon)
 
         for label, curve in (("experimental", experimental), ("predicted", predicted)):

@@ -12,6 +12,7 @@ from .clock import (
     inter_arrival_stats,
     quantize,
     receiver_period,
+    synthesize_trace,
 )
 
 __all__ = [
@@ -19,7 +20,6 @@ __all__ = [
     "compute_delta_t0",
     "estimate_delta_t0",
     "cloaked_trace",
-    "append_attack",
     "attack_arrivals",
     "shift_inter_arrivals",
 ]
@@ -83,29 +83,19 @@ def attack_arrivals(spec, schedule, target_clock, target_delay_mean, normal_coun
     return quantize(nominal - eps + delay, noise.quantization_step)
 
 
-def append_attack(normal, spec, schedule, target_clock, target_noise, batch_size, seed):
-    """Append the spoofed stream to an already-synthesized normal trace."""
-    normal_count = len(normal.arrivals(schedule.message_id))
-    if normal_count < spec.start_batch * batch_size:
-        raise ValueError("normal trace is shorter than start_batch batches")
-    rng = np.random.default_rng(seed)
-    attack = attack_arrivals(spec, schedule, target_clock, target_noise.delay_mean, normal_count, batch_size, rng)
-    times = np.concatenate([normal.times, attack])
-    ids = np.concatenate([normal.ids, np.full(len(attack), schedule.message_id, dtype=np.uint32)])
-    return Trace(times=times, ids=ids)
-
-
 def cloaked_trace(spec, schedule, target_clock, target_noise, normal_count, batch_size, seed):
     """Normal stream from the target's clock followed by the cloaked spoofed
     stream; the boundary gap is mu + delta_t + mistiming."""
-    from .clock import synthesize_trace
-
     if normal_count < spec.start_batch * batch_size:
         raise ValueError(f"normal_count must be >= start_batch * batch_size = {spec.start_batch * batch_size}")
     rng = np.random.default_rng(seed)
     normal_seed, attack_seed = rng.integers(0, 2**63, size=2)
     normal = synthesize_trace(schedule, target_clock, target_noise, normal_count, int(normal_seed))
-    return append_attack(normal, spec, schedule, target_clock, target_noise, batch_size, int(attack_seed))
+    attack = attack_arrivals(spec, schedule, target_clock, target_noise.delay_mean, normal_count, batch_size,
+                             np.random.default_rng(int(attack_seed)))
+    times = np.concatenate([normal.times, attack])
+    ids = np.concatenate([normal.ids, np.full(len(attack), schedule.message_id, dtype=np.uint32)])
+    return Trace(times=times, ids=ids)
 
 
 def shift_inter_arrivals(trace, message_id, delta_t, from_index):

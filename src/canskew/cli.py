@@ -52,7 +52,9 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         self.actions_by_dest = {}
-        super().__init__(*args, **kwargs)
+        # a prefix of an option would parse, but could not be matched
+        # against the config file; options must be spelled out
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
@@ -200,7 +202,7 @@ def _cmd_detect(args):
     report = ids.run_ids(trace, args.message_id, _ids_config(args), args.warmup, period=args.period)
     if args.snapshot_out:
         state = report.final_state
-        snap = formal.take_snapshot(report, state, state.batch_index + 1, delay_mean=args.delay_mean)
+        snap = formal.take_snapshot(report, state, state.batch_index + 1)
         with open(args.snapshot_out, "w", encoding="utf-8") as fh:
             fh.write(formal.snapshot_to_csv(snap))
     _write_output(args, report.to_csv())
@@ -315,7 +317,7 @@ def _cmd_consistency(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="canskew",
+    parser = argparse.ArgumentParser(prog="canskew", allow_abbrev=False,
                                      description="Clock-skew IDS and cloaking-attack toolkit for periodic CAN traffic")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

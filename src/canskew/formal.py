@@ -60,7 +60,6 @@ class Snapshot:
     mu_cusum: float
     sigma_cusum: float
     reference_errors: tuple
-    eta_last: float = 0.0     # realized noise of the last pre-attack arrival
     o_acc_history: tuple = ()
     t_history: tuple = ()
     start_batch: int = 1      # m
@@ -125,11 +124,11 @@ class NtpForecast:
         return buf.getvalue()
 
 
-def take_snapshot(report, state, m, delay_mean=0.0):
+def take_snapshot(report, state, m):
     """Freeze the detector at batch m-1 from a finished (or paused) run;
     ``report`` may be None when only the state is at hand."""
-    if report is not None and len(report.rows) < m - 1:
-        raise ValueError(f"report covers {len(report.rows)} batches, need >= {m - 1}")
+    if report is not None and len(report) < m - 1:
+        raise ValueError(f"report covers {len(report)} batches, need >= {m - 1}")
     if state.batch_index != m - 1:
         raise ValueError(f"state is at batch {state.batch_index}, snapshot wants m-1 = {m - 1}")
     mu, sigma = state.inter_arrival_stats()
@@ -145,7 +144,6 @@ def take_snapshot(report, state, m, delay_mean=0.0):
         mu_cusum=state.cusum.mu_cusum,
         sigma_cusum=state.cusum.sigma_cusum,
         reference_errors=tuple(state.cusum.reference_errors),
-        eta_last=delay_mean,
         o_acc_history=tuple(state.o_acc_history),
         t_history=tuple(state.t_history),
         start_batch=m,
@@ -395,7 +393,7 @@ def success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
 
 _SCALAR_FIELDS = (
     "period", "mu", "sigma", "prev_batch_mean", "o_acc", "t", "skew",
-    "mu_cusum", "sigma_cusum", "eta_last",
+    "mu_cusum", "sigma_cusum",
 )
 _LIST_FIELDS = ("reference_errors", "o_acc_history", "t_history")
 

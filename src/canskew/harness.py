@@ -27,7 +27,7 @@ from .clock import (
     synthesize_trace,
 )
 from .curves import SuccessCurve
-from .ids import IdsConfig, IdsStreams, Variant, init_state, process_batch, run_ids
+from .ids import IdsConfig, IdsStreams, Variant, arrival_stage, detect, rls_stage
 
 __all__ = [
     "SyntheticSource",
@@ -35,6 +35,7 @@ __all__ = [
     "ConsistencyCase",
     "ConsistencyResult",
     "default_grid",
+    "synthetic_warm_state",
     "monte_carlo_ps",
     "epsilon_msi",
     "ade",
@@ -93,10 +94,17 @@ def _warmup_state(arrivals, cfg, period):
     if len(arrivals) < need:
         raise InsufficientDataError(f"warmup needs {need} arrivals, got {len(arrivals)}")
     batches = arrivals[:need].reshape(cfg.warmup_batches + 1, n)
-    state = init_state(cfg.ids, batches[0], period=period)
-    for k in range(1, cfg.warmup_batches + 1):
-        process_batch(state, batches[k], armed=False)
-    return state
+    return detect(batches, cfg.ids, cfg.warmup_batches, period).final_state
+
+
+def synthetic_warm_state(source, cfg):
+    """The warm detector state that ``monte_carlo_ps(source, ..., cfg)``
+    shares across its trials: batch 0 and ``cfg.warmup_batches`` unarmed
+    batches of the normal trace seeded by the first draw from ``cfg.seed``."""
+    normal_seed = int(np.random.default_rng(cfg.seed).integers(0, 2**63))
+    count = (cfg.warmup_batches + 1) * cfg.ids.batch_size
+    normal = synthesize_trace(source.schedule, source.clock, source.noise, count, normal_seed)
+    return _warmup_state(normal.arrivals(source.schedule.message_id), cfg, source.schedule.period)
 
 
 def monte_carlo_ps(source, attack, cfg, vary="delta_t", message_id=None, period=None):
@@ -149,12 +157,10 @@ def _synthetic_trials(source, spec, cfg):
     """One warm state shared by every trial, and each trial's attack arrivals."""
     n = cfg.ids.batch_size
     rng = np.random.default_rng(cfg.seed)
-    normal_seed = int(rng.integers(0, 2**63))
+    rng.integers(0, 2**63)  # seeds the warm state's normal trace: see synthetic_warm_state
     trial_seeds = rng.integers(0, 2**63, size=cfg.trials)
-
     normal_count = (cfg.warmup_batches + 1) * n
-    normal = synthesize_trace(source.schedule, source.clock, source.noise, normal_count, normal_seed)
-    base_state = _warmup_state(normal.arrivals(source.schedule.message_id), cfg, source.schedule.period)
+    base_state = synthetic_warm_state(source, cfg)
     arrivals0 = np.array([
         attack_arrivals(spec, source.schedule, source.clock, source.noise.delay_mean,
                         normal_count, n, np.random.default_rng(int(seed)))
@@ -252,13 +258,22 @@ def ade(predicted, experimental):
     """Area deviation error in percent: 100 * int|P_pred - P_exp| / int P_exp.
 
     Curves on different grids are compared on the experimental grid, with the
-    prediction resampled by linear interpolation.
+    prediction resampled by linear interpolation. Experimental points outside
+    the predicted grid's range are rejected rather than compared against a
+    prediction held flat past its ends; the range is widened by a relative
+    1e-11 for the rounding of grid values in curve CSVs.
     """
     x = experimental.grid
     p_exp = experimental.p_success
     if predicted.grid.shape == x.shape and np.allclose(predicted.grid, x):
         p_pred = predicted.p_success
     else:
+        lo, hi = predicted.grid.min(), predicted.grid.max()
+        tol = 1e-11 * max(abs(lo), abs(hi))
+        outside = np.count_nonzero((x < lo - tol) | (x > hi + tol))
+        if outside:
+            raise ValueError(f"{outside} of {len(x)} experimental grid points lie outside the predicted "
+                             f"grid [{lo:.6g}, {hi:.6g}]")
         p_pred = np.interp(x, predicted.grid, predicted.p_success)
     denom = _trapezoid(p_exp, x)
     if denom <= 0.0:
@@ -287,13 +302,14 @@ class ConsistencyResult:
 
 
 def _final_skew_ppm(arrivals, config, period):
+    """Final RLS skew of the detector pass over whole batches of ``arrivals``;
+    the skew never reads the CUSUM, so the pass stops after the RLS stage."""
     n = config.batch_size
     k = len(arrivals) // n
     if k < 2:
         raise InsufficientDataError(f"need >= 2 batches of {n}, got {len(arrivals)} arrivals")
-    trace = Trace(times=np.asarray(arrivals), ids=np.zeros(len(arrivals), dtype=np.uint32))
-    report = run_ids(trace, 0, config, warmup_batches=k - 1, period=period)
-    return report.final_state.rls.skew * 1e6
+    _, _, o_acc, t = arrival_stage(np.reshape(arrivals[: k * n], (k, n)), config, period)
+    return rls_stage(t, o_acc, config.rls_lambda)[1].skew * 1e6
 
 
 def _sigma(values):

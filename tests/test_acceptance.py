@@ -37,8 +37,8 @@ from canskew.formal import (
     success_curve,
     take_snapshot,
 )
-from canskew.harness import ExperimentConfig, SyntheticSource, _warmup_state, ade, monte_carlo_ps
-from canskew.ids import CusumState, RlsState, Variant, cusum_step, rls_update, run_ids
+from canskew.harness import ExperimentConfig, SyntheticSource, ade, monte_carlo_ps, synthetic_warm_state
+from canskew.ids import CusumState, Variant, cusum_stage, rls_stage, run_ids
 from canskew.harness import consistency_study
 from canskew.traceio import LogFormat, parse_log, write_trace
 from conftest import MESSAGE_ID, PERIOD, make_attack, make_config
@@ -68,16 +68,11 @@ def experiment(variant, grid, trials=100, horizon=60, seed=0):
                             grid=np.asarray(grid, dtype=float), seed=seed)
 
 
-def warmup_snapshot(schedule, target_clock, noise, variant, seed=0):
-    """Rebuild the exact warmup state that monte_carlo_ps(seed=...) uses and
-    freeze it for the analytic models."""
-    cfg = experiment(variant, [0.0], seed=seed)
-    rng = np.random.default_rng(seed)
-    normal_seed = int(rng.integers(0, 2**63))
-    count = (WARMUP + 1) * cfg.ids.batch_size
-    normal = synthesize_trace(schedule, target_clock, noise, count, normal_seed)
-    state = _warmup_state(normal.arrivals(schedule.message_id), cfg, schedule.period)
-    return take_snapshot(None, state, WARMUP + 1, delay_mean=noise.delay_mean)
+def warmup_snapshot(source, variant, seed=0):
+    """Freeze the warm state that monte_carlo_ps(seed=...) shares across its
+    trials for the analytic models."""
+    state = synthetic_warm_state(source, experiment(variant, [0.0], seed=seed))
+    return take_snapshot(None, state, WARMUP + 1)
 
 
 def test_criterion_1_cloaking_succeeds(source, cloak_attack):
@@ -97,10 +92,10 @@ def test_criterion_2_naive_masquerade_detected(source, cloak_attack):
     verdict(2, ok, f"delta_t=5us over 60 batches: ntp P_s={curve.p_success[0]:.2f} (<= 0.05)")
 
 
-def test_criterion_3_model_vs_monte_carlo(source, cloak_attack, schedule, target_clock, noise):
+def test_criterion_3_model_vs_monte_carlo(source, cloak_attack):
     results = []
     sota_grid = np.arange(-40, 41) * 10e-6
-    snap = warmup_snapshot(schedule, target_clock, noise, Variant.SOTA)
+    snap = warmup_snapshot(source, Variant.SOTA)
     pred = success_curve(snap, sota_grid)
     for horizon in (20, 40, 60):
         exp = monte_carlo_ps(source, cloak_attack,
@@ -108,7 +103,7 @@ def test_criterion_3_model_vs_monte_carlo(source, cloak_attack, schedule, target
         results.append((f"sota/n={horizon}", ade(pred, exp)))
 
     ntp_grid = np.arange(-30, 31) * 1e-7
-    snap = warmup_snapshot(schedule, target_clock, noise, Variant.NTP)
+    snap = warmup_snapshot(source, Variant.NTP)
     pred = success_curve(snap, ntp_grid, horizon=60)
     exp = monte_carlo_ps(source, cloak_attack,
                          experiment(Variant.NTP, ntp_grid, trials=60, horizon=60))
@@ -279,8 +274,8 @@ def test_criterion_9_randomized_invariants():
     trace = synthesize_trace(MessageSchedule(1, period), ClockSpec(skew=ppm(300), jitter_std=2e-5),
                              NoiseModel(), (cases + 3) * n, seed=91)
     report = run_ids(trace, 1, make_config(Variant.NTP, batch_size=n), warmup_batches=2, period=period)
-    checks["O_acc identity"] = len(report.rows) >= cases and all(
-        abs(row.o_acc - (row.batch * n * period - row.t)) <= 1e-8 for row in report.rows)
+    checks["O_acc identity"] = len(report) >= cases and bool(
+        np.all(np.abs(report.o_acc - (report.batch * n * period - report.t)) <= 1e-8))
 
     probs = [gaussian_cdf(x, m, s) for x, m, s in
              zip(rng.uniform(-50, 50, cases), rng.uniform(-10, 10, cases), rng.uniform(0.01, 10, cases))]
@@ -294,23 +289,22 @@ def test_criterion_9_randomized_invariants():
                                     and all(0.0 <= p <= 1.0 for p in recursion_probs))
 
     nonneg = True
+    cusum_config = make_config(Variant.NTP, update_threshold=GAMMA, detection_threshold=BIG_GAMMA,
+                               sensitivity=KAPPA)
     for _ in range(cases):
         cusum = CusumState()
         for e in rng.normal(0.0, 1.0, 4):
             cusum.add_reference(float(e))
-        for e in rng.normal(0.0, 8.0, 10):
-            cusum_step(cusum, float(e), GAMMA, BIG_GAMMA, KAPPA)
-            if cusum.l_plus < 0.0 or cusum.l_minus < 0.0:
-                nonneg = False
+        _, l_plus, l_minus, _ = cusum_stage(cusum, [], rng.normal(0.0, 8.0, 10), 0, cusum_config)
+        if np.any(l_plus < 0.0) or np.any(l_minus < 0.0):
+            nonneg = False
     checks["CUSUM non-negativity"] = nonneg
 
     rls_ok = True
     for _ in range(cases):
         t = np.cumsum(rng.uniform(0.1, 2.0, 20))
         y = rng.uniform(-1e-3, 1e-3) * t + rng.normal(0.0, 1e-6, 20)
-        rls = RlsState()
-        for ti, yi in zip(t, y):
-            rls = rls_update(rls, float(ti), float(yi), 1.0)
+        _, rls = rls_stage(t, y, 1.0)
         if abs(rls.skew - np.dot(y, t) / np.dot(t, t)) > 1e-9:
             rls_ok = False
     checks["RLS normal-equation match"] = rls_ok

@@ -92,6 +92,19 @@ class TestPlumbing:
         assert code == 1
         assert "bogus_key" in err
 
+    def test_abbreviated_flag_exits_2(self, capsys, tmp_path):
+        # a prefix of --count would parse, then lose to the config file's count
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("count=5\n")
+        out = tmp_path / "t.log"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--cou", "3", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert "unrecognized arguments: --cou 3" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--he"])  # not --help
+        assert exc.value.code == 2
+
     def test_positional_config_key_rejected(self, capsys, tmp_path):
         trace = tmp_path / "t1.log"
         run_cli(["generate", "--count", "400", "--out", str(trace)], capsys)
@@ -208,6 +221,16 @@ class TestWorkflows:
         code, out_text, _ = run_cli(["msi", "--curve", str(exp), "--epsilon", "0.05"], capsys)
         assert code == 0
         assert out_text.startswith("epsilon-MSI =")
+
+    def test_compare_rejects_experimental_grid_beyond_prediction(self, capsys, tmp_path):
+        grid = np.arange(-50, 51) * 1e-6
+        pred, exp = tmp_path / "pred.csv", tmp_path / "exp.csv"
+        narrow = np.abs(grid) <= 10e-6
+        pred.write_text(SuccessCurve(grid=grid[narrow], p_success=np.ones(narrow.sum())).to_csv())
+        exp.write_text(SuccessCurve(grid=grid, p_success=np.ones(len(grid))).to_csv())
+        code, out_text, err = run_cli(["compare", str(pred), str(exp)], capsys)
+        assert code == 1 and out_text == ""
+        assert "80 of 101 experimental grid points lie outside the predicted grid" in err
 
     def test_correlate(self, capsys, tmp_path):
         out = tmp_path / "pair.csv"

@@ -1,6 +1,5 @@
 """Success-probability models: closed-form SOTA bound, NTP forecast, and the
 CUSUM control-limit recursion."""
-import copy
 import math
 from dataclasses import replace
 
@@ -26,8 +25,9 @@ from canskew.formal import (
     success_curve,
     take_snapshot,
 )
-from canskew.harness import ExperimentConfig, _warmup_state
-from canskew.ids import REFERENCE_CAP, Variant
+from canskew.clock import Trace
+from canskew.harness import ExperimentConfig, SyntheticSource, synthetic_warm_state
+from canskew.ids import REFERENCE_CAP, Variant, run_ids
 from conftest import MESSAGE_ID, PERIOD, make_config
 
 # The acceptance NTP curve (61 points of 0.1 us, horizon 60, M = 100) from
@@ -60,15 +60,15 @@ def manual_snapshot(variant=Variant.SOTA, **overrides):
 
 
 @pytest.fixture(scope="module")
-def warm_states(schedule, target_clock, noise):
-    trace = synthesize_trace(schedule, target_clock, noise, 301 * 20, seed=21)
-    arrivals = trace.arrivals(MESSAGE_ID)
-    states = {}
-    for variant in Variant:
-        cfg = ExperimentConfig(ids=make_config(variant), warmup_batches=300,
-                               trials=1, horizon=1, grid=np.array([0.0]))
-        states[variant] = _warmup_state(arrivals, cfg, PERIOD)
-    return states
+def warm_trace(schedule, target_clock, noise):
+    """Batch 0 and 300 warmup batches of normal traffic."""
+    return synthesize_trace(schedule, target_clock, noise, 301 * 20, seed=21)
+
+
+@pytest.fixture(scope="module")
+def warm_states(warm_trace):
+    return {variant: run_ids(warm_trace, MESSAGE_ID, make_config(variant), 300, period=PERIOD).final_state
+            for variant in Variant}
 
 
 @pytest.fixture(scope="module")
@@ -112,11 +112,10 @@ class TestSnapshot:
         m = state.batch_index + 1
         assert take_snapshot(None, state, m) == take_snapshot(None, state, m)
 
-    def test_snapshot_sigma_matches_inter_arrival_stats(self, warm_states, schedule, target_clock, noise):
+    def test_snapshot_sigma_matches_inter_arrival_stats(self, warm_states, warm_trace):
         state = warm_states[Variant.SOTA]
         snap = take_snapshot(None, state, state.batch_index + 1)
-        trace = synthesize_trace(schedule, target_clock, noise, 301 * 20, seed=21)
-        diffs = np.diff(trace.arrivals(MESSAGE_ID))
+        diffs = np.diff(warm_trace.arrivals(MESSAGE_ID))
         assert snap.sigma == pytest.approx(float(np.std(diffs, ddof=1)), rel=0.01)
 
     def test_wrong_batch_index_rejected(self, warm_states):
@@ -133,6 +132,13 @@ class TestSnapshot:
         text = snapshot_to_csv(full)
         assert max(len(line) for line in text.splitlines()) > 131_072  # the csv module's field limit
         assert snapshot_from_csv(text) == full
+
+    def test_csv_unknown_key_ignored(self, ntp_snapshot):
+        # snapshot files of earlier versions carry an eta_last line, which no model reads
+        text = snapshot_to_csv(ntp_snapshot)
+        assert "eta_last" not in text
+        old = text.replace("\nsigma_cusum,", "\neta_last,0.0\nsigma_cusum,", 1)
+        assert "eta_last,0.0" in old and snapshot_from_csv(old) == ntp_snapshot
 
     def test_csv_line_without_value_rejected(self, ntp_snapshot):
         text = snapshot_to_csv(ntp_snapshot).replace("\nskew,", "\nskew\n", 1)
@@ -320,10 +326,9 @@ class TestNtpForecast:
         with pytest.raises(ValueError):
             ntp_forecast(snap, 0.0, 5)
 
-    def test_forecast_tracks_simulated_errors(self, ntp_snapshot, warm_states, schedule,
-                                               target_clock, attacker_clock, noise, matched_delta_t0):
+    def test_forecast_tracks_simulated_errors(self, ntp_snapshot, warm_trace, schedule,
+                                               target_clock, attacker_clock, matched_delta_t0):
         from canskew.attacks import AttackSpec, attack_arrivals
-        from canskew.ids import process_batch
 
         delta_t = 5e-6
         horizon = 60
@@ -334,9 +339,9 @@ class TestNtpForecast:
         for trial in range(100):
             rng = np.random.default_rng(1000 + trial)
             arrivals = attack_arrivals(spec, schedule, target_clock, 0.0, 301 * 20, 20, rng)
-            state = copy.deepcopy(warm_states[Variant.NTP])
-            for k, batch in enumerate(arrivals.reshape(horizon, 20)):
-                sims[trial, k] = process_batch(state, batch, armed=True).e
+            times = np.concatenate([warm_trace.arrivals(MESSAGE_ID), arrivals])
+            trace = Trace(times=times, ids=np.full(len(times), MESSAGE_ID, dtype=np.uint32))
+            sims[trial] = run_ids(trace, MESSAGE_ID, make_config(Variant.NTP), 300, period=PERIOD).e[300:]
         mean_e = sims.mean(axis=0)
         scale = np.max(np.abs(mean_e))
         assert np.all(np.abs(fc.e_hat - mean_e) <= 0.10 * scale)
@@ -364,9 +369,7 @@ class TestSuccessCurve:
     def test_pinned_acceptance_curve(self, schedule, target_clock, noise):
         cfg = ExperimentConfig(ids=make_config(Variant.NTP), warmup_batches=1000,
                                trials=1, horizon=60, grid=np.array([0.0]), seed=0)
-        normal_seed = int(np.random.default_rng(0).integers(0, 2**63))
-        normal = synthesize_trace(schedule, target_clock, noise, 1001 * 20, normal_seed)
-        snap = take_snapshot(None, _warmup_state(normal.arrivals(MESSAGE_ID), cfg, PERIOD), 1001)
+        snap = take_snapshot(None, synthetic_warm_state(SyntheticSource(schedule, target_clock, noise), cfg), 1001)
         grid = np.arange(-30, 31) * 1e-7
         p = success_curve(snap, grid, horizon=60,
                           recursion_cfg=CusumRecursionConfig(grid_resolution=100, horizon=60)).p_success

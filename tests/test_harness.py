@@ -140,6 +140,22 @@ class TestAde:
         exp = SuccessCurve(grid=coarse, p_success=shape(coarse))
         assert ade(pred, exp) <= 1.0
 
+    def test_experimental_grid_beyond_prediction_rejected(self):
+        wide = np.linspace(-5e-5, 5e-5, 101)
+        narrow = wide[40:61]  # +/-10 us
+        pred = SuccessCurve(grid=narrow, p_success=np.ones(len(narrow)))
+        exp = SuccessCurve(grid=wide, p_success=np.ones(len(wide)))
+        with pytest.raises(ValueError, match="80 of 101 experimental grid points lie outside"):
+            ade(pred, exp)
+
+    def test_grid_endpoints_rounded_in_csv_accepted(self):
+        fine = np.linspace(-1e-5, 1e-5, 201)
+        coarse = np.linspace(-1e-5, 1e-5, 51)
+        pred = SuccessCurve.from_csv(SuccessCurve(grid=fine, p_success=np.ones(len(fine))).to_csv())
+        # an endpoint a few units in the 12th digit beyond the predicted grid's
+        exp = SuccessCurve(grid=coarse * (1 + 3e-12), p_success=np.ones(len(coarse)))
+        assert ade(pred, exp) == pytest.approx(0.0, abs=1e-9)
+
     def test_zero_area_error(self):
         grid = np.linspace(0, 1e-5, 11)
         pred = SuccessCurve(grid=grid, p_success=np.ones(11))

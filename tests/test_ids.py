@@ -12,27 +12,24 @@ from canskew.clock import (
     InsufficientDataError,
     MessageSchedule,
     NoiseModel,
+    Trace,
     ppm,
     quantize,
     synthesize_trace,
 )
 from canskew.harness import _attack_phase, _grid_shift_units
 from canskew.ids import (
+    CUSUM_BOOTSTRAP_BATCHES,
     REFERENCE_CAP,
     CusumState,
     IdsConfig,
     IdsStreams,
-    RlsState,
     Variant,
-    accumulate_offset,
+    arrival_stage,
     batch_arrivals,
-    cusum_step,
-    init_state,
-    ntp_avg_offset,
-    process_batch,
-    rls_update,
+    cusum_stage,
+    rls_stage,
     run_ids,
-    sota_avg_offset,
 )
 from conftest import make_config
 
@@ -63,91 +60,111 @@ class TestConfig:
         assert IdsConfig(variant="ntp").variant is Variant.NTP
 
 
+def first_o_avg(variant, batch0, batch1, period=None):
+    """o_avg of batch 1 after initialization batch 0, from the arrival stage."""
+    config = make_config(variant, batch_size=len(batch1))
+    _, o_avg, _, _ = arrival_stage(np.array([batch0, batch1]), config, period)
+    return o_avg[0]
+
+
+def ntp_o_avg(a, period):
+    """o_avg of the N arrivals a[1:] after a previous batch ending at a[0]."""
+    n = len(a) - 1
+    return first_o_avg(Variant.NTP, a[0] + (np.arange(n) - (n - 1)) * period, a[1:], period)
+
+
 class TestSotaAvgOffset:
     def test_exact_spacing_zero(self):
-        a = np.arange(20) * 0.1
-        assert sota_avg_offset(a, 0.1) == pytest.approx(0.0, abs=1e-15)
+        a = np.arange(40) * 0.1
+        assert first_o_avg(Variant.SOTA, a[:20], a[20:]) == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_excess_spacing(self):
-        # spacing mu + delta each step: O_avg = delta * N/2 at N=20
+        # spacing mu + delta each step after a batch of spacing mu: O_avg = delta * N/2 at N=20
         mu, delta = 0.1, 5e-3
-        a = np.arange(20) * (mu + delta)
-        assert sota_avg_offset(a, mu) == pytest.approx(delta * 10, rel=1e-12)
+        batch0 = np.arange(20) * mu
+        batch1 = 2.0 + np.arange(20) * (mu + delta)
+        assert first_o_avg(Variant.SOTA, batch0, batch1) == pytest.approx(delta * 10, rel=1e-12)
 
     def test_two_point_batch(self):
         mu, x = 0.1, 3e-4
-        assert sota_avg_offset(np.array([0.0, mu + x]), mu) == pytest.approx(x, abs=1e-15)
+        assert first_o_avg(Variant.SOTA, [0.0, mu], [1.0, 1.0 + mu + x]) == pytest.approx(x, abs=1e-15)
 
     def test_size_error(self):
-        with pytest.raises(ValueError):
-            sota_avg_offset(np.array([1.0]), 0.1)
+        config = make_config(Variant.SOTA, batch_size=2)
+        for bad in (np.zeros((2, 1)), np.zeros((2, 3)), np.zeros(4)):
+            with pytest.raises(ValueError):
+                arrival_stage(bad, config)
 
 
 class TestNtpAvgOffset:
     def test_exact_span_zero(self):
         a = np.arange(21) * 0.1
-        assert ntp_avg_offset(a, 0.1) == pytest.approx(0.0, abs=1e-15)
+        assert ntp_o_avg(a, 0.1) == pytest.approx(0.0, abs=1e-15)
 
     def test_excess_span(self):
         a = np.linspace(0.0, 2.0002, 21)  # span 2.0002 s over N=20 periods of 0.1 s
-        assert ntp_avg_offset(a, 0.1) == pytest.approx(-1e-5, rel=1e-9)
+        assert ntp_o_avg(a, 0.1) == pytest.approx(-1e-5, rel=1e-9)
 
     def test_translation_invariance(self):
         a = np.cumsum(np.concatenate([[0.0], np.random.default_rng(0).uniform(0.09, 0.11, 20)]))
-        assert ntp_avg_offset(a + 17.3, 0.1) == pytest.approx(ntp_avg_offset(a, 0.1), abs=1e-12)
+        assert ntp_o_avg(a + 17.3, 0.1) == pytest.approx(ntp_o_avg(a, 0.1), abs=1e-12)
 
     def test_equals_mean_of_per_period_offsets(self):
         rng = np.random.default_rng(5)
         a = np.cumsum(np.concatenate([[0.0], rng.uniform(0.09, 0.11, 20)]))
         per_period = 0.1 - np.diff(a)
-        assert ntp_avg_offset(a, 0.1) == pytest.approx(float(per_period.mean()), abs=1e-15)
+        assert ntp_o_avg(a, 0.1) == pytest.approx(float(per_period.mean()), abs=1e-15)
+
+
+def jittered_batches(batches, n, seed):
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.normal(0.1, 1e-4, (batches + 1) * n)).reshape(batches + 1, n)
 
 
 class TestAccumulate:
     def test_sota_absolute(self):
-        state = init_state(make_config(Variant.SOTA, batch_size=2), [0.0, 0.1])
-        state.o_acc = 1e-3
-        assert accumulate_offset(state, -0.2e-3) == pytest.approx(1.2e-3)
+        _, o_avg, o_acc, _ = arrival_stage(jittered_batches(30, 2, seed=1), make_config(Variant.SOTA, batch_size=2))
+        assert np.any(o_avg < 0.0)
+        assert o_acc.tolist() == np.cumsum(np.abs(o_avg)).tolist()
 
     def test_ntp_signed_times_n(self):
-        state = init_state(make_config(Variant.NTP, batch_size=20),
-                           np.arange(20) * 0.1, period=0.1)
-        state.o_acc = 1e-3
-        assert accumulate_offset(state, -0.01e-3) == pytest.approx(0.8e-3)
+        _, o_avg, o_acc, _ = arrival_stage(jittered_batches(30, 20, seed=2), make_config(Variant.NTP), period=0.1)
+        assert np.any(o_avg < 0.0) and np.any(o_avg > 0.0)
+        assert o_acc.tolist() == np.cumsum(20 * o_avg).tolist()
 
     def test_ntp_zero_offsets_unchanged(self):
-        state = init_state(make_config(Variant.NTP, batch_size=20),
-                           np.arange(20) * 0.1, period=0.1)
-        state.o_acc = 0.5
-        assert accumulate_offset(state, 0.0) == pytest.approx(0.5)
+        state, _, o_acc, _ = arrival_stage(np.arange(200).reshape(10, 20) * 0.1, make_config(Variant.NTP),
+                                           period=0.1)
+        assert np.allclose(o_acc, 0.0, atol=1e-12) and state.o_acc == o_acc[-1]
 
 
 class TestRls:
     def test_converges_on_noiseless_line(self):
         s_true = 1e-4
-        rls = RlsState()
-        for k in range(1, 51):
-            t = 2.0 * k
-            rls = rls_update(rls, t, s_true * t, 0.9995)
+        t = 2.0 * np.arange(1, 51)
+        _, rls = rls_stage(t, s_true * t, 0.9995)
         assert rls.skew == pytest.approx(s_true, rel=0.01)
 
     def test_zero_signal_keeps_zero_slope(self):
-        rls = rls_update(RlsState(), 1.0, 0.0, 1.0)
-        assert rls.skew == 0.0
+        skews, rls = rls_stage([1.0], [0.0], 1.0)
+        assert rls.skew == 0.0 and skews.tolist() == [0.0, 0.0]
 
     def test_lambda_one_matches_normal_equation(self):
         rng = np.random.default_rng(2)
         t = np.cumsum(rng.uniform(0.5, 1.5, 200))
         y = 3.7e-5 * t + rng.normal(0.0, 1e-6, 200)
-        rls = RlsState()
-        for ti, yi in zip(t, y):
-            rls = rls_update(rls, ti, yi, 1.0)
+        _, rls = rls_stage(t, y, 1.0)
         ls = float(np.dot(y, t) / np.dot(t, t))
         assert rls.skew == pytest.approx(ls, rel=1e-9)
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
-            rls_update(RlsState(), 0.0, 1.0, 1.0)
+            rls_stage([1.0, 0.0], [1.0, 1.0], 1.0)
+
+
+def cusum_errors(cusum, errors, **config):
+    """The CUSUM stage over ``errors``, all armed; returns its columns."""
+    return cusum_stage(cusum, [], errors, 0, make_config(Variant.NTP, **config))
 
 
 class TestCusum:
@@ -155,34 +172,45 @@ class TestCusum:
         cusum = seeded_cusum([0.0, 1.0, -1.0, 0.5, -0.5])
         kappa = 8.0
         e = cusum.mu_cusum + kappa * cusum.sigma_cusum  # e_n == kappa exactly
-        cusum_step(cusum, e, gamma=4.0, big_gamma=5.0, kappa=kappa)
+        cusum_errors(cusum, [e], sensitivity=kappa)
         assert cusum.l_plus == 0.0 and cusum.l_minus == 0.0
 
     def test_one_step_exceedance(self):
         cusum = seeded_cusum([0.0, 1.0, -1.0, 0.5, -0.5])
         e = cusum.mu_cusum + (8.0 + 5.0 + 0.1) * cusum.sigma_cusum
-        cusum_step(cusum, e, gamma=4.0, big_gamma=5.0, kappa=8.0)
-        assert cusum.l_plus == pytest.approx(5.1, rel=1e-9)
-        assert cusum.alarmed
+        _, l_plus, _, alarm = cusum_errors(cusum, [e])
+        assert cusum.l_plus == l_plus[0] == pytest.approx(5.1, rel=1e-9)
+        assert alarm.tolist() == [True]
 
     def test_linear_decay_reaches_exact_boundary(self):
         # e_n = 10, 9.5, 9, 8.5, 8 with kappa=8: L+ = 2+1.5+1+0.5+0 = 5, no alarm
         cusum = seeded_cusum([0.0, 1.0, -1.0, 0.5, -0.5])
         mu, sigma = cusum.mu_cusum, cusum.sigma_cusum
-        for e_n in (10.0, 9.5, 9.0, 8.5, 8.0):
-            cusum_step(cusum, mu + e_n * sigma, gamma=4.0, big_gamma=5.0, kappa=8.0)
-        assert cusum.l_plus == pytest.approx(5.0, rel=1e-9)
-        assert not cusum.alarmed
+        e_n, l_plus, _, alarm = cusum_errors(cusum, [mu + e_n * sigma for e_n in (10.0, 9.5, 9.0, 8.5, 8.0)])
+        assert np.allclose(e_n, [10.0, 9.5, 9.0, 8.5, 8.0], rtol=1e-9)
+        assert cusum.l_plus == l_plus[-1] == pytest.approx(5.0, rel=1e-9)
+        assert not alarm.any()
 
-    def test_uninitialized_reference_rejected(self):
-        with pytest.raises(ValueError):
-            cusum_step(CusumState(), 0.0, 4.0, 5.0, 8.0)
+    def test_unready_reference_bootstraps(self):
+        config = make_config(Variant.NTP)
+        # unarmed: errors are held back until CUSUM_BOOTSTRAP_BATCHES of them seed the references
+        cusum, held = CusumState(), []
+        errors = np.random.default_rng(3).normal(0.0, 1.0, CUSUM_BOOTSTRAP_BATCHES + 5)
+        e_n, _, _, alarm = cusum_stage(cusum, held, errors, len(errors), config)
+        assert np.isnan(e_n[:CUSUM_BOOTSTRAP_BATCHES]).all() and not np.isnan(e_n[CUSUM_BOOTSTRAP_BATCHES:]).any()
+        assert list(cusum.reference_errors)[:CUSUM_BOOTSTRAP_BATCHES] == errors[:CUSUM_BOOTSTRAP_BATCHES].tolist()
+        assert held == [] and not alarm.any()
+        # armed: two held-back errors are enough
+        cusum, held = CusumState(), []
+        e_n, _, _, _ = cusum_stage(cusum, held, [1.0, 2.0, 3.0], 1, config)
+        assert np.isnan(e_n[:2]).all() and e_n[2] == pytest.approx((3.0 - 1.5) / np.std([1.0, 2.0], ddof=1))
+        assert list(cusum.reference_errors)[:2] == [1.0, 2.0] and held == []
 
     def test_no_reference_update_above_gamma(self):
         cusum = seeded_cusum([0.0, 1.0, -1.0, 0.5, -0.5])
         before = len(cusum.reference_errors)
         e = cusum.mu_cusum + 6.0 * cusum.sigma_cusum  # |e_n| >= gamma=4
-        cusum_step(cusum, e, gamma=4.0, big_gamma=50.0, kappa=8.0)
+        cusum_errors(cusum, [e], detection_threshold=50.0)
         assert len(cusum.reference_errors) == before
 
 
@@ -209,15 +237,13 @@ class TestRunIds:
         trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(skew=ppm(100), jitter_std=25e-6),
                                  NoiseModel(), 1000, seed=4)
         report = run_ids(trace, 1, make_config(Variant.NTP), warmup_batches=10, period=0.1)
-        for row in report.rows:
-            assert row.o_acc == pytest.approx(row.batch * 20 * 0.1 - row.t, abs=1e-9)
+        assert np.allclose(report.o_acc, report.batch * 20 * 0.1 - report.t, rtol=0.0, atol=1e-9)
 
     def test_sota_o_acc_nondecreasing(self):
         trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(skew=ppm(100), jitter_std=25e-6),
                                  NoiseModel(), 1000, seed=4)
         report = run_ids(trace, 1, make_config(Variant.SOTA), warmup_batches=10)
-        o_acc = [row.o_acc for row in report.rows]
-        assert all(b >= a for a, b in zip(o_acc, o_acc[1:]))
+        assert np.all(np.diff(report.o_acc) >= 0.0)
 
     def test_deterministic_report(self):
         trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(skew=ppm(50), jitter_std=1e-5),
@@ -250,8 +276,9 @@ class TestRunIds:
         trace_cls = type(synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(), NoiseModel(), 2, seed=0))
         trace = trace_cls(times=times, ids=np.ones(len(times), dtype=np.uint32))
         report = run_ids(trace, 1, make_config(Variant.NTP), warmup_batches=99, period=0.1)
-        for row in report.rows[99:]:
-            assert row.alarm == (max(row.l_plus, row.l_minus) > 5.0)
+        armed = slice(99, None)
+        assert report.alarm[armed].tolist() == (np.maximum(report.l_plus, report.l_minus)[armed] > 5.0).tolist()
+        assert report.first_alarm_batch == report.batch[report.alarm][0]
 
 
 class TestStateUtilities:
@@ -270,11 +297,22 @@ STREAM_TARGET = ClockSpec(skew=ppm(100), jitter_std=25e-6)
 STREAM_ATTACKER = ClockSpec(skew=ppm(150), jitter_std=25e-6)
 
 
-def warm_state(config, warmup, seed):
-    """Detector state after batch 0 and ``warmup`` unarmed batches."""
+def run_on(arrivals, config, warmup):
+    """``run_ids`` over one stream's arrivals."""
+    trace = Trace(times=arrivals, ids=np.ones(len(arrivals), dtype=np.uint32))
+    return run_ids(trace, 1, config, warmup, period=STREAM_PERIOD)
+
+
+def warm_arrivals(config, warmup, seed):
+    """Normal arrivals of batch 0 and ``warmup`` unarmed batches."""
     trace = synthesize_trace(MessageSchedule(1, STREAM_PERIOD), STREAM_TARGET, NoiseModel(),
                              (warmup + 1) * config.batch_size, seed)
-    return run_ids(trace, 1, config, warmup, period=STREAM_PERIOD).final_state
+    return trace.arrivals(1)
+
+
+def warm_state(config, warmup, seed):
+    """Detector state after batch 0 and ``warmup`` unarmed batches."""
+    return run_on(warm_arrivals(config, warmup, seed), config, warmup).final_state
 
 
 def cloak_arrivals(config, warmup, horizon, seed):
@@ -286,28 +324,33 @@ def cloak_arrivals(config, warmup, horizon, seed):
                            (warmup + 1) * n, n, np.random.default_rng(seed))
 
 
-def assert_streams_match_process_batch(bases, trial_base, arrivals0, shift_units, grid, qstep, horizon):
+def assert_streams_match_run_ids(config, warmup, base_arrivals, trial_base, arrivals0, shift_units, grid, qstep,
+                                 horizon, state_batches):
     """Stream (trial, grid point) of IdsStreams and of the harness attack
-    phase behaves as process_batch on a deep copy of its base: the same alarm
-    and the same detector scalars, bit for bit, after every batch, and the
-    same survivors."""
-    n = bases[0].config.batch_size
+    phase behaves as run_ids over its base's warmup arrivals followed by its
+    own: the same alarm and report columns after every attack batch, the same
+    detector state after each batch in ``state_batches`` (from run_ids over
+    the arrivals up to that batch), bit for bit, and the same survivors."""
+    n = config.batch_size
+    bases = [run_on(a, config, warmup).final_state for a in base_arrivals]
     trial, point = np.divmod(np.arange(len(arrivals0) * len(grid)), len(grid))
     arrivals = quantize(arrivals0[trial] + grid[point, None] * shift_units, qstep)
-    states = [copy.deepcopy(bases[trial_base[t]]) for t in trial]
+    full = [np.concatenate([base_arrivals[trial_base[t]], a]) for t, a in zip(trial, arrivals)]
+    reports = [run_on(a, config, warmup) for a in full]
     streams = IdsStreams(bases, trial_base[trial])
     alarmed = np.zeros(len(trial), dtype=bool)
     for k in range(horizon):
-        batches = arrivals[:, k * n:(k + 1) * n]
-        alarm = streams.step(batches)
-        assert alarm.tolist() == [process_batch(s, b, armed=True).alarm for s, b in zip(states, batches)]
+        alarm = streams.step(arrivals[:, k * n:(k + 1) * n])
+        row = warmup + k  # attack batch k is batch warmup + 1 + k
+        assert alarm.tolist() == [bool(r.alarm[row]) for r in reports], k
         alarmed |= alarm
+        for name in ("o_acc", "skew", "l_plus", "l_minus"):
+            assert getattr(streams, name).tolist() == [getattr(r, name)[row] for r in reports], (name, k)
+        if k not in state_batches:
+            continue
+        states = [run_on(a[: (row + 2) * n], config, warmup).final_state for a in full]
         scalars = {
-            "o_acc": [s.o_acc for s in states],
-            "skew": [s.rls.skew for s in states],
             "gain_denominator": [s.rls.gain_denominator for s in states],
-            "l_plus": [s.cusum.l_plus for s in states],
-            "l_minus": [s.cusum.l_minus for s in states],
             "ref_count": [len(s.cusum.reference_errors) for s in states],
             "mu_cusum": [s.cusum.mu_cusum for s in states],
             "sigma_cusum": [s.cusum.sigma_cusum for s in states],
@@ -338,28 +381,30 @@ class TestIdsStreams:
         horizon=st.integers(1, 25),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_streams_match_process_batch(self, variant, kappa, big_gamma, gamma, warmup, trials, shared_base,
-                                         vary, grid_units, grid_scale, qstep, horizon, seed):
+    def test_streams_match_run_ids(self, variant, kappa, big_gamma, gamma, warmup, trials, shared_base,
+                                   vary, grid_units, grid_scale, qstep, horizon, seed):
         config = make_config(variant, sensitivity=kappa, detection_threshold=big_gamma, update_threshold=gamma)
-        bases = [warm_state(config, warmup, seed + i) for i in range(1 if shared_base else trials)]
+        base_arrivals = [warm_arrivals(config, warmup, seed + i) for i in range(1 if shared_base else trials)]
         trial_base = np.zeros(trials, dtype=int) if shared_base else np.arange(trials)
         arrivals0 = np.array([cloak_arrivals(config, warmup, horizon, seed + 100 + t) for t in range(trials)])
         spec = AttackSpec(delta_t0=0.0, attacker_clock=STREAM_ATTACKER)
         shift_units = _grid_shift_units(spec, vary, horizon * config.batch_size)
         grid = np.array(grid_units) * grid_scale
-        assert_streams_match_process_batch(bases, trial_base, arrivals0, shift_units, grid, qstep, horizon)
+        assert_streams_match_run_ids(config, warmup, base_arrivals, trial_base, arrivals0, shift_units, grid, qstep,
+                                     horizon, state_batches=range(horizon))
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_full_reference_fifo_evicts_base_references(self, variant):
         config = make_config(variant)
         warmup, horizon = REFERENCE_CAP + 100, 40
-        base = warm_state(config, warmup, seed=3)
-        assert len(base.cusum.reference_errors) == REFERENCE_CAP
+        base_arrivals = warm_arrivals(config, warmup, seed=3)
+        assert len(run_on(base_arrivals, config, warmup).final_state.cusum.reference_errors) == REFERENCE_CAP
         arrivals0 = np.array([cloak_arrivals(config, warmup, horizon, seed) for seed in (4, 5)])
         shift_units = _grid_shift_units(AttackSpec(delta_t0=0.0), "delta_t", horizon * config.batch_size)
         grid = np.array([-2.0, -0.5, 0.0, 0.5, 2.0]) * (1e-5 if variant is Variant.SOTA else 1e-7)
-        assert_streams_match_process_batch([base], np.zeros(2, dtype=int), arrivals0, shift_units, grid, 0.0,
-                                           horizon)
+        # the state after every 8th attack batch: each check reruns the 10 100-batch warmup per stream
+        assert_streams_match_run_ids(config, warmup, [base_arrivals], np.zeros(2, dtype=int), arrivals0, shift_units,
+                                     grid, 0.0, horizon, state_batches=range(7, horizon, 8))
 
     def test_reference_stats_round_like_add_reference(self):
         # Python's mu**2 goes through libm pow, which rounds differently from
