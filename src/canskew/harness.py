@@ -97,11 +97,20 @@ def _warmup_state(arrivals, cfg, period):
     return detect(batches, cfg.ids, cfg.warmup_batches, period).final_state
 
 
+def _synthetic_seeds(cfg):
+    """The synthetic Monte Carlo seed stream: the first draw from
+    ``cfg.seed`` seeds the normal warmup trace, the next ``cfg.trials``
+    draws seed each trial's attack arrivals."""
+    rng = np.random.default_rng(cfg.seed)
+    normal_seed = int(rng.integers(0, 2**63))
+    return normal_seed, rng.integers(0, 2**63, size=cfg.trials)
+
+
 def synthetic_warm_state(source, cfg):
     """The warm detector state that ``monte_carlo_ps(source, ..., cfg)``
     shares across its trials: batch 0 and ``cfg.warmup_batches`` unarmed
-    batches of the normal trace seeded by the first draw from ``cfg.seed``."""
-    normal_seed = int(np.random.default_rng(cfg.seed).integers(0, 2**63))
+    batches of the normal trace seeded by ``_synthetic_seeds``."""
+    normal_seed, _ = _synthetic_seeds(cfg)
     count = (cfg.warmup_batches + 1) * cfg.ids.batch_size
     normal = synthesize_trace(source.schedule, source.clock, source.noise, count, normal_seed)
     return _warmup_state(normal.arrivals(source.schedule.message_id), cfg, source.schedule.period)
@@ -156,9 +165,7 @@ def _grid_shift_units(attack, vary, count):
 def _synthetic_trials(source, spec, cfg):
     """One warm state shared by every trial, and each trial's attack arrivals."""
     n = cfg.ids.batch_size
-    rng = np.random.default_rng(cfg.seed)
-    rng.integers(0, 2**63)  # seeds the warm state's normal trace: see synthetic_warm_state
-    trial_seeds = rng.integers(0, 2**63, size=cfg.trials)
+    _, trial_seeds = _synthetic_seeds(cfg)
     normal_count = (cfg.warmup_batches + 1) * n
     base_state = synthetic_warm_state(source, cfg)
     arrivals0 = np.array([

@@ -325,18 +325,21 @@ def cloak_arrivals(config, warmup, horizon, seed):
 
 
 def assert_streams_match_run_ids(config, warmup, base_arrivals, trial_base, arrivals0, shift_units, grid, qstep,
-                                 horizon, state_batches):
+                                 horizon):
     """Stream (trial, grid point) of IdsStreams and of the harness attack
     phase behaves as run_ids over its base's warmup arrivals followed by its
-    own: the same alarm and report columns after every attack batch, the same
-    detector state after each batch in ``state_batches`` (from run_ids over
-    the arrivals up to that batch), bit for bit, and the same survivors."""
+    own, bit for bit, after every attack batch: the same alarm and report
+    columns, the same P (rls_stage over the report's columns so far), the
+    same reference count, mu and sigma (cusum_stage stepping a copy of the
+    base's CUSUM through the report's errors) and the same previous batch
+    mean (arrival_stage over the last two batches); and the same survivors."""
     n = config.batch_size
     bases = [run_on(a, config, warmup).final_state for a in base_arrivals]
     trial, point = np.divmod(np.arange(len(arrivals0) * len(grid)), len(grid))
     arrivals = quantize(arrivals0[trial] + grid[point, None] * shift_units, qstep)
     full = [np.concatenate([base_arrivals[trial_base[t]], a]) for t, a in zip(trial, arrivals)]
     reports = [run_on(a, config, warmup) for a in full]
+    states = [copy.deepcopy(bases[trial_base[t]]) for t in trial]
     streams = IdsStreams(bases, trial_base[trial])
     alarmed = np.zeros(len(trial), dtype=bool)
     for k in range(horizon):
@@ -346,15 +349,16 @@ def assert_streams_match_run_ids(config, warmup, base_arrivals, trial_base, arri
         alarmed |= alarm
         for name in ("o_acc", "skew", "l_plus", "l_minus"):
             assert getattr(streams, name).tolist() == [getattr(r, name)[row] for r in reports], (name, k)
-        if k not in state_batches:
-            continue
-        states = [run_on(a[: (row + 2) * n], config, warmup).final_state for a in full]
+        for s, r in zip(states, reports):
+            cusum_stage(s.cusum, s._bootstrap_errors, r.e[row:row + 1], 0, config)
         scalars = {
-            "gain_denominator": [s.rls.gain_denominator for s in states],
+            "gain_denominator": [rls_stage(r.t[:row + 1], r.o_acc[:row + 1], config.rls_lambda)[1].gain_denominator
+                                 for r in reports],
             "ref_count": [len(s.cusum.reference_errors) for s in states],
             "mu_cusum": [s.cusum.mu_cusum for s in states],
             "sigma_cusum": [s.cusum.sigma_cusum for s in states],
-            "prev_batch_mean": [s.prev_batch_mean for s in states],
+            "prev_batch_mean": [arrival_stage(a[row * n:(row + 2) * n].reshape(2, n), config,
+                                              STREAM_PERIOD)[0].prev_batch_mean for a in full],
         }
         for name, values in scalars.items():
             assert getattr(streams, name).tolist() == values, (name, k)
@@ -391,7 +395,7 @@ class TestIdsStreams:
         shift_units = _grid_shift_units(spec, vary, horizon * config.batch_size)
         grid = np.array(grid_units) * grid_scale
         assert_streams_match_run_ids(config, warmup, base_arrivals, trial_base, arrivals0, shift_units, grid, qstep,
-                                     horizon, state_batches=range(horizon))
+                                     horizon)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_full_reference_fifo_evicts_base_references(self, variant):
@@ -402,9 +406,8 @@ class TestIdsStreams:
         arrivals0 = np.array([cloak_arrivals(config, warmup, horizon, seed) for seed in (4, 5)])
         shift_units = _grid_shift_units(AttackSpec(delta_t0=0.0), "delta_t", horizon * config.batch_size)
         grid = np.array([-2.0, -0.5, 0.0, 0.5, 2.0]) * (1e-5 if variant is Variant.SOTA else 1e-7)
-        # the state after every 8th attack batch: each check reruns the 10 100-batch warmup per stream
         assert_streams_match_run_ids(config, warmup, [base_arrivals], np.zeros(2, dtype=int), arrivals0, shift_units,
-                                     grid, 0.0, horizon, state_batches=range(7, horizon, 8))
+                                     grid, 0.0, horizon)
 
     def test_reference_stats_round_like_add_reference(self):
         # Python's mu**2 goes through libm pow, which rounds differently from
