@@ -27,7 +27,7 @@ from .clock import (
     synthesize_trace,
 )
 from .curves import SuccessCurve
-from .ids import IdsConfig, IdsStreams, Variant, arrival_stage, detect, rls_stage
+from .ids import IdsConfig, IdsStreams, Variant, arrival_columns, detect, rls_stage
 
 __all__ = [
     "SyntheticSource",
@@ -315,8 +315,8 @@ def _final_skew_ppm(arrivals, config, period):
     k = len(arrivals) // n
     if k < 2:
         raise InsufficientDataError(f"need >= 2 batches of {n}, got {len(arrivals)} arrivals")
-    _, _, o_acc, t = arrival_stage(np.reshape(arrivals[: k * n], (k, n)), config, period)
-    return rls_stage(t, o_acc, config.rls_lambda)[1].skew * 1e6
+    _, _, o_acc, t = arrival_columns(np.reshape(arrivals[: k * n], (k, n)), config, period)
+    return rls_stage(t[1:], o_acc[1:], config.rls_lambda)[1].skew * 1e6
 
 
 def _sigma(values):

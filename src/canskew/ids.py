@@ -4,8 +4,6 @@ tracking, and CUSUM change detection, in two variants (SOTA and NTP-based).
 from __future__ import annotations
 
 import copy
-import csv
-import io
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -22,6 +20,7 @@ __all__ = [
     "CusumState",
     "IdsState",
     "DetectionReport",
+    "arrival_columns",
     "arrival_stage",
     "rls_stage",
     "cusum_stage",
@@ -171,26 +170,26 @@ class DetectionReport:
         return np.arange(1, len(self) + 1)
 
     def to_csv(self):
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.CSV_COLUMNS)
-        rows = zip(*(getattr(self, name).tolist() for name in self.CSV_COLUMNS))
-        for k, o_avg, o_acc, t, skew, e, e_n, l_plus, l_minus, alarm in rows:
-            writer.writerow([
-                k, f"{o_avg:.12g}", f"{o_acc:.12g}", f"{t:.12g}", f"{skew:.12g}", f"{e:.12g}",
-                "" if math.isnan(e_n) else f"{e_n:.12g}", f"{l_plus:.12g}", f"{l_minus:.12g}", int(alarm),
-            ])
-        return buf.getvalue()
+        """One row per batch; floats as %.12g, a NaN e_n as an empty cell."""
+        g = "%.12g".__mod__
+        cols = [map(str, self.batch.tolist())]
+        cols += [map(g, getattr(self, name).tolist()) for name in ("o_avg", "o_acc", "t", "skew", "e")]
+        e_n = list(map(g, self.e_n.tolist()))
+        for k in np.flatnonzero(np.isnan(self.e_n)).tolist():
+            e_n[k] = ""
+        cols += [e_n, map(g, self.l_plus.tolist()), map(g, self.l_minus.tolist()),
+                 map(str, self.alarm.astype(int).tolist())]
+        rows = map(",".join, zip(*cols))
+        return "\n".join([",".join(self.CSV_COLUMNS), *rows, ""])
 
 
-def arrival_stage(batches, config, period=None):
-    """Stage 1 of the detector pass: everything that depends only on the
-    arrivals, for a (K+1, N) array whose row 0 is the initialization batch.
-
-    Returns the state after batch K with its arrival fields set (RLS and
-    CUSUM still at their priors) and the columns o_avg, O_acc and t of
-    batches 1..K. The SOTA offsets are row means over one (K, N-1) block and
-    O_acc a cumulative sum, which adds in batch order as a running total does.
+def arrival_columns(batches, config, period=None):
+    """The arrival columns of the detector pass over a (K+1, N) array whose
+    row 0 is the initialization batch: mu, the mean spacing of batches 0..K
+    (batch 0's own, then each batch's including the boundary gap into it);
+    o_avg of batches 1..K; and O_acc and t of batches 0..K (both 0 at batch
+    0). The SOTA offsets are row means over one (K, N-1) block and O_acc a
+    cumulative sum, which adds in batch order as a running total does.
     """
     a = np.asarray(batches, dtype=np.float64)
     n = config.batch_size
@@ -199,8 +198,6 @@ def arrival_stage(batches, config, period=None):
     if config.variant is Variant.NTP and period is None:
         raise ValueError("the NTP variant requires the nominal period")
     last = a[:, -1]
-    # mu[k]: batch 0's mean spacing, then each batch's mean including the
-    # boundary gap into it
     means = np.concatenate(([(a[0, -1] - a[0, 0]) / (n - 1)], np.diff(last) / n))
     if config.variant is Variant.SOTA:
         # a[1:] - (a[0] + i * mu[k-1]) per row, with mu[k-1] the previous batch's mean
@@ -211,7 +208,20 @@ def arrival_stage(batches, config, period=None):
     else:
         o_avg = period - means[1:]
         o_acc = np.cumsum(np.concatenate(([0.0], n * o_avg)))
-    t = last - last[0]
+    return means, o_avg, o_acc, last - last[0]
+
+
+def arrival_stage(batches, config, period=None):
+    """Stage 1 of the detector pass: everything that depends only on the
+    arrivals, for a (K+1, N) array whose row 0 is the initialization batch.
+
+    Returns the state after batch K with its arrival fields set (RLS and
+    CUSUM still at their priors) and the columns o_avg, O_acc and t of
+    batches 1..K (see ``arrival_columns``).
+    """
+    means, o_avg, o_acc, t = arrival_columns(batches, config, period)
+    a = np.asarray(batches, dtype=np.float64)
+    n = config.batch_size
     # inter-arrival sums: batch 0's N-1 gaps, then each batch's N gaps (the
     # first crosses the batch boundary), summed per batch, then in batch order
     gaps = np.diff(a.ravel())
@@ -223,8 +233,8 @@ def arrival_stage(batches, config, period=None):
         period=period,
         batch_index=len(a) - 1,
         prev_batch_mean=float(means[-1]),
-        prev_last_arrival=float(last[-1]),
-        t_origin=float(last[0]),
+        prev_last_arrival=float(a[-1, -1]),
+        t_origin=float(a[0, -1]),
         o_acc=float(o_acc[-1]),
         elapsed=float(t[-1]),
         o_acc_history=o_acc[1:].tolist(),

@@ -14,7 +14,7 @@ from canskew.harness import (
     epsilon_msi,
     monte_carlo_ps,
 )
-from canskew.ids import Variant
+from canskew.ids import Variant, run_ids
 from conftest import MESSAGE_ID, PERIOD, make_attack, make_config
 
 
@@ -209,6 +209,14 @@ class TestConsistency:
         trace = synthesize_trace(schedule, ClockSpec(skew=ppm(100)), NoiseModel(), 2000, seed=0)
         result = consistency_study(trace, MESSAGE_ID, [20, 40], make_config(Variant.NTP), PERIOD)
         assert result.to_csv().startswith("variant,case,sigma_ppm,skews_ppm")
+
+    def test_skews_are_the_detector_final_skews(self, schedule):
+        # the study stops the detector pass after its RLS stage
+        trace = synthesize_trace(schedule, ClockSpec(skew=ppm(100), jitter_std=100e-6), NoiseModel(), 2010, seed=3)
+        result = consistency_study(trace, MESSAGE_ID, [20, 40], make_config(Variant.NTP), PERIOD)
+        for variant in Variant:
+            report = run_ids(trace, MESSAGE_ID, make_config(variant), warmup_batches=1, period=PERIOD)
+            assert result.cases[variant.value][2].skews_ppm == (report.final_state.rls.skew * 1e6,)
 
     def test_insufficient_trace(self, schedule):
         trace = synthesize_trace(schedule, ClockSpec(), NoiseModel(), 30, seed=0)

@@ -268,6 +268,70 @@ class TestRunIds:
         header = report.to_csv().splitlines()[0]
         assert header == "batch,o_avg,o_acc,t,skew,e,e_n,l_plus,l_minus,alarm"
 
+    PINNED_CSV = {
+        Variant.SOTA: (
+            "batch,o_avg,o_acc,t,skew,e,e_n,l_plus,l_minus,alarm\n"
+            "1,-4.47499999999e-05,4.47499999999e-05,0.499856,8.95254252966e-05,4.47499999999e-05,,0,0,0\n"
+            "2,6.775e-05,0.0001125,0.999915,0.00010791605262,2.29821843645e-05,,0,0,0\n"
+            "3,-7.07500000001e-05,0.00018325,1.499844,0.000117087434031,2.1392755975e-05,,0,0,0\n"
+            "4,2.75000000005e-06,0.000186,1.999794,0.000104241528068,-4.81507480496e-05,,0,0,0\n"
+            "5,-1.99999999995e-06,0.000188,2.499714,9.10388513362e-05,"
+            "-7.25740070939e-05,-2.05189179559,0,1.55189179559,0\n"
+            "6,-1.47499999998e-05,0.00020275,2.999687,8.17571146225e-05,"
+            "-7.03380588482e-05,-1.25706049776,0,2.30895229335,1\n"
+            "7,3.34999999998e-05,0.00023625,3.499681,7.67656764493e-05,"
+            "-4.98738206596e-05,-0.626179462566,0,2.43513175592,1\n"
+            "8,-1.00000000003e-05,0.00024625,3.999588,7.19941206959e-05,"
+            "-6.07810783386e-05,-0.789373918142,0,2.72450567406,1\n"
+            "9,0.00049875,0.000745,4.500311,9.86137407471e-05,0.000421004066697,"
+            "9.34612917554,8.84612917554,0,1\n"
+            "10,0.000108,0.000853,5.001294,0.000117328681376,0.000359803690084,"
+            "8.06816998908,16.4142991646,0,1\n"
+            "11,-2.97499999997e-05,0.000882749999999,5.502227,0.000127654974703,"
+            "0.000237180961457,5.50761642407,21.4219155887,0,1\n"
+            "12,-1.87500000006e-05,0.0009015,6.00324,0.000132652543092,"
+            "0.000135156549661,3.37718779745,24.2991033861,0,1\n"
+            "13,-4.94999999994e-05,0.000950999999999,6.504152,0.000135456942739,"
+            "8.82076965455e-05,1.38119213102,25.1802955172,0,1\n"
+        ),
+        Variant.NTP: (
+            "batch,o_avg,o_acc,t,skew,e,e_n,l_plus,l_minus,alarm\n"
+            "1,2.88e-05,0.000144,0.499856,0.00028808181548,0.000144,,0,0,0\n"
+            "2,-1.18e-05,8.49999999999e-05,0.999915,0.000125592837283,-0.000203057328526,,0,0,0\n"
+            "3,1.42e-05,0.000156,1.499844,0.000111715498154,-3.23696634425e-05,,0,0,0\n"
+            "4,9.99999999998e-06,0.000206,1.999794,0.000107071306307,-1.74079829155e-05,,0,0,0\n"
+            "5,1.6e-05,0.000286,2.499714,0.000110409970403,1.83523566263e-05,0.321209185011,0,0,0\n"
+            "6,5.40000000004e-06,0.000313,2.999687,0.000108008930658,"
+            "-1.81953528889e-05,-0.000793697132824,0,0,0\n"
+            "7,1.19999999999e-06,0.000319,3.499681,0.000102104452357,"
+            "-5.89968024526e-05,-0.367092640289,0,0,0\n"
+            "8,1.85999999999e-05,0.000412,3.999588,0.000102388970956,3.62425760669e-06,0.268173115039,0,0,0\n"
+            "9,-0.0001446,-0.000311,4.500311,5.35900379332e-05,-0.00077178221227,"
+            "-7.84987913398,0,7.34987913398,1\n"
+            "10,-0.0001966,-0.001294,5.001294,-2.76573301953e-05,"
+            "-0.00156201953517,-16.106855686,0,22.9567348199,1\n"
+            "11,-0.0001866,-0.002227,5.502227,-0.000117990178619,"
+            "-0.00207482309105,-21.4650016681,0,43.921736488,1\n"
+            "12,-0.0002026,-0.00324,6.00324,-0.000211601825093,-0.0025316766401,"
+            "-26.2385411263,0,69.6602776143,1\n"
+            "13,-0.0001824,-0.004152,6.504152,-0.000299850348002,-0.00277570956612,"
+            "-28.7883753211,0,97.9486529354,1\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("variant, first_alarm", [(Variant.SOTA, 6), (Variant.NTP, 9)])
+    def test_pinned_csv(self, variant, first_alarm):
+        # bootstrap rows carry no e_n; the clock runs off from batch 9 on
+        trace = synthesize_trace(MessageSchedule(0x185, 0.1, start_time=1.0),
+                                 ClockSpec(skew=ppm(100), jitter_std=25e-6),
+                                 NoiseModel(quantization_step=1e-6), 5 * 14, seed=3)
+        times = trace.times.copy()
+        times[45:] += np.arange(len(times) - 45) * 2e-4
+        config = make_config(variant, batch_size=5, sensitivity=0.5, detection_threshold=2.0)
+        report = run_ids(Trace(times=times, ids=trace.ids), 0x185, config, 3, period=0.1)
+        assert report.first_alarm_batch == first_alarm
+        assert report.to_csv() == self.PINNED_CSV[variant]
+
     def test_alarm_iff_limit_exceeds_threshold(self):
         rng = np.random.default_rng(8)
         gaps = rng.normal(0.1, 25e-6, 3000)
