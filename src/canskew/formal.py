@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import SuccessCurve
-from .ids import IdsConfig, Variant
+from .ids import IdsConfig, Variant, rls_stage
 
 __all__ = [
     "Snapshot",
@@ -60,8 +60,8 @@ class Snapshot:
     mu_cusum: float
     sigma_cusum: float
     reference_errors: tuple
-    o_acc_history: tuple = ()
-    t_history: tuple = ()
+    ot_sum: float = 0.0       # lambda-weighted sum of O_acc * t over batches 1..m-1
+    tt_sum: float = 0.0       # lambda-weighted sum of t * t over batches 1..m-1
     start_batch: int = 1      # m
 
     def __post_init__(self):
@@ -144,8 +144,8 @@ def take_snapshot(report, state, m):
         mu_cusum=state.cusum.mu_cusum,
         sigma_cusum=state.cusum.sigma_cusum,
         reference_errors=tuple(state.cusum.reference_errors),
-        o_acc_history=tuple(state.o_acc_history),
-        t_history=tuple(state.t_history),
+        ot_sum=state.rls.ot_sum,
+        tt_sum=state.rls.tt_sum,
         start_batch=m,
     )
 
@@ -206,21 +206,16 @@ def sota_success_prob(snapshot, delta_t):
 
 
 def _forecast_sums(snapshot):
-    """The delta-T independent start of the NTP forecast: the lambda-weighted
-    LS sums over the pre-attack O_acc/t history and the sums of the CUSUM
-    reference set, as (a_sum, b_sum, ref_sum, ref_sumsq, ref_n)."""
+    """The delta-T independent start of the NTP forecast: the snapshot's
+    lambda-weighted least-squares sums of O_acc * t and t * t, and the sums
+    of the CUSUM reference set, as (a_sum, b_sum, ref_sum, ref_sumsq, ref_n)."""
     if snapshot.period is None:
         raise ValueError("NTP forecast requires the nominal period in the snapshot")
-    if not snapshot.o_acc_history:
-        raise ValueError("NTP forecast requires the pre-attack O_acc/t history")
-    lam = snapshot.config.rls_lambda
-    a_sum = 0.0
-    b_sum = 0.0
-    for o_i, t_i in zip(snapshot.o_acc_history, snapshot.t_history):
-        a_sum = lam * a_sum + o_i * t_i
-        b_sum = lam * b_sum + t_i * t_i
+    if not snapshot.tt_sum > 0.0:
+        raise ValueError("NTP forecast requires the pre-attack least-squares sums ot_sum and tt_sum "
+                         f"(tt_sum must be > 0, got {snapshot.tt_sum})")
     ref = snapshot.reference_errors
-    return a_sum, b_sum, sum(ref), sum(e * e for e in ref), len(ref)
+    return snapshot.ot_sum, snapshot.tt_sum, sum(ref), sum(e * e for e in ref), len(ref)
 
 
 def _forecast(snapshot, sums, delta_t, horizon):
@@ -279,14 +274,15 @@ def ntp_forecast(snapshot, delta_t, horizon):
     """Forecast the NTP detector's state over ``horizon`` attack batches.
 
     Noise terms are taken at their means, the RLS output is approximated by
-    the lambda-weighted least-squares slope over the full history, and the
-    CUSUM reference statistics are advanced by their own update rule.
+    the lambda-weighted least-squares slope, which starts from the
+    snapshot's sums over batches 1..m-1 and takes in each forecast batch,
+    and the CUSUM reference statistics are advanced by their own update rule.
     """
     return _forecast(snapshot, _forecast_sums(snapshot), delta_t, horizon)
 
 
 def ntp_forecasts(snapshot, delta_t_grid, horizon):
-    """``ntp_forecast`` for every delta-T of a grid; the history sums, which
+    """``ntp_forecast`` for every delta-T of a grid; the starting sums, which
     do not depend on delta-T, are taken once."""
     sums = _forecast_sums(snapshot)
     return [_forecast(snapshot, sums, float(dt), horizon) for dt in delta_t_grid]
@@ -391,39 +387,36 @@ def success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
     return SuccessCurve(grid=grid, p_success=p, trials=0, horizon=horizon, source="PREDICTED")
 
 
+_CONFIG_FLOATS = ("rls_lambda", "update_threshold", "detection_threshold", "sensitivity")
 _SCALAR_FIELDS = (
     "period", "mu", "sigma", "prev_batch_mean", "o_acc", "t", "skew",
     "mu_cusum", "sigma_cusum",
 )
-_LIST_FIELDS = ("reference_errors", "o_acc_history", "t_history")
 
 
 def snapshot_to_csv(snapshot):
-    """Serialize a snapshot as key,value CSV (lists space-separated)."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\n")
+    """Serialize a snapshot as key,value lines, the reference errors
+    space-separated. No key or value holds a comma, so none is quoted."""
     cfg = snapshot.config
-    writer.writerow(["key", "value"])
-    writer.writerow(["variant", cfg.variant.value])
-    writer.writerow(["batch_size", cfg.batch_size])
-    writer.writerow(["rls_lambda", repr(cfg.rls_lambda)])
-    writer.writerow(["update_threshold", repr(cfg.update_threshold)])
-    writer.writerow(["detection_threshold", repr(cfg.detection_threshold)])
-    writer.writerow(["sensitivity", repr(cfg.sensitivity)])
-    writer.writerow(["start_batch", snapshot.start_batch])
-    for name in _SCALAR_FIELDS:
-        value = getattr(snapshot, name)
-        writer.writerow([name, "" if value is None else repr(value)])
-    for name in _LIST_FIELDS:
-        writer.writerow([name, " ".join(repr(v) for v in getattr(snapshot, name))])
-    return buf.getvalue()
+    rows = [("key", "value"), ("variant", cfg.variant.value), ("batch_size", cfg.batch_size)]
+    rows += [(name, repr(getattr(cfg, name))) for name in _CONFIG_FLOATS]
+    rows.append(("start_batch", snapshot.start_batch))
+    rows += [(name, "" if getattr(snapshot, name) is None else repr(getattr(snapshot, name)))
+             for name in _SCALAR_FIELDS]
+    rows += [("ot_sum", repr(snapshot.ot_sum)), ("tt_sum", repr(snapshot.tt_sum)),
+             ("reference_errors", " ".join(map(repr, snapshot.reference_errors)))]
+    return "".join(f"{key},{value}\n" for key, value in rows)
+
+
+def _floats(text):
+    return tuple(map(float, text.split()))
 
 
 def snapshot_from_csv(text):
     """Parse what ``snapshot_to_csv`` writes. The lines are split at their
     first comma rather than read with the csv module, whose per-field size
-    limit a full 10 000-entry reference set exceeds; the writer never quotes
-    a field, since no key or value holds a comma."""
+    limit a full 10 000-entry reference set exceeds. Older files carry each
+    batch's O_acc and t in place of the sums; the RLS stage folds them."""
     lines = text.splitlines()
     if not lines or lines[0] != "key,value":
         raise ValueError("expected header 'key,value'")
@@ -436,21 +429,19 @@ def snapshot_from_csv(text):
             raise ValueError(f"snapshot line {number}: expected key,value, got {line[:40]!r}")
         raw[key] = value
     try:
-        config = IdsConfig(
-            variant=Variant(raw["variant"]),
-            batch_size=int(raw["batch_size"]),
-            rls_lambda=float(raw["rls_lambda"]),
-            update_threshold=float(raw["update_threshold"]),
-            detection_threshold=float(raw["detection_threshold"]),
-            sensitivity=float(raw["sensitivity"]),
-        )
+        config = IdsConfig(variant=Variant(raw["variant"]), batch_size=int(raw["batch_size"]),
+                           **{name: float(raw[name]) for name in _CONFIG_FLOATS})
         kwargs = {"config": config, "start_batch": int(raw.get("start_batch", 1))}
         for name in _SCALAR_FIELDS:
             value = raw[name]
             kwargs[name] = None if value == "" else float(value)
-        for name in _LIST_FIELDS:
-            value = raw.get(name, "")
-            kwargs[name] = tuple(float(v) for v in value.split()) if value else ()
+        kwargs["reference_errors"] = _floats(raw.get("reference_errors", ""))
+        if "tt_sum" in raw:
+            kwargs["ot_sum"], kwargs["tt_sum"] = float(raw["ot_sum"]), float(raw["tt_sum"])
+        else:
+            t, o_acc = _floats(raw.get("t_history", "")), _floats(raw.get("o_acc_history", ""))
+            rls = rls_stage(t, o_acc, config.rls_lambda)[1]
+            kwargs["ot_sum"], kwargs["tt_sum"] = rls.ot_sum, rls.tt_sum
     except KeyError as exc:
         raise ValueError(f"snapshot file is missing field {exc}") from exc
     return Snapshot(**kwargs)

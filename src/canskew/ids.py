@@ -69,6 +69,9 @@ class IdsConfig:
 class RlsState:
     skew: float = 0.0
     gain_denominator: float = RLS_INITIAL_P  # inverse-covariance scalar P
+    # lambda-weighted sums of O_acc * t and t * t; the NTP forecast starts from them
+    ot_sum: float = 0.0
+    tt_sum: float = 0.0
 
     def __post_init__(self):
         if self.gain_denominator <= 0.0:
@@ -121,16 +124,17 @@ class IdsState:
     prev_last_arrival: float = 0.0    # a_{k-1,N}
     t_origin: float = 0.0             # last arrival of batch 0
     o_acc: float = 0.0
-    elapsed: float = 0.0
     rls: RlsState = field(default_factory=RlsState)
     cusum: CusumState = field(default_factory=CusumState)
     _bootstrap_errors: list = field(default_factory=list)
-    # pre-attack history and inter-arrival stats, consumed by formal snapshots
-    o_acc_history: list = field(default_factory=list)
-    t_history: list = field(default_factory=list)
+    # inter-arrival sums, read by formal snapshots
     _ia_count: int = 0
     _ia_sum: float = 0.0
     _ia_sumsq: float = 0.0
+
+    @property
+    def elapsed(self):  # t of batch batch_index
+        return self.prev_last_arrival - self.t_origin
 
     def inter_arrival_stats(self):
         n = self._ia_count
@@ -195,8 +199,8 @@ def arrival_columns(batches, config, period=None):
     n = config.batch_size
     if a.ndim != 2 or a.shape[1] != n or len(a) < 1:
         raise ValueError(f"expected an initialization batch plus batches of {n} arrivals, got shape {a.shape}")
-    if config.variant is Variant.NTP and period is None:
-        raise ValueError("the NTP variant requires the nominal period")
+    if config.variant is Variant.NTP and (period is None or not period > 0.0):
+        raise ValueError(f"the NTP variant requires a nominal period > 0, got {period}")
     last = a[:, -1]
     means = np.concatenate(([(a[0, -1] - a[0, 0]) / (n - 1)], np.diff(last) / n))
     if config.variant is Variant.SOTA:
@@ -236,9 +240,6 @@ def arrival_stage(batches, config, period=None):
         prev_last_arrival=float(a[-1, -1]),
         t_origin=float(a[0, -1]),
         o_acc=float(o_acc[-1]),
-        elapsed=float(t[-1]),
-        o_acc_history=o_acc[1:].tolist(),
-        t_history=t[1:].tolist(),
         _ia_count=len(gaps),
         _ia_sum=float(ia_sum),
         _ia_sumsq=float(ia_sumsq),
@@ -248,20 +249,26 @@ def arrival_stage(batches, config, period=None):
 
 def rls_stage(t, o_acc, lam):
     """Stage 2: the scalar exponentially weighted RLS fit of O_acc = S * t,
-    batch by batch from the prior (skew 0, P = RLS_INITIAL_P). It reads no
-    CUSUM state. Returns the K+1 skews (entry k is the estimate after batch
-    k, entry 0 the prior) and the final ``RlsState``."""
+    batch by batch from the prior (skew 0, P = RLS_INITIAL_P), which also
+    keeps the lambda-weighted sums of O_acc * t and t * t. It reads no CUSUM
+    state. Returns the K+1 skews (entry k is the estimate after batch k,
+    entry 0 the prior) and the final ``RlsState``."""
     t = np.asarray(t, dtype=np.float64)
+    o_acc = np.asarray(o_acc, dtype=np.float64)
+    if t.shape != o_acc.shape:
+        raise ValueError(f"t and O_acc differ in length: {t.size} and {o_acc.size}")
     if np.any(t <= 0.0):
         raise ValueError("elapsed time must be > 0")
-    skew, p = 0.0, RLS_INITIAL_P
+    skew, p, ot, tt = 0.0, RLS_INITIAL_P, 0.0, 0.0
     skews = [skew]
-    for t_k, y in zip(t.tolist(), np.asarray(o_acc, dtype=np.float64).tolist()):
+    for t_k, y in zip(t.tolist(), o_acc.tolist()):
         gain = p * t_k / (lam + t_k * t_k * p)
         skew = skew + gain * (y - skew * t_k)
         p = (p - gain * t_k * p) / lam
+        ot = lam * ot + y * t_k
+        tt = lam * tt + t_k * t_k
         skews.append(skew)
-    return np.array(skews), RlsState(skew=skew, gain_denominator=p)
+    return np.array(skews), RlsState(skew=skew, gain_denominator=p, ot_sum=ot, tt_sum=tt)
 
 
 def cusum_stage(cusum, bootstrap, errors, armed_from, config):
@@ -309,6 +316,8 @@ def detect(batches, config, warmup_batches, period=None):
     rows 1..warmup_batches warm up with alarms suppressed, and later rows
     are armed. Stages 1, 2 and 4 run in turn; stage 3 is the error column
     e = O_acc - S[k-1] * t, with S[k-1] the skew held before batch k."""
+    if warmup_batches < 0:
+        raise ValueError(f"warmup_batches must be >= 0, got {warmup_batches}")
     state, o_avg, o_acc, t = arrival_stage(batches, config, period)
     skews, state.rls = rls_stage(t, o_acc, config.rls_lambda)
     e = o_acc - skews[:-1] * t

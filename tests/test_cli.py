@@ -116,6 +116,38 @@ class TestPlumbing:
         assert "unknown config key 'inputs'" in err
 
 
+class TestBadInput:
+    @pytest.fixture
+    def trace(self, capsys, tmp_path):
+        path = tmp_path / "trace.log"
+        assert run_cli(["generate", "--count", "400", "--out", str(path)], capsys)[0] == 0
+        return path
+
+    def test_negative_warmup_exits_1(self, capsys, tmp_path, trace):
+        code, _, err = run_cli(["detect", "--input", str(trace), "--warmup", "-5",
+                                "--out", str(tmp_path / "r.csv")], capsys)
+        assert code == 1 and "warmup_batches must be >= 0" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "consistency"])
+    def test_zero_period_exits_1(self, capsys, tmp_path, trace, command):
+        args = ["--input", str(trace)] if command == "detect" else [str(trace)]
+        code, _, err = run_cli([command, *args, "--warmup", "5", "--period", "0",
+                                "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 1 and "nominal period > 0" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_predict_without_sums_exits_1(self, capsys, tmp_path, trace):
+        snap = tmp_path / "snap.csv"
+        assert run_cli(["detect", "--input", str(trace), "--warmup", "5", "--snapshot-out", str(snap),
+                        "--out", str(tmp_path / "r.csv")], capsys)[0] == 0
+        lines = snap.read_text().splitlines(keepends=True)
+        snap.write_text("".join(line for line in lines if not line.startswith(("ot_sum,", "tt_sum,"))))
+        code, _, err = run_cli(["predict", "--model", "ntp", "--snapshot", str(snap),
+                                "--grid", "-1:1:1e-7", "--horizon", "3"], capsys)
+        assert code == 1 and "least-squares sums" in err
+
+
 class TestWorkflows:
     def test_generate_detect_predict(self, capsys, tmp_path):
         trace = tmp_path / "trace.log"

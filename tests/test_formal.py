@@ -40,6 +40,45 @@ PINNED_NTP_CURVE = [0.0] * 26 + [
     0.7943833772046641, 1.3619675393308855e-55, 2.8367403174385378e-255,
 ] + [0.0] * 26
 
+# A snapshot file of an NTP run (N = 4, warmup 5, 8 batches) as written
+# before snapshots kept the least-squares sums: the O_acc and t of every batch
+# instead, and its forecast at delta-T = 0.1 us over 3 batches from the code
+# of that time.
+OLD_FORMAT_SNAPSHOT = """key,value
+variant,ntp
+batch_size,4
+rls_lambda,0.9995
+update_threshold,4.0
+detection_threshold,5.0
+sensitivity,8.0
+start_batch,8
+period,0.1
+mu,0.09998933759520705
+sigma,3.0049192269512204e-05
+prev_batch_mean,0.09998826712164743
+o_acc,0.0002699781316991001
+t,2.799730021868301
+skew,8.81689036189053e-05
+mu_cusum,2.9450492641132604e-05
+sigma_cusum,1.607734151068919e-05
+reference_errors,9.865360564631498e-06 1.8917521943281657e-05 1.3875606065060292e-05 5.5648880936484885e-05 \
+3.5593092716874105e-05 3.665679881345086e-05 3.559618744814494e-05
+o_acc_history,9.865360564631498e-06 3.864765324740338e-05 6.617349918719428e-05 0.00013727272506608434 \
+0.0001747330895976451 0.00022304661828881356 0.0002699781316991001
+t_history,0.3999901346394354 0.7999613523467526 1.1999338265008128 1.599862727274934 1.9998252669104024 \
+2.3997769533817115 2.799730021868301
+"""
+OLD_FORMAT_FORECAST = {
+    "t_hat": [3.1996877722491295, 3.5996455226299577, 3.999603273010786],
+    "o_acc_hat": [0.00031222775087093074, 0.00035447737004276137, 0.000396726989214592],
+    "skew_hat": [9.112401874348691e-05, 9.321538279600878e-05, 9.476929309793748e-05],
+    "e_hat": [3.011477550761936e-05, 2.646320396872034e-05, 2.390243908872194e-05],
+    "mu_cusum_hat": [2.9450492641132604e-05, 2.953352799944345e-05, 2.919238088491866e-05],
+    "sigma_cusum_hat": [1.607734151068919e-05, 1.488657867759147e-05, 1.3962678067524983e-05],
+    "e_n_mean": [0.04131795459125511, -0.20624779522677164, -0.37886297819186293],
+    "e_n_std": [1.3217272905895858, 1.4274551786005771, 1.5219120686936483],
+}
+
 
 def manual_snapshot(variant=Variant.SOTA, **overrides):
     fields = dict(
@@ -139,6 +178,33 @@ class TestSnapshot:
         assert "eta_last" not in text
         old = text.replace("\nsigma_cusum,", "\neta_last,0.0\nsigma_cusum,", 1)
         assert "eta_last,0.0" in old and snapshot_from_csv(old) == ntp_snapshot
+
+    def test_csv_carries_sums_not_histories(self, ntp_snapshot):
+        keys = [line.split(",", 1)[0] for line in snapshot_to_csv(ntp_snapshot).splitlines()]
+        assert "ot_sum" in keys and "tt_sum" in keys
+        assert "o_acc_history" not in keys and "t_history" not in keys
+        assert keys[-1] == "reference_errors"
+
+    def test_sums_are_the_detector_sums(self, warm_states):
+        state = warm_states[Variant.NTP]
+        snap = take_snapshot(None, state, state.batch_index + 1)
+        assert (snap.ot_sum, snap.tt_sum) == (state.rls.ot_sum, state.rls.tt_sum)
+        assert snap.tt_sum > 0.0
+
+    def test_old_format_reads_back(self):
+        snap = snapshot_from_csv(OLD_FORMAT_SNAPSHOT)
+        assert snap.start_batch == 8 and len(snap.reference_errors) == 7
+        assert snap.t == 2.799730021868301
+        fc = ntp_forecast(snap, 1e-7, 3)
+        for name, want in OLD_FORMAT_FORECAST.items():
+            assert getattr(fc, name).tolist() == want, name
+        assert snapshot_from_csv(snapshot_to_csv(snap)) == snap
+
+    def test_old_format_unequal_histories_rejected(self):
+        text = OLD_FORMAT_SNAPSHOT.replace(" 2.799730021868301\n", "\n")
+        assert text != OLD_FORMAT_SNAPSHOT
+        with pytest.raises(ValueError, match="differ in length"):
+            snapshot_from_csv(text)
 
     def test_csv_line_without_value_rejected(self, ntp_snapshot):
         text = snapshot_to_csv(ntp_snapshot).replace("\nskew,", "\nskew\n", 1)
@@ -287,12 +353,12 @@ class TestNtpForecast:
             assert o_hat == pytest.approx(k * n * PERIOD - t_hat + drift, abs=1e-9)
 
     def test_zero_offset_trivial_forecast(self):
+        # with lambda = 1 the least-squares sums are plain sums
         n, t_now = 20, 100 * 20 * PERIOD
         history_t = [k * n * PERIOD for k in range(1, 101)]
         snap = manual_snapshot(
-            Variant.NTP, mu=PERIOD, sigma=1e-6, o_acc=0.0, t=t_now,
-            o_acc_history=tuple(0.0 for _ in history_t), t_history=tuple(history_t),
-            start_batch=101,
+            Variant.NTP, config=make_config(Variant.NTP, rls_lambda=1.0), mu=PERIOD, sigma=1e-6,
+            o_acc=0.0, t=t_now, ot_sum=0.0, tt_sum=sum(t * t for t in history_t), start_batch=101,
         )
         fc = ntp_forecast(snap, 0.0, 5)
         assert np.allclose(fc.t_hat, [(101 + j) * n * PERIOD for j in range(5)], atol=1e-9)
@@ -308,7 +374,8 @@ class TestNtpForecast:
         snap = manual_snapshot(
             Variant.NTP, config=make_config(Variant.NTP, rls_lambda=1.0),
             mu=PERIOD, sigma=1e-6, o_acc=history_o[-1], t=history_t[-1],
-            o_acc_history=tuple(history_o), t_history=tuple(history_t), start_batch=51,
+            ot_sum=sum(o * t for o, t in zip(history_o, history_t)),
+            tt_sum=sum(t * t for t in history_t), start_batch=51,
         )
         fc = ntp_forecast(snap, -slope * PERIOD / (1 + slope), 1)
         assert fc.e_hat[0] == pytest.approx(0.0, abs=1e-12)
@@ -323,7 +390,7 @@ class TestNtpForecast:
 
     def test_requires_history(self):
         snap = manual_snapshot(Variant.NTP)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="least-squares sums"):
             ntp_forecast(snap, 0.0, 5)
 
     def test_forecast_tracks_simulated_errors(self, ntp_snapshot, warm_trace, schedule,

@@ -161,6 +161,18 @@ class TestRls:
         with pytest.raises(ValueError):
             rls_stage([1.0, 0.0], [1.0, 1.0], 1.0)
 
+    def test_rejects_columns_of_unequal_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            rls_stage([1.0, 2.0], [1.0], 1.0)
+
+    def test_lambda_one_sums_are_plain_sums(self):
+        rng = np.random.default_rng(3)
+        t = np.cumsum(rng.uniform(0.5, 1.5, 100))
+        y = 2e-5 * t + rng.normal(0.0, 1e-6, 100)
+        _, rls = rls_stage(t, y, 1.0)
+        assert rls.ot_sum == pytest.approx(float(np.dot(y, t)), rel=1e-12)
+        assert rls.tt_sum == pytest.approx(float(np.dot(t, t)), rel=1e-12)
+
 
 def cusum_errors(cusum, errors, **config):
     """The CUSUM stage over ``errors``, all armed; returns its columns."""
@@ -261,6 +273,26 @@ class TestRunIds:
         trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(), NoiseModel(), 100, seed=0)
         with pytest.raises(ValueError):
             run_ids(trace, 1, make_config(Variant.NTP), warmup_batches=2)
+
+    @pytest.mark.parametrize("period", [0.0, -0.1, float("nan")])
+    def test_ntp_rejects_nonpositive_period(self, period):
+        trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(), NoiseModel(), 100, seed=0)
+        with pytest.raises(ValueError, match="nominal period > 0"):
+            run_ids(trace, 1, make_config(Variant.NTP), warmup_batches=2, period=period)
+
+    def test_rejects_negative_warmup(self):
+        trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(), NoiseModel(), 100, seed=0)
+        with pytest.raises(ValueError, match="warmup_batches must be >= 0"):
+            run_ids(trace, 1, make_config(Variant.SOTA), warmup_batches=-1)
+
+    def test_final_state_holds_the_last_batch(self):
+        trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(skew=ppm(100), jitter_std=25e-6),
+                                 NoiseModel(), 1000, seed=4)
+        for variant in Variant:
+            report = run_ids(trace, 1, make_config(variant), warmup_batches=10, period=0.1)
+            state = report.final_state
+            assert state.elapsed == report.t[-1] and state.o_acc == report.o_acc[-1]
+            assert state.rls.skew == report.skew[-1] and state.rls.tt_sum > 0.0
 
     def test_csv_columns(self):
         trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(jitter_std=1e-5), NoiseModel(), 200, seed=0)

@@ -18,7 +18,16 @@ from canskew.clock import (
 )
 from canskew.correlation import pearson
 from canskew.curves import SuccessCurve
-from canskew.formal import CusumRecursionConfig, cusum_success_recursion, gaussian_cdf, lplus_max
+from canskew.formal import (
+    CusumRecursionConfig,
+    cusum_success_recursion,
+    gaussian_cdf,
+    lplus_max,
+    ntp_forecasts,
+    snapshot_from_csv,
+    snapshot_to_csv,
+    take_snapshot,
+)
 from canskew.harness import epsilon_msi
 from canskew.ids import Variant, rls_stage, run_ids
 from canskew.attacks import shift_inter_arrivals
@@ -83,6 +92,35 @@ class TestIdsInvariants:
         _, rls = rls_stage(t, y, 1.0)
         expected = float(np.dot(y, t) / np.dot(t, t))
         assert rls.skew == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+class TestSnapshotInvariants:
+    @given(variant=st.sampled_from(list(Variant)),
+           lam=st.floats(min_value=0.9, max_value=1.0),
+           warmup=st.integers(min_value=1, max_value=80),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_history_form_gives_the_same_forecasts(self, variant, lam, warmup, seed):
+        # a snapshot file in the earlier form, with the O_acc and t of every
+        # batch in place of the least-squares sums, forecasts as the snapshot
+        # of the same run does
+        n, period = 5, 0.05
+        trace = synthesize_trace(MessageSchedule(1, period), ClockSpec(skew=1e-4, jitter_std=2e-5),
+                                 NoiseModel(), (warmup + 3) * n, seed=seed)
+        report = run_ids(trace, 1, make_config(variant, batch_size=n, rls_lambda=lam), warmup, period=period)
+        snap = take_snapshot(report, report.final_state, len(report) + 1)
+        text = snapshot_to_csv(snap)
+        assert snapshot_from_csv(text) == snap
+        sums = f"ot_sum,{snap.ot_sum!r}\ntt_sum,{snap.tt_sum!r}\n"
+        histories = "".join(f"{key},{' '.join(map(repr, column.tolist()))}\n"
+                            for key, column in (("o_acc_history", report.o_acc), ("t_history", report.t)))
+        assert sums in text
+        old = snapshot_from_csv(text.replace(sums, histories))
+        grid = np.arange(-2, 3) * 1e-6
+        for new_fc, old_fc in zip(ntp_forecasts(snap, grid, 10), ntp_forecasts(old, grid, 10)):
+            for name in ("t_hat", "o_acc_hat", "skew_hat", "e_hat", "mu_cusum_hat", "sigma_cusum_hat",
+                         "e_n_mean", "e_n_std"):
+                assert getattr(new_fc, name).tobytes() == getattr(old_fc, name).tobytes(), name
 
 
 class TestAttackInvariants:
