@@ -8,6 +8,7 @@ configuration to stderr so runs can be reproduced and audited.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -166,10 +167,14 @@ def _add_clock_flags(parser):
     parser.add_argument("--quantization", type=float, default=0.0)
 
 
+def _add_rls_flag(parser):
+    parser.add_argument("--rls-lambda", type=float, default=0.9995)
+
+
 def _add_ids_flags(parser):
     parser.add_argument("--variant", choices=[v.value for v in ids.Variant], default="ntp")
     parser.add_argument("--batch-size", type=int, default=20)
-    parser.add_argument("--rls-lambda", type=float, default=0.9995)
+    _add_rls_flag(parser)
     parser.add_argument("--gamma", type=float, default=4.0, help="reference update threshold")
     parser.add_argument("--big-gamma", type=float, default=5.0, help="detection threshold")
     parser.add_argument("--kappa", type=float, default=8.0, help="CUSUM sensitivity")
@@ -234,13 +239,13 @@ def _cmd_sweep(args):
 def _forecast_csv(grid, forecasts):
     """The per-batch NTP forecasts of a delta-T grid as one table: a delta_t
     column, then the ``NtpForecast.to_csv`` columns, one row per (delta-T, batch)."""
-    lines = []
+    names = [field.name for field in dataclasses.fields(formal.NtpForecast)][1:]
+    lines = [",".join(["delta_t", "batch", *names]) + "\n"]
     for delta_t, forecast in zip(grid, forecasts):
-        header, *rows = forecast.to_csv().splitlines()
-        if not lines:
-            lines.append(f"delta_t,{header}")
-        lines.extend(f"{delta_t:.12g},{row}" for row in rows)
-    return "".join(line + "\n" for line in lines)
+        columns = (getattr(forecast, name).tolist() for name in names)
+        lines.extend(f"{delta_t:.12g},{batch}," + ",".join(f"{value:.12g}" for value in values) + "\n"
+                     for batch, *values in zip(forecast.batches.tolist(), *columns))
+    return "".join(lines)
 
 
 def _cmd_predict(args):
@@ -253,11 +258,12 @@ def _cmd_predict(args):
     if snap.config.variant.value != args.model:
         raise ValueError(f"snapshot is for the {snap.config.variant.value} variant, not {args.model}")
     grid = _parse_grid(args.grid)
-    curve = formal.success_curve(snap, grid, horizon=args.horizon)
     if args.forecast_out:
-        forecasts = formal.ntp_forecasts(snap, grid, args.horizon)
+        curve, forecasts = formal.ntp_success_curve(snap, grid, horizon=args.horizon)
         with open(args.forecast_out, "w", encoding="utf-8") as fh:
             fh.write(_forecast_csv(grid, forecasts))
+    else:
+        curve = formal.success_curve(snap, grid, horizon=args.horizon)
     _write_output(args, curve.to_csv())
     return 0
 
@@ -310,7 +316,8 @@ def _cmd_consistency(args):
         with open(path, encoding="utf-8") as fh:
             traces.append(traceio.parse_log(fh.read(), _log_format(args.format)))
     batch_sizes = [int(v) for v in args.batch_sizes.split(",")]
-    config = _ids_config(args)
+    # the study sets the variant and batch size of each run itself
+    config = ids.IdsConfig(variant=ids.Variant.NTP, rls_lambda=args.rls_lambda)
     result = harness.consistency_study(traces, args.message_id, batch_sizes, config, args.period)
     _write_output(args, result.to_csv())
     return 0
@@ -403,7 +410,7 @@ def build_parser():
 
     p = sub.add_parser("consistency", help="skew-estimate spread across estimator perturbations")
     _add_common(p)
-    _add_ids_flags(p)
+    _add_rls_flag(p)
     p.add_argument("--id", dest="message_id", type=lambda s: int(s, 0), default=0x185)
     p.add_argument("--period", type=float, default=0.1)
     p.add_argument("--format", choices=["candump", "csv"], default="candump")

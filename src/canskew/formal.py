@@ -30,6 +30,7 @@ __all__ = [
     "lplus_max",
     "ntp_forecast",
     "ntp_forecasts",
+    "ntp_success_curve",
     "cusum_success_recursion",
     "ntp_success_prob",
     "success_curve",
@@ -371,19 +372,31 @@ def ntp_success_prob(snapshot, delta_t, horizon, cfg=None):
     return _ntp_success(snapshot, ntp_forecast(snapshot, delta_t, horizon), cfg)
 
 
-def success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
-    """Predicted success-probability curve over a delta-T grid, using the
-    model matching the snapshot's detector variant."""
+def _curve_grid(delta_t_grid):
     grid = np.asarray(delta_t_grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("delta_t_grid must be non-empty")
     if np.any(np.diff(grid) < 0):
         raise ValueError("delta_t_grid must be sorted")
-    if snapshot.config.variant is Variant.SOTA:
-        p = np.array([sota_success_prob(snapshot, dt).p_success for dt in grid])
-    else:
-        forecasts = ntp_forecasts(snapshot, grid, horizon)
-        p = np.array([_ntp_success(snapshot, fc, recursion_cfg) for fc in forecasts])
+    return grid
+
+
+def ntp_success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
+    """The NTP model's predicted success curve over a delta-T grid, and the
+    per-delta-T forecasts it was computed from."""
+    grid = _curve_grid(delta_t_grid)
+    forecasts = ntp_forecasts(snapshot, grid, horizon)
+    p = np.array([_ntp_success(snapshot, fc, recursion_cfg) for fc in forecasts])
+    return SuccessCurve(grid=grid, p_success=p, trials=0, horizon=horizon, source="PREDICTED"), forecasts
+
+
+def success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
+    """Predicted success-probability curve over a delta-T grid, using the
+    model matching the snapshot's detector variant."""
+    if snapshot.config.variant is not Variant.SOTA:
+        return ntp_success_curve(snapshot, delta_t_grid, horizon, recursion_cfg)[0]
+    grid = _curve_grid(delta_t_grid)
+    p = np.array([sota_success_prob(snapshot, dt).p_success for dt in grid])
     return SuccessCurve(grid=grid, p_success=p, trials=0, horizon=horizon, source="PREDICTED")
 
 

@@ -5,13 +5,21 @@ header "timestamp,can_id,data", whose can_id is hex with a 0x prefix and
 decimal without one. Payload bytes are discarded on parse — only timing
 matters here. Timestamps serialize at microsecond resolution.
 
-Candump text is parsed and both formats are written in chunks of at most
-CHUNK_LINES lines. A chunk is parsed with one ``findall`` over its lines
-joined by newlines, and its columns are converted as arrays; only a chunk
-that holds a bad line is walked line by line, to name the first one. A chunk
-is written by one ``%``-format per line over its columns. Chunks bound the
-temporary per-line strings and integers to one chunk's worth. CSV input is
-read line by line through ``csv.reader``.
+Logs are parsed and written as numpy passes over their ASCII bytes, in
+chunks of at most CHUNK_LINES lines that bound the temporary arrays. Field
+boundaries come from ``np.flatnonzero``; digits are gathered into (lines,
+width) arrays and combined with powers of the base. A candump time is
+``sec + micros / 1e6``; a CSV time is its digits as one integer below 2**53
+over a power of ten, so it rounds as ``float`` rounds the text. A written
+chunk is one (lines, width) array of digits and punctuation, decoded once.
+
+Texts under 4096 characters, and chunks the array pass does not take, are
+parsed line by line (candump by one regex ``findall``, CSV by ``csv.reader``);
+only that path raises ParseError. It takes chunks with a bad line, a byte
+outside ASCII or a line break other than LF and CRLF; candump chunks with a
+seconds field over 18 digits; and CSV chunks with a quote, a blank-only line,
+a time not written digits.digits below 2**53 units of its last digit, or an
+id without 0x.
 """
 from __future__ import annotations
 
@@ -28,6 +36,9 @@ from .clock import MAX_CAN_ID, Trace
 __all__ = ["LogFormat", "ParseError", "parse_log", "write_trace", "fill_missing"]
 
 CHUNK_LINES = 32_768
+# shorter texts are parsed line by line: there numpy's cost per call
+# outweighs its saving per line (they broke even near 3-5 KB of log lines)
+_ARRAY_MIN_CHARS = 4096
 # one record per line: the separators exclude newlines, so a match never
 # crosses into the next line of a joined chunk
 _CANDUMP_RE = re.compile(
@@ -35,14 +46,34 @@ _CANDUMP_RE = re.compile(
 )
 _MICROS_SCALE = 10 ** np.arange(6, -1, -1, dtype=np.int64)  # indexed by digit count
 _CSV_HEADER = ["timestamp", "can_id", "data"]
-_CANDUMP_LINE = "(%d.%06d) can0 %03X#\n"
-_CSV_LINE = "%d.%06d,0x%03X,\n"
 _MAX_NS = 2.0**63  # nanosecond counts below this fit an int64
+
+# Byte classes. Blanks are what [^\S\n] matches in ASCII once splitlines has
+# cut the text; the other ASCII whitespace breaks lines there, so it is
+# foreign to the array pass, as every byte outside ASCII is.
+_DIGIT, _HEX_LETTER, _OTHER, _BLANK, _BREAK, _FOREIGN = range(6)
+_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_CLASS[list(b"0123456789")] = _DIGIT
+_CLASS[list(b"abcdefABCDEF")] = _HEX_LETTER
+_CLASS[list(b" \t\x1f")] = _BLANK
+_CLASS[list(b"\n\r")] = _BREAK
+_CLASS[list(b"\x0b\x0c\x1c\x1d\x1e")] = _FOREIGN
+_CLASS[128:] = _FOREIGN
+_DIGIT_VALUE = np.zeros(256, dtype=np.uint8)
+_DIGIT_VALUE[list(b"0123456789abcdefABCDEF")] = [*range(16), *range(10, 16)]
+_NUMERALS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
+# up to 10**18 as int64, and so as exact doubles (5**18 < 2**53)
+_POWERS = {10: 10 ** np.arange(19, dtype=np.int64), 16: 16 ** np.arange(16, dtype=np.int64)}
 
 
 class LogFormat(enum.Enum):
     CANDUMP = "candump"
     CSV = "csv"
+
+
+# each written line: prefix, seconds, ".", six digits of micros, middle, id in
+# at least three hex digits, suffix
+_LAYOUTS = {LogFormat.CANDUMP: (b"(", b") can0 ", b"#\n"), LogFormat.CSV: (b"", b",0x", b",\n")}
 
 
 class ParseError(ValueError):
@@ -59,14 +90,14 @@ def _check_id(line_number, can_id):
     return can_id
 
 
-def _raise_first_bad_line(lines, first):
-    """Raise the ParseError of the first bad candump line among the non-blank
-    ``lines`` from index ``first`` on: one that is no candump record, has
-    more seconds than a double holds, or whose id is out of range. Line
+def _raise_first_bad_line(lines, before):
+    """Raise the ParseError of the first bad candump line among ``lines``,
+    which follow ``before`` lines of the text: one that is no candump record,
+    has more seconds than a double holds, or whose id is out of range. Line
     numbers count blank lines too."""
-    numbers = [i + 1 for i, line in enumerate(lines) if line.strip()]
-    for number in numbers[first:]:
-        line = lines[number - 1]
+    for number, line in enumerate(lines, start=before + 1):
+        if not line.strip():
+            continue
         m = _CANDUMP_RE.match(line)
         if m is None:
             raise ParseError(number, f"not a candump record: {line!r}")
@@ -76,10 +107,10 @@ def _raise_first_bad_line(lines, first):
     raise AssertionError("no bad candump line found")
 
 
-def _parse_candump(lines):
+def _candump_lines(lines, before):
+    """Parse candump ``lines`` that follow ``before`` lines of the text with
+    one regex ``findall`` per CHUNK_LINES records."""
     records = [line for line in lines if line.strip()]
-    if not records:
-        raise ValueError("empty input")
     times = np.empty(len(records), dtype=np.float64)
     ids = np.empty(len(records), dtype=np.uint32)
     for start in range(0, len(records), CHUNK_LINES):
@@ -87,7 +118,7 @@ def _parse_candump(lines):
         found = _CANDUMP_RE.findall("\n".join(chunk))
         n = len(found)
         if n < len(chunk):
-            _raise_first_bad_line(lines, start)
+            _raise_first_bad_line(lines, before)
         sec, micros, can_id = ([m[k] for m in found] for k in range(3))
         chunk_ids = np.fromiter(map(int, can_id, repeat(16)), dtype=np.int64, count=n)
         # int(micros.ljust(6, "0")) as micros * 10**(6 - digits); float(sec)
@@ -96,23 +127,19 @@ def _parse_candump(lines):
         us *= _MICROS_SCALE[np.fromiter(map(len, micros), dtype=np.intp, count=n)]
         chunk_times = np.fromiter(map(float, sec), dtype=np.float64, count=n) + us / 1e6
         if chunk_ids.max() > MAX_CAN_ID or not np.isfinite(chunk_times).all():
-            _raise_first_bad_line(lines, start)
+            _raise_first_bad_line(lines, before)
         times[start:start + n] = chunk_times
         ids[start:start + n] = chunk_ids
     return times, ids
 
 
-def _parse_csv(lines):
-    numbered = ((i + 1, line) for i, line in enumerate(lines) if line.strip())
-    try:
-        number, header = next(numbered)
-    except StopIteration:
-        raise ValueError("empty input") from None
-    cols = next(csv.reader([header]))
-    if [c.strip().lower() for c in cols[:3]] != _CSV_HEADER:
-        raise ParseError(number, f"expected header 'timestamp,can_id,data', got {header!r}")
+def _csv_lines(lines, before):
+    """Parse CSV record ``lines`` that follow ``before`` lines of the text
+    with ``csv.reader``."""
     times, ids = [], []
-    for number, line in numbered:
+    for number, line in enumerate(lines, start=before + 1):
+        if not line.strip():
+            continue
         row = next(csv.reader([line]))
         if len(row) < 2:
             raise ParseError(number, f"expected at least timestamp and can_id: {line!r}")
@@ -122,6 +149,8 @@ def _parse_csv(lines):
             can_id = int(text, 16) if text.lower().startswith("0x") else int(text, 10)
         except ValueError as exc:
             raise ParseError(number, str(exc)) from exc
+        if not math.isfinite(ts):
+            raise ParseError(number, f"timestamp out of range: {line!r}")
         if ts < 0.0:
             raise ParseError(number, f"negative timestamp {row[0]}")
         times.append(ts)
@@ -129,14 +158,171 @@ def _parse_csv(lines):
     return np.array(times, dtype=np.float64), np.array(ids, dtype=np.uint32)
 
 
+def _numbers(chunk, end, count, base):
+    """Values of the numerals of ``count`` digits in ``base`` that end just
+    before the indices ``end`` of the chunk."""
+    if not len(end):
+        return np.zeros(0, dtype=np.int64)
+    width = int(count.max())
+    offsets = np.arange(-width, 0)
+    digits = _DIGIT_VALUE.take(chunk.take(end[:, None] + offsets, mode="clip"))
+    if count.min() < width:  # zero the bytes before the shorter numerals
+        digits *= offsets >= -count[:, None]
+    return digits @ _POWERS[base][width - 1::-1]
+
+
+def _candump_chunk(chunk, cls, newlines):
+    """(times, ids) of a candump chunk, or None when it has a line that is
+    no record, a seconds field over 18 digits or an id out of range. A record
+    is three tokens, runs of non-blank bytes, on one line, the first at its
+    start: ``(sec.micros)``, the interface, ``id#payload``."""
+    token = cls <= _OTHER
+    edges = np.flatnonzero(np.diff(token, prepend=False))
+    starts, ends = edges[0::2], edges[1::2]
+    per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
+    if not ((per_line == 0) | (per_line == 3)).all():
+        return None
+    first, first_end, third, third_end = starts[0::3], ends[0::3], starts[2::3], ends[2::3]
+    ok = cls[first - 1] == _BREAK  # at index 0, -1 reads the break past the end
+    # (digits.digits): the first token's non-digits are "(", "." and ")"
+    nondigit = np.flatnonzero(cls != _DIGIT)
+    k = np.searchsorted(nondigit, first)
+    dot, close = nondigit.take(k + 1, mode="clip"), nondigit.take(k + 2, mode="clip")
+    sec_digits, micro_digits = dot - first - 1, close - dot - 1
+    ok &= ((chunk[first] == ord("(")) & (chunk.take(dot, mode="clip") == ord("."))
+           & (close == first_end - 1) & (chunk.take(close, mode="clip") == ord(")"))
+           & (sec_digits >= 1) & (sec_digits <= 18) & (micro_digits >= 1) & (micro_digits <= 6))
+    # hex#hex: the third token's one non-hex byte is "#"
+    nonhex = np.flatnonzero(cls >= _OTHER)
+    k = np.searchsorted(nonhex, third)
+    hash_at = nonhex[k]
+    id_digits = hash_at - third
+    ok &= ((chunk.take(hash_at, mode="clip") == ord("#")) & (nonhex.take(k + 1, mode="clip") == third_end)
+           & (id_digits >= 1) & (id_digits <= 8))
+    if not ok.all():
+        return None
+    ids = _numbers(chunk, hash_at, id_digits, 16)
+    if ids.max(initial=0) > MAX_CAN_ID:
+        return None
+    us = _numbers(chunk, close, micro_digits, 10) * _MICROS_SCALE[micro_digits]
+    return _numbers(chunk, dot, sec_digits, 10).astype(np.float64) + us / 1e6, ids.astype(np.uint32)
+
+
+def _csv_chunk(chunk, cls, newlines):
+    """(times, ids) of CSV record lines in a chunk, or None when a line is
+    neither empty nor digits.digits,0xhex[,...] with the id in range and the
+    time below 2**53 units of its last digit (an exact integer over an exact
+    power of ten, which one division rounds as ``float`` rounds the text)."""
+    if (chunk == ord('"')).any():
+        return None
+    starts = np.concatenate(([0], newlines + 1))
+    kind = cls[starts]  # a start past the end reads the line break there
+    if not ((kind == _DIGIT) | (kind == _BREAK)).all():
+        return None
+    starts = starts[kind == _DIGIT]
+    nondigit = np.flatnonzero(cls != _DIGIT)
+    k = np.searchsorted(nondigit, starts)
+    dot, comma = nondigit[k], nondigit.take(k + 1, mode="clip")
+    int_digits, frac_digits = dot - starts, comma - dot - 1
+    x = comma + 2
+    nonhex = np.flatnonzero(cls >= _OTHER)
+    id_end = nonhex.take(np.searchsorted(nonhex, x) + 1, mode="clip")
+    id_digits = id_end - x - 1
+    ok = ((chunk.take(dot, mode="clip") == ord(".")) & (chunk.take(comma, mode="clip") == ord(","))
+          & (frac_digits >= 1) & (int_digits + frac_digits <= 18)
+          & (chunk.take(comma + 1, mode="clip") == ord("0")) & ((chunk.take(x, mode="clip") | 0x20) == ord("x"))
+          & (id_digits >= 1) & (id_digits <= 8)
+          & ((chunk.take(id_end, mode="clip") == ord(",")) | (cls.take(id_end, mode="clip") == _BREAK)))
+    if not ok.all():
+        return None
+    units = _numbers(chunk, dot, int_digits, 10) * _POWERS[10][frac_digits] + _numbers(chunk, comma, frac_digits, 10)
+    ids = _numbers(chunk, id_end, id_digits, 16)
+    if units.max(initial=0) > 2**53 or ids.max(initial=0) > MAX_CAN_ID:
+        return None
+    return units / _POWERS[10][frac_digits], ids.astype(np.uint32)
+
+
+def _parse_chunks(text, before, chunk_parser, line_parser):
+    """Parse ``text``, which follows ``before`` lines, in chunks of at most
+    CHUNK_LINES lines: each by ``chunk_parser`` over its bytes and their
+    classes where it takes them, else by ``line_parser`` over its lines."""
+    if len(text) < _ARRAY_MIN_CHARS:
+        return line_parser(text.splitlines(), before)
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    newlines = np.flatnonzero(data == 10)
+    cuts = [0, *(newlines[CHUNK_LINES - 1::CHUNK_LINES] + 1).tolist()]
+    if cuts[-1] < len(data):
+        cuts.append(len(data))
+    parts = [(np.zeros(0), np.zeros(0, dtype=np.uint32))]
+    for i, (start, stop) in enumerate(zip(cuts, cuts[1:])):
+        chunk = data[start:stop]
+        cls = _CLASS.take(np.append(chunk, ord("\n")))  # a line break past the end ends every token
+        cr = np.flatnonzero(chunk == 13)
+        parts.append(None)
+        if cls.max() < _FOREIGN and (chunk.take(cr + 1, mode="clip") == 10).all():  # CR only in CRLF
+            parts[-1] = chunk_parser(chunk, cls, newlines[i * CHUNK_LINES:(i + 1) * CHUNK_LINES] - start)
+        if parts[-1] is None:
+            lines = chunk.tobytes().decode("utf-8", "surrogatepass").splitlines()
+            parts[-1] = line_parser(lines, before)
+            before += len(lines)
+        else:
+            before += CHUNK_LINES  # LF-ended lines; only the last chunk has fewer
+    times, ids = zip(*parts)
+    return np.concatenate(times), np.concatenate(ids)
+
+
+def _parse_csv(text):
+    """Check the header, the first non-blank line, and parse what follows."""
+    number = pos = 0
+    while pos < len(text):
+        for line in text[pos:text.find("\n", pos) + 1 or len(text)].splitlines(keepends=True):
+            number, pos = number + 1, pos + len(line)
+            if line.strip():
+                header = line.splitlines()[0]
+                if [c.strip().lower() for c in next(csv.reader([header]))[:3]] != _CSV_HEADER:
+                    raise ParseError(number, f"expected header 'timestamp,can_id,data', got {header!r}")
+                return _parse_chunks(text[pos:], number, _csv_chunk, _csv_lines)
+    raise ValueError("empty input")
+
+
 def parse_log(text, fmt):
     """Parse log text into a Trace sorted by timestamp (stable for ties)."""
-    parse = _parse_candump if fmt is LogFormat.CANDUMP else _parse_csv
-    times, ids = parse(text.splitlines())
-    if not len(times):
-        raise ValueError("no records in input")
+    if fmt is LogFormat.CANDUMP:
+        times, ids = _parse_chunks(text, 0, _candump_chunk, _candump_lines)
+    else:
+        times, ids = _parse_csv(text)
+    if not len(times):  # a CSV text without records still has its header
+        raise ValueError("empty input" if fmt is LogFormat.CANDUMP else "no records in input")
     order = np.argsort(times, kind="stable")
     return Trace(times=times[order], ids=ids[order])
+
+
+def _numerals(values, base, min_digits):
+    """ASCII numerals of non-negative ``values`` in ``base``, zero-padded to
+    ``min_digits``, as right-aligned rows of equal width, and the mask of the
+    bytes each numeral has."""
+    powers = _POWERS[base]
+    digits = np.maximum(np.searchsorted(powers[1:], values, side="right") + 1, min_digits)
+    width = int(digits.max())
+    chars = np.empty((len(values), width), dtype=np.uint8)
+    for column, power in enumerate(powers[width - 1::-1].tolist()):
+        chars[:, column] = _NUMERALS.take(values // power % base)  # scalar divisors divide fast
+    return chars, np.arange(width) >= width - digits[:, None]
+
+
+def _literal(piece, n):
+    chars = np.broadcast_to(np.frombuffer(piece, dtype=np.uint8), (n, len(piece)))
+    return chars, np.ones(chars.shape, dtype=bool)
+
+
+def _format_lines(sec, frac, ids, fmt):
+    n = len(sec)
+    prefix, middle, suffix = _LAYOUTS[fmt]
+    columns = [_literal(prefix, n), _numerals(sec, 10, 1), _literal(b".", n), _numerals(frac, 10, 6),
+               _literal(middle, n), _numerals(ids, 16, 3), _literal(suffix, n)]
+    chars = np.hstack([chars for chars, _ in columns])
+    keep = np.hstack([keep for _, keep in columns])
+    return chars[keep].tobytes().decode("ascii")
 
 
 def write_trace(trace, fmt):
@@ -156,12 +342,11 @@ def write_trace(trace, fmt):
             raise ValueError(f"cannot write negative timestamp {t:.9f} s: logs hold only non-negative times")
         raise ValueError(f"cannot write timestamp {t!r} s: logs hold finite times below 2**63 ns")
     sec, frac = np.divmod(ns.astype(np.int64) // 1000, 1_000_000)
-    line = _CANDUMP_LINE if fmt is LogFormat.CANDUMP else _CSV_LINE
+    ids = np.asarray(trace.ids, dtype=np.int64)
     out = [] if fmt is LogFormat.CANDUMP else [",".join(_CSV_HEADER) + "\n"]
     for start in range(0, len(times), CHUNK_LINES):
         stop = start + CHUNK_LINES
-        out.append("".join(map(line.__mod__, zip(sec[start:stop].tolist(), frac[start:stop].tolist(),
-                                                   trace.ids[start:stop].tolist()))))
+        out.append(_format_lines(sec[start:stop], frac[start:stop], ids[start:stop], fmt))
     return "".join(out)
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from canskew import formal
 from canskew.cli import main
 from canskew.curves import SuccessCurve
 from canskew.formal import ntp_forecast, snapshot_from_csv
@@ -19,6 +20,13 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--kappa", "--gamma", "--big-gamma", "--warmup", "--variant", "--batch-size"])
+    def test_consistency_takes_only_the_flags_it_reads(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["consistency", flag, "0", "t.log"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_data_error_exits_1(self, capsys, tmp_path):
         missing = tmp_path / "missing.log"
@@ -110,8 +118,7 @@ class TestPlumbing:
         run_cli(["generate", "--count", "400", "--out", str(trace)], capsys)
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"inputs={trace}\n")
-        code, _, err = run_cli(["consistency", "--config", str(cfg), "--batch-sizes", "20",
-                                "--warmup", "5", str(trace)], capsys)
+        code, _, err = run_cli(["consistency", "--config", str(cfg), "--batch-sizes", "20", str(trace)], capsys)
         assert code == 1
         assert "unknown config key 'inputs'" in err
 
@@ -131,8 +138,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("command", ["detect", "consistency"])
     def test_zero_period_exits_1(self, capsys, tmp_path, trace, command):
-        args = ["--input", str(trace)] if command == "detect" else [str(trace)]
-        code, _, err = run_cli([command, *args, "--warmup", "5", "--period", "0",
+        args = ["--input", str(trace), "--warmup", "5"] if command == "detect" else [str(trace)]
+        code, _, err = run_cli([command, *args, "--period", "0",
                                 "--out", str(tmp_path / "out.csv")], capsys)
         assert code == 1 and "nominal period > 0" in err
         assert not (tmp_path / "out.csv").exists()
@@ -212,6 +219,24 @@ class TestWorkflows:
             assert [row.split(",", 1)[1] for row in block] == rows
             assert all(float(row.split(",", 1)[0]) == pytest.approx(delta_t, abs=1e-18) for row in block)
 
+    def test_predict_forecasts_each_delta_t_once(self, capsys, tmp_path, monkeypatch):
+        trace, snap = tmp_path / "trace.log", tmp_path / "snap.csv"
+        assert run_cli(["generate", "--count", "4020", "--seed", "3", "--out", str(trace)], capsys)[0] == 0
+        assert run_cli(["detect", "--input", str(trace), "--variant", "ntp", "--warmup", "150",
+                        "--snapshot-out", str(snap), "--out", str(tmp_path / "r.csv")], capsys)[0] == 0
+        plain = tmp_path / "plain.csv"
+        assert run_cli(["predict", "--model", "ntp", "--snapshot", str(snap), "--grid", "-2:2:1e-7",
+                        "--horizon", "4", "--out", str(plain)], capsys)[0] == 0
+        calls = []
+        forecast = formal._forecast
+        monkeypatch.setattr(formal, "_forecast", lambda *args: calls.append(args) or forecast(*args))
+        pred = tmp_path / "pred.csv"
+        assert run_cli(["predict", "--model", "ntp", "--snapshot", str(snap), "--grid", "-2:2:1e-7",
+                        "--horizon", "4", "--forecast-out", str(tmp_path / "f.csv"), "--out", str(pred)],
+                       capsys)[0] == 0
+        assert len(calls) == 5
+        assert pred.read_text() == plain.read_text()
+
     def test_predict_forecast_out_rejects_sota(self, capsys, tmp_path):
         trace = tmp_path / "trace.log"
         snap = tmp_path / "snap.csv"
@@ -277,8 +302,7 @@ class TestWorkflows:
         run_cli(["generate", "--count", "4000", "--jitter-std", "1e-4", "--out", str(trace)], capsys)
         out = tmp_path / "consistency.csv"
         code, _, _ = run_cli([
-            "consistency", "--batch-sizes", "20,40", "--warmup", "10",
-            "--out", str(out), str(trace),
+            "consistency", "--batch-sizes", "20,40", "--out", str(out), str(trace),
         ], capsys)
         assert code == 0
         assert out.read_text().startswith("variant,case,sigma_ppm,skews_ppm")

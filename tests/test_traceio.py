@@ -1,9 +1,10 @@
 """Log parsing, serialization round-trips, and gap repair."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from canskew import traceio
 from canskew.cli import main as cli_main
 from canskew.clock import MAX_CAN_ID, ClockSpec, MessageSchedule, NoiseModel, Trace, ppm, synthesize_trace
 from canskew.traceio import CHUNK_LINES, LogFormat, ParseError, fill_missing, parse_log, write_trace
@@ -59,6 +60,12 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_log(f"timestamp,can_id,data\n0.5,0x1,\n0.6,{text},\n", LogFormat.CSV)
         assert exc.value.line_number == 3
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "1e400", "9" * 400 + ".5"])
+    def test_csv_non_finite_timestamp_rejected(self, stamp):
+        with pytest.raises(ParseError, match="timestamp out of range") as exc:
+            parse_log(f"timestamp,can_id,data\n{stamp},0x185,\n1.0,0x185,\n", LogFormat.CSV)
+        assert exc.value.line_number == 2
 
     def test_csv_bad_header(self):
         with pytest.raises(ParseError):
@@ -152,6 +159,170 @@ class TestChunkedParse:
         with pytest.raises(ParseError, match=message) as exc:
             parse_log(text, LogFormat.CANDUMP)
         assert exc.value.line_number == i + 1
+
+
+def refuse(lines, before):
+    raise AssertionError("a chunk was parsed line by line")
+
+
+class TestArrayPass:
+    """The array pass takes every record form the regex grammar allows, and
+    the CSV form canskew writes, without the line-by-line path. The values
+    it gives are checked against that path elsewhere."""
+
+    def test_candump_grammar(self, long_candump, monkeypatch):
+        lines, text = long_candump
+        monkeypatch.setattr(traceio, "_candump_lines", refuse)
+        for joined in (text, "\n".join(lines)):
+            assert len(parse_log(joined, LogFormat.CANDUMP)) == sum(1 for line in lines if line.strip())
+
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    def test_written_form(self, fmt, monkeypatch):
+        trace = synthesize_trace(MessageSchedule(0x185, 0.01, start_time=1.0), ClockSpec(skew=ppm(100)),
+                                 NoiseModel(), 3 * CHUNK_LINES // 2, seed=3)
+        text = write_trace(trace, fmt)
+        monkeypatch.setattr(traceio, "_candump_lines", refuse)
+        monkeypatch.setattr(traceio, "_csv_lines", refuse)
+        restored = parse_log(text, fmt)
+        assert np.array_equal(np.round(restored.times * 1e6), np.floor(np.round(trace.times * 1e9) / 1e3))
+        assert np.array_equal(restored.ids, trace.ids)
+
+
+PLAIN_BREAKS = ["\n", "\n", "\n", "\r\n"]
+ODD_BREAKS = PLAIN_BREAKS + ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+ASCII_BLANKS = [" ", " ", "\t", "\x1f", "  ", " \t "]
+ODD_BLANKS = ASCII_BLANKS + ["\xa0", "\u3000", " \xa0"]
+NOISE = st.text(alphabet="().,# 0123456789abcdefxXg\t\x01\xa0\u0663", max_size=10)
+HEX_IDS = st.builds(lambda can_id, width, upper: ("%0*X" if upper else "%0*x") % (width, can_id),
+                    st.integers(0, MAX_CAN_ID), st.sampled_from([1, 2, 3, 3, 8]), st.booleans())
+
+
+def digits(most):
+    """Decimal numerals of 1 to ``most`` digits, leading zeros included."""
+    return st.builds(lambda value, count: str(value).zfill(most)[-count:],
+                     st.integers(0, 10**most - 1), st.integers(1, most))
+
+
+def candump_fields(blanks):
+    return {"sec": digits(18), "micros": digits(6), "sep1": st.sampled_from(blanks),
+            "sep2": st.sampled_from(blanks), "iface": st.sampled_from(["can0", "vcan1", "a.b", "x#y", "(1.5)", "\x01"]),
+            "id": HEX_IDS, "payload": st.sampled_from(["", "", "00", "DEADBEEF", "deadbeef", "0123456789abcDEF"]),
+            "tail": st.sampled_from(["", "", *blanks])}
+
+
+def near_2_53():
+    """Decimals whose digits make an integer near 2**53, where the array
+    pass stops taking them."""
+    return st.builds(lambda units, point: f"{units // 10**point}.{units % 10**point:0{point}d}",
+                     st.integers(2**53 - 99, 2**53 + 99), st.integers(1, 15))
+
+
+def csv_fields(blanks):
+    return {"time": st.one_of(st.builds("{}.{}".format, digits(10), digits(7)), near_2_53()),
+            "id": st.builds("{}{}".format, st.sampled_from(["0x", "0x", "0X"]), HEX_IDS),
+            "rest": st.sampled_from(["", "", "DEADBEEF", "a,b", "x" + blanks[-1]])}
+
+
+CANDUMP_BAD = {"sec": ["", "9" * 19, "1" * 20, "9" * 309], "micros": ["", "1234567", "1a"], "sep1": [""],
+               "sep2": [""], "iface": ["", "a b"], "id": ["", "123456789", "20000000", "FFFFFFFF", "1g"],
+               "payload": ["DEADg", "#"], "tail": ["x", "\x01"]}
+CSV_BAD = {"time": ["5", "nan", "inf", "-inf", "1e400", "-1.5", " 1.5", "1_0.5", ".5", "5.", "", "\u0661.5",
+                    "9" * 309 + ".5", "9007199254.740993", "1" * 12 + "." + "9" * 7],
+           "id": ["389", " 17 ", "", "0x", "0xZZ", "-5", "0x1_A", '"0x1"', "0x123456789", "0x20000000", "0x1 "],
+           "rest": ['"q,uote"', "\x01", "\xa0"]}
+
+
+def lines(fields, bad, layout, blanks):
+    """Lines of ``layout``: good ``fields`` mostly, one of them bad now and
+    then; or blank or random lines."""
+    good = st.fixed_dictionaries(fields(blanks))
+    mutant = st.tuples(good, st.sampled_from([(name, value) for name, values in bad.items() for value in values]))
+    return st.one_of(*(good.map(lambda values: layout.format(**values)) for _ in range(5)),
+                     *(mutant.map(lambda pair: layout.format(**{**pair[0], pair[1][0]: pair[1][1]}))
+                       for _ in range(2)),
+                     st.sampled_from(["", "", *blanks]), NOISE)
+
+
+def log_texts(fields, bad, layout):
+    """Up to 8 lines, each ended by a line break, the last maybe by none:
+    half the texts have ASCII blanks and LF or CRLF only, half also Unicode
+    blanks and the line breaks only splitlines knows."""
+    def texts(blanks, breaks):
+        return st.builds(lambda body, final: "".join(body) + final,
+                         st.lists(st.builds(str.__add__, lines(fields, bad, layout, blanks), st.sampled_from(breaks)),
+                                  max_size=8),
+                         st.sampled_from(["", "", layout.format(**{name: "1" for name in fields(blanks)})]))
+    return st.one_of(texts(ASCII_BLANKS, PLAIN_BREAKS), texts(ODD_BLANKS, ODD_BREAKS))
+
+
+CANDUMP_TEXTS = log_texts(candump_fields, CANDUMP_BAD, "({sec}.{micros}){sep1}{iface}{sep2}{id}#{payload}{tail}")
+CSV_TEXTS = log_texts(csv_fields, CSV_BAD, "{time},{id},{rest}")
+CSV_HEADERS = ["timestamp,can_id,data\n"] * 4 + ["\n \r\nTimestamp, CAN_ID ,Data,x\r\n", "time,id\n",
+                                                "\x0btimestamp,can_id,data\x85", ""]
+
+
+def outcome(text, fmt):
+    """The parsed times and ids as bytes, or the exception's type, message
+    and line number."""
+    try:
+        trace = parse_log(text, fmt)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return trace.times.tobytes(), trace.ids.tobytes()
+
+
+def line_by_line(text, fmt):
+    """``outcome`` with the whole text parsed line by line, in one chunk."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traceio, "_candump_chunk", lambda *args: None)
+        patch.setattr(traceio, "_csv_chunk", lambda *args: None)
+        patch.setattr(traceio, "CHUNK_LINES", 10**9)
+        return outcome(text, fmt)
+
+
+def by_arrays(text, fmt, chunk_lines):
+    """``outcome`` with the array pass offered every chunk of ``chunk_lines``
+    lines, however short the text."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traceio, "_ARRAY_MIN_CHARS", 0)
+        patch.setattr(traceio, "CHUNK_LINES", chunk_lines)
+        return outcome(text, fmt)
+
+
+CANDUMP_EDGES = ["(1.1234567) can0 1#", "(1.) can0 1#", "(.5) can0 1#", "(1a.5) can0 1#", "(1.5a) can0 1#",
+                 "(" + "9" * 18 + ".5) can0 1#", "(" + "9" * 19 + ".5) can0 1#", "(" + "9" * 309 + ".5) can0 1#",
+                 " (1.5) can0 1#", "(1.5)can0 1#", "(1.5) can0", "(1.5) can0 1# x", "(1.5) can0 #",
+                 "(1.5) can0 123456789#", "(1.5) can0 000000001#", "(1.5) can0 1FFFFFFF#", "(1.5) can0 20000000#",
+                 "(1.5) can0 1#DEADg", "(1.5) can0 1##", "(1.5)\x1fcan0\t1#\t\x1f ", "(1.5) can0 1#\r"]
+CSV_EDGES = ["900719925.4740992,0x1,", "900719925.4740993,0x1,", "12345678901234567.8,0x1,",
+             "123456789012345678.9,0x1,", "5,0x1,", "1.,0x1,", ".5,0x1,", "1.5 ,0x1,", "nan,0x1,", "1e400,0x1,",
+             "1.5", "1.5,0x1", "1.5,0X1F,", "1.5,0x,", "1.5,0xg,", "1.5,0x1 ,", "1.5,0x1;", "1.5,389,",
+             "1.5,0x123456789,", "1.5,0x" + "0" * 20 + "1,", "1.5,0x20000000,", '1.5,0x1,"q"', "1.5,0x1,\r"]
+
+
+class TestArrayPassMatchesLineParser:
+    """Differential fuzz: the array pass gives bit-identical times and ids,
+    or the same error at the same line, as the line-by-line parser. Each
+    line is also parsed alone, so that a bad line early in a text hides no
+    later one."""
+
+    @staticmethod
+    def check(texts, fmt, chunk_lines):
+        for text in texts:
+            assert by_arrays(text, fmt, chunk_lines) == line_by_line(text, fmt), text
+
+    @settings(max_examples=75, deadline=None)
+    @given(text=CANDUMP_TEXTS, chunk_lines=st.sampled_from([1, 2, 3, 7, CHUNK_LINES]))
+    @example(text="\n".join(CANDUMP_EDGES), chunk_lines=1)
+    def test_candump(self, text, chunk_lines):
+        self.check([text, *text.splitlines(keepends=True)], LogFormat.CANDUMP, chunk_lines)
+
+    @settings(max_examples=75, deadline=None)
+    @given(header=st.sampled_from(CSV_HEADERS), text=CSV_TEXTS, chunk_lines=st.sampled_from([1, 2, 3, 7, CHUNK_LINES]))
+    @example(header=CSV_HEADERS[0], text="\n".join(CSV_EDGES), chunk_lines=1)
+    def test_csv(self, header, text, chunk_lines):
+        self.check([header + text, *(CSV_HEADERS[0] + line for line in text.splitlines(keepends=True))],
+                   LogFormat.CSV, chunk_lines)
 
 
 class TestWrite:
