@@ -1,14 +1,13 @@
 """Clock-skew fingerprinting IDS simulation and cloaking-attack analysis for
 periodic CAN traffic."""
 
-from .attacks import AttackSpec, cloaked_trace, compute_delta_t0, estimate_delta_t0, shift_inter_arrivals
+from .attacks import AttackSpec, cloaked_trace, compute_delta_t0
 from .clock import (
     ClockSpec,
     InsufficientDataError,
     MessageSchedule,
     NoiseModel,
     Trace,
-    inter_arrival_stats,
     ppm,
     relative_skew,
     synthesize_trace,

@@ -9,7 +9,6 @@ from .clock import (
     ClockSpec,
     NoiseModel,
     Trace,
-    inter_arrival_stats,
     quantize,
     receiver_period,
     synthesize_trace,
@@ -18,10 +17,8 @@ from .clock import (
 __all__ = [
     "AttackSpec",
     "compute_delta_t0",
-    "estimate_delta_t0",
     "cloaked_trace",
     "attack_arrivals",
-    "shift_inter_arrivals",
 ]
 
 
@@ -59,13 +56,6 @@ def compute_delta_t0(skew_a, skew_b, period):
     return (skew_a - skew_b) / (1.0 + skew_b) * period
 
 
-def estimate_delta_t0(trace, message_id, period, attacker_clock):
-    """Empirical delta_t0: the target's period as measured by the attacker's
-    local clock, minus the nominal period."""
-    mean_ia, _ = inter_arrival_stats(trace, message_id)
-    return (1.0 + attacker_clock.skew) * mean_ia - period
-
-
 def attack_arrivals(spec, schedule, target_clock, target_delay_mean, normal_count, batch_size, rng):
     """Receiver-time arrivals of the spoofed stream following the normal part."""
     mu = receiver_period(schedule.period, target_clock.skew)
@@ -96,17 +86,3 @@ def cloaked_trace(spec, schedule, target_clock, target_noise, normal_count, batc
     times = np.concatenate([normal.times, attack])
     ids = np.concatenate([normal.ids, np.full(len(attack), schedule.message_id, dtype=np.uint32)])
     return Trace(times=times, ids=ids)
-
-
-def shift_inter_arrivals(trace, message_id, delta_t, from_index):
-    """Add delta_t to every inter-arrival of one id from gap ``from_index``
-    on (gap j separates arrivals j-1 and j); earlier arrivals untouched."""
-    a = trace.arrivals(message_id)
-    if not 1 <= from_index < len(a):
-        raise IndexError(f"from_index must be in [1, {len(a) - 1}], got {from_index}")
-    shifted = a.copy()
-    shifted[from_index:] += delta_t * np.arange(1, len(a) - from_index + 1)
-    times = trace.times.copy()
-    times[trace.ids == message_id] = shifted
-    order = np.argsort(times, kind="stable")
-    return Trace(times=times[order], ids=trace.ids[order], inserted=trace.inserted[order])

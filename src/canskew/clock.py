@@ -5,7 +5,7 @@ dimensionless fractions: 100 ppm = 1.0e-4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "per_period_offset",
     "receiver_period",
     "synthesize_trace",
-    "inter_arrival_stats",
 ]
 
 MAX_CAN_ID = 0x1FFFFFFF  # 29-bit extended frame ceiling
@@ -85,30 +84,18 @@ class MessageSchedule:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Timestamped message arrivals, sorted by arrival time.
-
-    ``inserted`` flags records synthesized by gap repair (see trace_io).
-    """
+    """Timestamped message arrivals, sorted by arrival time."""
 
     times: np.ndarray
     ids: np.ndarray
-    inserted: np.ndarray = field(default=None)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=np.float64)
         ids = np.asarray(self.ids, dtype=np.uint32)
         if times.shape != ids.shape or times.ndim != 1:
             raise ValueError("times and ids must be 1-d arrays of equal length")
-        inserted = self.inserted
-        if inserted is None:
-            inserted = np.zeros(times.shape, dtype=bool)
-        else:
-            inserted = np.asarray(inserted, dtype=bool)
-            if inserted.shape != times.shape:
-                raise ValueError("inserted flags must match times in length")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "inserted", inserted)
 
     def __len__(self):
         return len(self.times)
@@ -116,11 +103,7 @@ class Trace:
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
-        return (
-            np.array_equal(self.times, other.times)
-            and np.array_equal(self.ids, other.ids)
-            and np.array_equal(self.inserted, other.inserted)
-        )
+        return np.array_equal(self.times, other.times) and np.array_equal(self.ids, other.ids)
 
     @classmethod
     def from_records(cls, records):
@@ -154,9 +137,8 @@ class Trace:
         """Concatenate traces and stable-sort by arrival time."""
         times = np.concatenate([t.times for t in traces])
         ids = np.concatenate([t.ids for t in traces])
-        inserted = np.concatenate([t.inserted for t in traces])
         order = np.argsort(times, kind="stable")
-        return cls(times=times[order], ids=ids[order], inserted=inserted[order])
+        return cls(times=times[order], ids=ids[order])
 
 
 def relative_skew(skew_b, skew_a):
@@ -207,13 +189,3 @@ def synthesize_trace(schedule, clock, noise, count, seed):
     delay = rng.normal(noise.delay_mean, noise.delay_std, count) if noise.delay_std > 0 else noise.delay_mean
     times = quantize(nominal - eps + delay, noise.quantization_step)
     return Trace(times=times, ids=np.full(count, schedule.message_id, dtype=np.uint32))
-
-
-def inter_arrival_stats(trace, message_id):
-    """Sample mean and standard deviation of successive inter-arrival times."""
-    a = trace.arrivals(message_id)
-    if len(a) < 2:
-        raise InsufficientDataError(f"need >= 2 records for id {message_id:#x}, got {len(a)}")
-    diffs = np.diff(a)
-    std = float(np.std(diffs, ddof=1)) if len(diffs) > 1 else 0.0
-    return float(np.mean(diffs)), std

@@ -2,9 +2,10 @@
 
 ``monte_carlo_ps`` warms a detector once per curve (synthetic source) or once
 per trial (recorded source), then runs the armed attack phase of every
-(trial, grid point) stream together: ``ids.IdsStreams`` advances all live
-streams by one batch per step and drops those that alarm. Trials redraw only
-the attack-stream noise, and grid points translate that trial's arrivals
+(trial, grid point) stream together: each batch of all live streams goes
+through the same detector stages as ``ids.detect``, with a leading stream
+axis, and streams that alarm are dropped. Trials redraw only the
+attack-stream noise, and grid points translate that trial's arrivals
 analytically. Success counts are integers, so aggregation order cannot change
 the result.
 """
@@ -27,7 +28,7 @@ from .clock import (
     synthesize_trace,
 )
 from .curves import SuccessCurve
-from .ids import IdsConfig, IdsStreams, Variant, arrival_columns, detect, rls_stage
+from .ids import IdsConfig, Variant, _branch, _keep, _stages, arrival_columns, arrival_stage, detect, rls_stage
 
 __all__ = [
     "SyntheticSource",
@@ -216,7 +217,8 @@ def _attack_phase(bases, trial_base, arrivals0, shift_units, grid, qstep, horizo
     """Surviving trials per grid point. Stream (trial t, grid point g) starts
     from trial t's warm state and sees arrivals0[t] translated by
     grid[g] * shift_units, quantized; batch k of every stream is formed and
-    stepped at once, so no (streams, horizon * N) array is built.
+    run through the detector stages at once, so no (streams, horizon * N)
+    array is built.
 
     An alarmed stream leaves the live set at once, but the arrays shrink only
     to the smallest power of two that holds the live streams: dropping
@@ -227,13 +229,16 @@ def _attack_phase(bases, trial_base, arrivals0, shift_units, grid, qstep, horizo
     n = bases[0].config.batch_size
     points = len(grid)
     trial, point = np.divmod(np.arange(len(arrivals0) * points), points)
-    streams = IdsStreams(bases, trial_base[trial])
+    shift = grid[:, None] * shift_units  # each grid point's translation of each attack arrival
+    streams = _branch(bases, trial_base[trial], horizon)
     alive = np.ones(len(trial), dtype=bool)
     for k in range(horizon):
         cols = slice(k * n, (k + 1) * n)
-        batch = arrivals0[trial, cols]
-        batch += grid[point, None] * shift_units[cols]
-        alive &= ~streams.step(quantize(batch, qstep))
+        # np.take of whole rows: half the cost of indexing rows and columns together
+        batch = np.take(arrivals0[:, cols], trial, axis=0)
+        batch += np.take(shift[:, cols], point, axis=0)
+        _, o_acc, t = arrival_columns(streams, quantize(batch, qstep)[None])
+        alive &= ~_stages(streams, o_acc, t, 0)[-1][0]
         live = int(np.count_nonzero(alive))
         if not live:
             break
@@ -241,7 +246,7 @@ def _attack_phase(bases, trial_base, arrivals0, shift_units, grid, qstep, horizo
         if size < len(alive):
             keep = alive.copy()
             keep[np.flatnonzero(~alive)[: size - live]] = True
-            streams.keep(keep)
+            _keep(streams, keep)
             trial, point, alive = trial[keep], point[keep], alive[keep]
     return np.bincount(point[alive], minlength=points)
 
@@ -315,8 +320,8 @@ def _final_skew_ppm(arrivals, config, period):
     k = len(arrivals) // n
     if k < 2:
         raise InsufficientDataError(f"need >= 2 batches of {n}, got {len(arrivals)} arrivals")
-    _, _, o_acc, t = arrival_columns(np.reshape(arrivals[: k * n], (k, n)), config, period)
-    return rls_stage(t[1:], o_acc[1:], config.rls_lambda)[1].skew * 1e6
+    _, _, o_acc, t = arrival_stage(np.reshape(arrivals[: k * n], (k, n)), config, period)
+    return rls_stage(t, o_acc, config.rls_lambda)[1].skew * 1e6
 
 
 def _sigma(values):

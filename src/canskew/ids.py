@@ -1,13 +1,17 @@
 """Clock-skew intrusion detectors: batch offset estimation, RLS skew
 tracking, and CUSUM change detection, in two variants (SOTA and NTP-based).
+
+One set of stage functions runs both a single stream (``detect``) and the
+Monte Carlo attack phase, where S streams branched from warm states advance
+together: there every numeric state field holds an (S,) array and each
+stage takes a leading stream axis.
 """
 from __future__ import annotations
 
-import copy
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,7 +29,6 @@ __all__ = [
     "rls_stage",
     "cusum_stage",
     "detect",
-    "IdsStreams",
     "run_ids",
 ]
 
@@ -69,12 +72,13 @@ class IdsConfig:
 class RlsState:
     skew: float = 0.0
     gain_denominator: float = RLS_INITIAL_P  # inverse-covariance scalar P
-    # lambda-weighted sums of O_acc * t and t * t; the NTP forecast starts from them
-    ot_sum: float = 0.0
-    tt_sum: float = 0.0
+    # lambda-weighted sums of O_acc * t and t * t; the NTP forecast starts
+    # from them. None where nothing reads them (branched streams)
+    ot_sum: float | None = 0.0
+    tt_sum: float | None = 0.0
 
     def __post_init__(self):
-        if self.gain_denominator <= 0.0:
+        if np.less_equal(self.gain_denominator, 0.0).any():
             raise ValueError("gain_denominator must be > 0")
 
 
@@ -82,40 +86,42 @@ class RlsState:
 class CusumState:
     """Reference-error statistics plus the two control limits.
 
-    The reference set is a FIFO capped at REFERENCE_CAP; mean/std are kept
-    as running sums so a full recompute per update stays O(1).
+    The reference set is a FIFO capped at REFERENCE_CAP, held as the errors
+    appended so far, the index of the oldest one still in the set, and the
+    set's count and running sums, so adding a reference is O(1).
+
+    For branched streams (see ``_branch``) every field but ``errors`` holds
+    one entry per stream, and ``errors`` holds the references of the streams'
+    bases laid end to end, which each stream evicts first. A stream's own
+    references are not kept: it would evict them only after more than
+    REFERENCE_CAP batches, which ``_branch`` rules out.
     """
 
     mu_cusum: float = 0.0
     sigma_cusum: float = 0.0
-    reference_errors: deque = field(default_factory=lambda: deque(maxlen=REFERENCE_CAP))
     l_plus: float = 0.0
     l_minus: float = 0.0
-    _sum: float = 0.0
-    _sumsq: float = 0.0
+    errors: list = field(default_factory=list)
+    evicted: int = 0
+    count: int = 0
+    ref_sum: float = 0.0
+    ref_sumsq: float = 0.0
+
+    @property
+    def reference_errors(self):
+        """The errors in the reference set, oldest first."""
+        return self.errors[self.evicted:]
 
     @property
     def ready(self):
-        return len(self.reference_errors) >= 2
-
-    def add_reference(self, e):
-        if len(self.reference_errors) == REFERENCE_CAP:
-            old = self.reference_errors[0]
-            self._sum -= old
-            self._sumsq -= old * old
-        self.reference_errors.append(e)
-        self._sum += e
-        self._sumsq += e * e
-        n = len(self.reference_errors)
-        self.mu_cusum = self._sum / n
-        if n >= 2:
-            var = max(0.0, (self._sumsq - n * self.mu_cusum**2) / (n - 1))
-            self.sigma_cusum = math.sqrt(var)
+        return self.count >= 2
 
 
 @dataclass
 class IdsState:
-    """Per-message-id detector state after batch ``batch_index``."""
+    """Per-message-id detector state after batch ``batch_index``; for
+    branched streams (see ``_branch``) each numeric field holds an (S,)
+    array."""
 
     config: IdsConfig
     period: float | None = None       # nominal period T (required for NTP)
@@ -187,32 +193,50 @@ class DetectionReport:
         return "\n".join([",".join(self.CSV_COLUMNS), *rows, ""])
 
 
-def arrival_columns(batches, config, period=None):
-    """The arrival columns of the detector pass over a (K+1, N) array whose
-    row 0 is the initialization batch: mu, the mean spacing of batches 0..K
-    (batch 0's own, then each batch's including the boundary gap into it);
-    o_avg of batches 1..K; and O_acc and t of batches 0..K (both 0 at batch
-    0). The SOTA offsets are row means over one (K, N-1) block and O_acc a
-    cumulative sum, which adds in batch order as a running total does.
+def _max(a, b):
+    """Builtin max of two floats (``a`` unless ``b`` is greater), without
+    its cost per call, which is four times this function's."""
+    return b if b > a else a
+
+
+def _rows(x):
+    """``x`` by batch, as the stage loops step through it: a column of one
+    stream as Python floats, a (K, S) block of S streams as (S,) rows."""
+    return x.tolist() if x.ndim == 1 else x
+
+
+def arrival_columns(state, batches):
+    """Stage 1's columns for the batches that follow ``state``: o_avg, O_acc
+    and t of a (K, N) array of them, or of a (K, S, N) block holding batch k
+    of S branched streams in row k. Advances the state's arrival fields past
+    them. The SOTA offsets are row means over one (K, [S,] N-1) block, and
+    O_acc is a running total from the state's.
     """
     a = np.asarray(batches, dtype=np.float64)
-    n = config.batch_size
-    if a.ndim != 2 or a.shape[1] != n or len(a) < 1:
-        raise ValueError(f"expected an initialization batch plus batches of {n} arrivals, got shape {a.shape}")
-    if config.variant is Variant.NTP and (period is None or not period > 0.0):
-        raise ValueError(f"the NTP variant requires a nominal period > 0, got {period}")
-    last = a[:, -1]
-    means = np.concatenate(([(a[0, -1] - a[0, 0]) / (n - 1)], np.diff(last) / n))
-    if config.variant is Variant.SOTA:
+    n = state.config.batch_size
+    if a.shape[1:] != np.shape(state.prev_last_arrival) + (n,):
+        raise ValueError(f"expected batches of {n} arrivals after the state, got shape {a.shape}")
+    last = np.concatenate(([state.prev_last_arrival], a[..., -1]))
+    # mu of each batch, from the gap between batch-last arrivals, after the carried one
+    means = np.concatenate(([state.prev_batch_mean], (last[1:] - last[:-1]) / n))
+    if state.config.variant is Variant.SOTA:
         # a[1:] - (a[0] + i * mu[k-1]) per row, with mu[k-1] the previous batch's mean
-        offsets = np.arange(1, n) * means[:-1, None]
-        offsets += a[1:, :1]
-        o_avg = np.mean(np.subtract(a[1:, 1:], offsets, out=offsets), axis=1)
-        o_acc = np.cumsum(np.concatenate(([0.0], np.abs(o_avg))))
+        offsets = np.arange(1, n) * means[:-1, ..., None]
+        offsets += a[..., :1]
+        # np.mean's sum and division, without its 2.5 us of Python per call
+        o_avg = np.add.reduce(np.subtract(a[..., 1:], offsets, out=offsets), axis=-1) / (n - 1)
+        increments = np.abs(o_avg)
     else:
-        o_avg = period - means[1:]
-        o_acc = np.cumsum(np.concatenate(([0.0], n * o_avg)))
-    return means, o_avg, o_acc, last - last[0]
+        o_avg = state.period - means[1:]
+        increments = n * o_avg
+    # added in batch order, as np.cumsum adds a column; not np.cumsum itself,
+    # which along the batch axis of a (1, S) block takes 15 times as long as
+    # one (S,) addition
+    o_acc = np.array(list(accumulate(_rows(increments), initial=state.o_acc)))
+    state.batch_index = state.batch_index + len(a)
+    # the last rows, as Python floats for one stream
+    state.prev_batch_mean, state.prev_last_arrival, state.o_acc = (_rows(x[-1:])[0] for x in (means, last, o_acc))
+    return o_avg, o_acc[1:], last[1:] - state.t_origin
 
 
 def arrival_stage(batches, config, period=None):
@@ -223,9 +247,12 @@ def arrival_stage(batches, config, period=None):
     CUSUM still at their priors) and the columns o_avg, O_acc and t of
     batches 1..K (see ``arrival_columns``).
     """
-    means, o_avg, o_acc, t = arrival_columns(batches, config, period)
     a = np.asarray(batches, dtype=np.float64)
     n = config.batch_size
+    if a.ndim != 2 or a.shape[1] != n or len(a) < 1:
+        raise ValueError(f"expected an initialization batch plus batches of {n} arrivals, got shape {a.shape}")
+    if config.variant is Variant.NTP and (period is None or not period > 0.0):
+        raise ValueError(f"the NTP variant requires a nominal period > 0, got {period}")
     # inter-arrival sums: batch 0's N-1 gaps, then each batch's N gaps (the
     # first crosses the batch boundary), summed per batch, then in batch order
     gaps = np.diff(a.ravel())
@@ -235,38 +262,42 @@ def arrival_stage(batches, config, period=None):
     state = IdsState(
         config=config,
         period=period,
-        batch_index=len(a) - 1,
-        prev_batch_mean=float(means[-1]),
-        prev_last_arrival=float(a[-1, -1]),
+        prev_batch_mean=float((a[0, -1] - a[0, 0]) / (n - 1)),
+        prev_last_arrival=float(a[0, -1]),
         t_origin=float(a[0, -1]),
-        o_acc=float(o_acc[-1]),
         _ia_count=len(gaps),
         _ia_sum=float(ia_sum),
         _ia_sumsq=float(ia_sumsq),
     )
-    return state, o_avg, o_acc[1:], t[1:]
+    return (state, *arrival_columns(state, a[1:]))
 
 
-def rls_stage(t, o_acc, lam):
+def rls_stage(t, o_acc, lam, rls=None):
     """Stage 2: the scalar exponentially weighted RLS fit of O_acc = S * t,
-    batch by batch from the prior (skew 0, P = RLS_INITIAL_P), which also
-    keeps the lambda-weighted sums of O_acc * t and t * t. It reads no CUSUM
-    state. Returns the K+1 skews (entry k is the estimate after batch k,
-    entry 0 the prior) and the final ``RlsState``."""
+    batch by batch from ``rls`` (by default the prior: skew 0, P =
+    RLS_INITIAL_P), which also keeps the lambda-weighted sums of O_acc * t
+    and t * t unless ``rls`` holds None for them. It reads no CUSUM state.
+    The columns are 1-d for one stream, or (K, S) blocks for S streams whose
+    ``rls`` fields are (S,) arrays. Returns the K+1 skews (entry k is the
+    estimate after batch k, entry 0 the starting one) and the final
+    ``RlsState``."""
     t = np.asarray(t, dtype=np.float64)
     o_acc = np.asarray(o_acc, dtype=np.float64)
     if t.shape != o_acc.shape:
         raise ValueError(f"t and O_acc differ in length: {t.size} and {o_acc.size}")
-    if np.any(t <= 0.0):
+    if (t <= 0.0).any():
         raise ValueError("elapsed time must be > 0")
-    skew, p, ot, tt = 0.0, RLS_INITIAL_P, 0.0, 0.0
+    rls = rls or RlsState()
+    skew, p, ot, tt = rls.skew, rls.gain_denominator, rls.ot_sum, rls.tt_sum
     skews = [skew]
-    for t_k, y in zip(t.tolist(), o_acc.tolist()):
+    sums = ot is not None
+    for t_k, y in zip(_rows(t), _rows(o_acc)):
         gain = p * t_k / (lam + t_k * t_k * p)
         skew = skew + gain * (y - skew * t_k)
         p = (p - gain * t_k * p) / lam
-        ot = lam * ot + y * t_k
-        tt = lam * tt + t_k * t_k
+        if sums:
+            ot = lam * ot + y * t_k
+            tt = lam * tt + t_k * t_k
         skews.append(skew)
     return np.array(skews), RlsState(skew=skew, gain_denominator=p, ot_sum=ot, tt_sum=tt)
 
@@ -280,200 +311,145 @@ def cusum_stage(cusum, bootstrap, errors, armed_from, config):
     CUSUM_BOOTSTRAP_BATCHES of them, or at the first armed error once there
     are two (short warmups must still get a usable sigma); their e_n is NaN.
     Errors from index ``armed_from`` on are armed: their batch alarms when a
-    limit exceeds the detection threshold. Returns the columns e_n, L+, L-
-    and alarm.
+    limit exceeds the detection threshold. ``errors`` is a column, or a
+    (K, S) block for the S streams of a branched ``cusum``, whose bootstrap
+    then holds (S,) rows. Returns the columns e_n, L+, L- and alarm.
     """
     kappa, gamma, big_gamma = config.sensitivity, config.update_threshold, config.detection_threshold
-    l_plus, l_minus = cusum.l_plus, cusum.l_minus
+    errors = np.asarray(errors, dtype=np.float64)
+    if not np.isfinite(errors).all():  # keeps the masked reference sums below exact
+        raise ValueError("identification errors must be finite")
+    # Where Python floats and arrays differ. Builtin max and np.maximum part
+    # only on NaN, which np.maximum propagates. Python's mu**2 goes through
+    # libm pow, which rounds differently from mu * mu now and then; with
+    # nearly equal references the variance cancels down to that last bit.
+    # np.float_power matched ** on 3M values, where x * x differed on 2 594
+    # and np.power with an array exponent on 107 316.
+    if errors.ndim == 1:
+        mx, pw, sqrt, any_, no_alarm = _max, pow, math.sqrt, bool, False
+        keep = cusum.errors.append
+    else:
+        mx, pw, sqrt, any_ = np.maximum, np.float_power, np.sqrt, np.ndarray.any
+        no_alarm = np.zeros(errors.shape[1:], dtype=bool)
+        keep = None  # streams evict only their bases' references (see CusumState)
+    c = cusum
+    mu, sigma, l_plus, l_minus = c.mu_cusum, c.sigma_cusum, c.l_plus, c.l_minus
+    refs, evicted, count, ref_sum, ref_sumsq = c.errors, c.evicted, c.count, c.ref_sum, c.ref_sumsq
+    ready = any_(c.ready)
     e_n_col, l_plus_col, l_minus_col, alarm_col = [], [], [], []
-    for k, e in enumerate(np.asarray(errors, dtype=np.float64).tolist()):
-        alarm = False
-        if cusum.ready:
-            e_n = (e - cusum.mu_cusum) / max(cusum.sigma_cusum, _SIGMA_FLOOR)
-            l_plus = max(0.0, l_plus + e_n - kappa)
-            l_minus = max(0.0, l_minus - e_n - kappa)
-            if abs(e_n) < gamma:
-                cusum.add_reference(e)
-            alarm = k >= armed_from and max(l_plus, l_minus) > big_gamma
+    for k, e in enumerate(_rows(errors)):
+        if ready:
+            e_n = (e - mu) / mx(sigma, _SIGMA_FLOOR)
+            l_plus = mx(0.0, l_plus + e_n - kappa)
+            l_minus = mx(0.0, l_minus - e_n - kappa)
+            alarm = no_alarm if k < armed_from else mx(l_plus, l_minus) > big_gamma
+            new = ((abs(e_n) < gamma, e),)
         else:
-            e_n = math.nan
+            e_n, alarm, new = e * math.nan, no_alarm, ()  # e_n NaN, shaped as e
             bootstrap.append(e)
             if len(bootstrap) >= CUSUM_BOOTSTRAP_BATCHES or (k >= armed_from and len(bootstrap) >= 2):
-                for err in bootstrap:
-                    cusum.add_reference(err)
+                new = [(True, err) for err in bootstrap]
                 bootstrap.clear()
+                ready = True
+        # add each new error where its mask holds, evicting the oldest
+        # reference of a full set first
+        for add, err in new:
+            full = add & (count == REFERENCE_CAP)
+            if any_(full):
+                old = refs[evicted]
+                ref_sum = ref_sum - old * full
+                ref_sumsq = ref_sumsq - old * old * full
+                evicted = evicted + full
+            if keep and add:
+                keep(err)
+            err = err * add
+            ref_sum = ref_sum + err
+            ref_sumsq = ref_sumsq + err * err
+            count = count + add - full
+        if new:
+            mu = ref_sum / count
+            sigma = sqrt(mx(0.0, (ref_sumsq - count * pw(mu, 2)) / (count - 1)))
         e_n_col.append(e_n)
         l_plus_col.append(l_plus)
         l_minus_col.append(l_minus)
         alarm_col.append(alarm)
-    cusum.l_plus, cusum.l_minus = l_plus, l_minus
+    c.mu_cusum, c.sigma_cusum, c.l_plus, c.l_minus = mu, sigma, l_plus, l_minus
+    c.evicted, c.count, c.ref_sum, c.ref_sumsq = evicted, count, ref_sum, ref_sumsq
     return (np.array(e_n_col, dtype=np.float64), np.array(l_plus_col, dtype=np.float64),
             np.array(l_minus_col, dtype=np.float64), np.array(alarm_col, dtype=bool))
+
+
+def _stages(state, o_acc, t, armed_from):
+    """Stages 2 to 4 over the O_acc and t columns of the batches that follow
+    ``state``, in place on it; stage 3 is the error column
+    e = O_acc - S[k-1] * t, with S[k-1] the skew held before batch k.
+    Returns the columns skew, e, e_n, L+, L- and alarm."""
+    skews, state.rls = rls_stage(t, o_acc, state.config.rls_lambda, state.rls)
+    e = o_acc - skews[:-1] * t
+    return (skews[1:], e, *cusum_stage(state.cusum, state._bootstrap_errors, e, armed_from, state.config))
 
 
 def detect(batches, config, warmup_batches, period=None):
     """The detector pass over a (K+1, N) batch array: row 0 initializes,
     rows 1..warmup_batches warm up with alarms suppressed, and later rows
-    are armed. Stages 1, 2 and 4 run in turn; stage 3 is the error column
-    e = O_acc - S[k-1] * t, with S[k-1] the skew held before batch k."""
+    are armed."""
     if warmup_batches < 0:
         raise ValueError(f"warmup_batches must be >= 0, got {warmup_batches}")
     state, o_avg, o_acc, t = arrival_stage(batches, config, period)
-    skews, state.rls = rls_stage(t, o_acc, config.rls_lambda)
-    e = o_acc - skews[:-1] * t
-    e_n, l_plus, l_minus, alarm = cusum_stage(state.cusum, state._bootstrap_errors, e, warmup_batches, config)
+    skew, e, e_n, l_plus, l_minus, alarm = _stages(state, o_acc, t, warmup_batches)
     alarms = np.flatnonzero(alarm)
     return DetectionReport(
-        o_avg=o_avg, o_acc=o_acc, t=t, skew=skews[1:], e=e, e_n=e_n, l_plus=l_plus, l_minus=l_minus,
+        o_avg=o_avg, o_acc=o_acc, t=t, skew=skew, e=e, e_n=e_n, l_plus=l_plus, l_minus=l_minus,
         alarm=alarm, first_alarm_batch=int(alarms[0]) + 1 if len(alarms) else None, final_state=state,
     )
 
 
-def _pow2(x):
-    """x**2 per element as Python floats compute it, through libm pow, which
-    rounds differently from x * x in about one case in a thousand.
-    np.float_power matched Python's ** on 3M values, where x * x differed
-    on 2 594 and np.power with an array exponent on 107 316."""
-    return np.float_power(x, 2.0)
+def _branch(bases, base_index, horizon):
+    """The state of S streams, stream s branched from ``bases[base_index[s]]``
+    (states after their unarmed warmups), for at most ``horizon`` batches:
+    every numeric field but the batch index holds an (S,) array and the
+    bootstrap (S,) rows. The bases are read, not kept or changed.
+
+    The inter-arrival and least-squares sums, which only snapshots read,
+    are not carried. Counts are floats, as the reference sums that they
+    divide are: integer counts would be cast on every step."""
+    if len({(b.config, b.period, b.batch_index, len(b._bootstrap_errors), b.cusum.ready) for b in bases}) > 1:
+        raise ValueError("base states must share one detector config and period, and stand at the same batch "
+                         "and point of the reference bootstrap")
+    if horizon > REFERENCE_CAP:
+        raise ValueError(f"a horizon of {horizon} batches would outlive the bases' references ({REFERENCE_CAP})")
+    base = np.asarray(base_index, dtype=np.intp)
+
+    def per_stream(values):
+        return np.array(values, dtype=np.float64)[base]
+
+    # a bootstrapping base's held-back errors are the first references its streams add
+    refs = [b._bootstrap_errors or b.cusum.reference_errors for b in bases]
+    start = np.cumsum([0] + [len(r) for r in refs[:-1]])
+    cusums = [b.cusum for b in bases]
+    cusum = CusumState(
+        errors=np.array([e for r in refs for e in r], dtype=np.float64), evicted=start[base],
+        **{name: per_stream([getattr(c, name) for c in cusums])
+           for name in ("mu_cusum", "sigma_cusum", "l_plus", "l_minus", "count", "ref_sum", "ref_sumsq")},
+    )
+    rls = RlsState(skew=per_stream([b.rls.skew for b in bases]),
+                   gain_denominator=per_stream([b.rls.gain_denominator for b in bases]), ot_sum=None, tt_sum=None)
+    return IdsState(
+        config=bases[0].config, period=bases[0].period, batch_index=bases[0].batch_index, rls=rls, cusum=cusum,
+        _bootstrap_errors=list(per_stream([b._bootstrap_errors for b in bases]).T),
+        **{name: per_stream([getattr(b, name) for b in bases])
+           for name in ("prev_batch_mean", "prev_last_arrival", "t_origin", "o_acc")},
+    )
 
 
-class IdsStreams:
-    """Armed detector state of S independent streams, one array entry per
-    stream, advanced together one batch per ``step``.
-
-    Stream s branches from ``bases[base_index[s]]``, an ``IdsState`` after its
-    unarmed warmup; the bases are read, not kept or changed. Every entry goes
-    through the operations of the single-stream pass (``detect``) in the
-    same order, so a stream alarms at exactly the batch where that pass over
-    its base's arrivals followed by its own would. Only what the armed step
-    reads is held: the reference FIFO is its
-    count and running sums (mu/sigma follow from them), plus each base's own
-    references, which are the first evicted once the FIFO is full.
-    """
-
-    _PER_STREAM = ("base", "evicted", "t_origin", "prev_batch_mean", "prev_last_arrival", "o_acc",
-                   "skew", "gain_denominator", "l_plus", "l_minus", "ref_count", "ref_sum", "ref_sumsq")
-
-    def __init__(self, bases, base_index):
-        first = bases[0]
-        if any(b.config != first.config or b.period != first.period for b in bases):
-            raise ValueError("base states must share one detector config and period")
-        if len({b.cusum.ready for b in bases}) > 1:
-            raise ValueError("base states must all have reference statistics, or all lack them")
-        self.config = first.config
-        self.period = first.period
-        # an unready base seeds its references from its bootstrap errors plus
-        # the first armed error; fold the shared part in now
-        self._bootstrapping = not first.cusum.ready
-        cusums = []
-        for b in bases:
-            cusum = b.cusum
-            if self._bootstrapping:
-                if not b._bootstrap_errors:
-                    raise ValueError("base state has processed no batch")
-                cusum = copy.deepcopy(cusum)
-                for err in b._bootstrap_errors:
-                    cusum.add_reference(err)
-            cusums.append(cusum)
-        self._base_refs = np.full((len(bases), max(len(c.reference_errors) for c in cusums)), np.nan)
-        for row, c in zip(self._base_refs, cusums):
-            row[: len(c.reference_errors)] = c.reference_errors
-        self._base_len = np.array([len(c.reference_errors) for c in cusums])
-
-        self.base = np.asarray(base_index, dtype=np.intp)
-
-        def per_stream(values, dtype=np.float64):
-            return np.array(values, dtype=dtype)[self.base]
-
-        self.evicted = np.zeros(len(self.base), dtype=np.int64)
-        self.t_origin = per_stream([b.t_origin for b in bases])
-        self.prev_batch_mean = per_stream([b.prev_batch_mean for b in bases])
-        self.prev_last_arrival = per_stream([b.prev_last_arrival for b in bases])
-        self.o_acc = per_stream([b.o_acc for b in bases])
-        self.skew = per_stream([b.rls.skew for b in bases])
-        self.gain_denominator = per_stream([b.rls.gain_denominator for b in bases])
-        self.l_plus = per_stream([c.l_plus for c in cusums])
-        self.l_minus = per_stream([c.l_minus for c in cusums])
-        self.ref_count = per_stream([len(c.reference_errors) for c in cusums], np.int64)
-        self.ref_sum = per_stream([c._sum for c in cusums])
-        self.ref_sumsq = per_stream([c._sumsq for c in cusums])
-
-    def __len__(self):
-        return len(self.base)
-
-    @property
-    def mu_cusum(self):
-        return self.ref_sum / self.ref_count
-
-    @property
-    def sigma_cusum(self):
-        n = self.ref_count
-        return np.sqrt(np.maximum(0.0, (self.ref_sumsq - n * _pow2(self.mu_cusum)) / (n - 1)))
-
-    def keep(self, mask):
-        """Drop every stream where ``mask`` is False."""
-        for name in self._PER_STREAM:
-            setattr(self, name, getattr(self, name)[mask])
-
-    def step(self, batches):
-        """Advance every stream by one armed batch; row s of ``batches`` holds
-        stream s's N arrivals. Returns the per-stream alarm mask."""
-        cfg = self.config
-        n = cfg.batch_size
-        a = np.asarray(batches, dtype=np.float64)
-        if a.shape != (len(self), n):
-            raise ValueError(f"expected batches of shape ({len(self)}, {n}), got {a.shape}")
-        last = a[:, -1].copy()  # kept as prev_last_arrival: no view into the caller's array
-
-        if cfg.variant is Variant.SOTA:
-            # in place, as a[1:] - (a[0] + i * prev_mean) per row: one (S, N-1) temporary
-            offsets = np.arange(1, n) * self.prev_batch_mean[:, None]
-            offsets += a[:, :1]
-            o_avg = np.mean(np.subtract(a[:, 1:], offsets, out=offsets), axis=1)
-            self.o_acc = self.o_acc + np.abs(o_avg)
-        else:
-            o_avg = self.period - (last - self.prev_last_arrival) / n
-            self.o_acc = self.o_acc + n * o_avg
-        t_k = last - self.t_origin
-        if np.any(t_k <= 0.0):
-            raise ValueError("elapsed time must be > 0")
-        e = self.o_acc - self.skew * t_k
-
-        if self._bootstrapping:
-            alarm = np.zeros(len(self), dtype=bool)
-            add = np.ones(len(self), dtype=bool)
-            self._bootstrapping = False
-        else:
-            e_n = (e - self.mu_cusum) / np.maximum(self.sigma_cusum, _SIGMA_FLOOR)
-            self.l_plus = np.maximum(0.0, self.l_plus + e_n - cfg.sensitivity)
-            self.l_minus = np.maximum(0.0, self.l_minus - e_n - cfg.sensitivity)
-            add = np.abs(e_n) < cfg.update_threshold
-            alarm = np.maximum(self.l_plus, self.l_minus) > cfg.detection_threshold
-        self._add_references(add, e)
-
-        p = self.gain_denominator
-        gain = p * t_k / (cfg.rls_lambda + t_k * t_k * p)
-        self.skew = self.skew + gain * (self.o_acc - self.skew * t_k)
-        self.gain_denominator = (p - gain * t_k * p) / cfg.rls_lambda
-
-        self.prev_batch_mean = (last - self.prev_last_arrival) / n
-        self.prev_last_arrival = last
-        return alarm
-
-    def _add_references(self, add, e):
-        """``CusumState.add_reference(e)`` on the streams where ``add`` holds."""
-        full = add & (self.ref_count == REFERENCE_CAP)
-        if full.any():
-            base, index = self.base[full], self.evicted[full]
-            if np.any(index >= self._base_len[base]):
-                raise ValueError(f"a stream outlived its base's references ({REFERENCE_CAP} batches)")
-            old = self._base_refs[base, index]
-            self.ref_sum[full] -= old
-            self.ref_sumsq[full] -= old * old
-            self.evicted[full] += 1
-        self.ref_sum = np.where(add, self.ref_sum + e, self.ref_sum)
-        self.ref_sumsq = np.where(add, self.ref_sumsq + e * e, self.ref_sumsq)
-        self.ref_count = self.ref_count + (add & ~full)
+def _keep(state, keep):
+    """Drop every stream of a ``_branch`` state where ``keep`` is False."""
+    refs = state.cusum.errors
+    for part in (state, state.rls, state.cusum):
+        for name, value in list(vars(part).items()):
+            if isinstance(value, np.ndarray) and value is not refs:
+                setattr(part, name, value[keep])
+    state._bootstrap_errors[:] = [row[keep] for row in state._bootstrap_errors]
 
 
 def batch_arrivals(trace, message_id, batch_size):

@@ -40,10 +40,14 @@ CHUNK_LINES = 32_768
 # outweighs its saving per line (they broke even near 3-5 KB of log lines)
 _ARRAY_MIN_CHARS = 4096
 # one record per line: the separators exclude newlines, so a match never
-# crosses into the next line of a joined chunk
+# crosses into the next line of a joined chunk. Digits are ASCII ones: \d
+# would take any Unicode digit, which int and float read as its value.
 _CANDUMP_RE = re.compile(
-    r"^\((\d+)\.(\d{1,6})\)[^\S\n]+\S+[^\S\n]+([0-9A-Fa-f]{1,8})#[0-9A-Fa-f]*[^\S\n]*$", re.M
+    r"^\(([0-9]+)\.([0-9]{1,6})\)[^\S\n]+\S+[^\S\n]+([0-9A-Fa-f]{1,8})#[0-9A-Fa-f]*[^\S\n]*$", re.M
 )
+# what float and int read in a numeral beyond ASCII digits: "_" between
+# digits and Unicode digits, which a log's CSV fields may not hold
+_NOT_ASCII_NUMERAL = re.compile(r"_|(?![0-9])\d")
 _MICROS_SCALE = 10 ** np.arange(6, -1, -1, dtype=np.int64)  # indexed by digit count
 _CSV_HEADER = ["timestamp", "can_id", "data"]
 _MAX_NS = 2.0**63  # nanosecond counts below this fit an int64
@@ -143,6 +147,8 @@ def _csv_lines(lines, before):
         row = next(csv.reader([line]))
         if len(row) < 2:
             raise ParseError(number, f"expected at least timestamp and can_id: {line!r}")
+        if _NOT_ASCII_NUMERAL.search(row[0]) or _NOT_ASCII_NUMERAL.search(row[1]):
+            raise ParseError(number, f"timestamp and can_id must be written in ASCII digits without '_': {line!r}")
         try:
             ts = float(row[0])
             text = row[1].strip()
@@ -352,8 +358,8 @@ def write_trace(trace, fmt):
 
 def fill_missing(trace, message_id, period):
     """Repair dropped messages of one id: any gap above 1.5*period gets
-    floor(gap/period - 0.5) synthetic arrivals, evenly spaced; the synthetic
-    records carry the ``inserted`` flag. Originals are never moved."""
+    floor(gap/period - 0.5) synthetic arrivals, evenly spaced. Originals are
+    never moved."""
     if period <= 0.0:
         raise ValueError("period must be > 0")
     a = trace.arrivals(message_id)
@@ -366,9 +372,4 @@ def fill_missing(trace, message_id, period):
     if not fills:
         return trace
     times = np.concatenate(fills)
-    filler = Trace(
-        times=times,
-        ids=np.full(len(times), message_id, dtype=np.uint32),
-        inserted=np.ones(len(times), dtype=bool),
-    )
-    return Trace.merge(trace, filler)
+    return Trace.merge(trace, Trace(times=times, ids=np.full(len(times), message_id, dtype=np.uint32)))

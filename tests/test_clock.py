@@ -4,11 +4,9 @@ import pytest
 
 from canskew.clock import (
     ClockSpec,
-    InsufficientDataError,
     MessageSchedule,
     NoiseModel,
     Trace,
-    inter_arrival_stats,
     invert_relative_skew,
     ppm,
     quantize,
@@ -87,14 +85,14 @@ class TestSynthesis:
 
     def test_skewed_mean_inter_arrival(self):
         trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(skew=ppm(100)), NoiseModel(), 1000, seed=0)
-        mean, _ = inter_arrival_stats(trace, 1)
+        mean = np.mean(np.diff(trace.arrivals(1)))
         assert mean == pytest.approx(0.1 / (1.0 + 1e-4), rel=1e-12)
 
     def test_inter_arrival_std_is_sqrt2_jitter(self):
         trace = synthesize_trace(
             MessageSchedule(1, 0.1), ClockSpec(jitter_std=25e-6), NoiseModel(), 100_000, seed=3
         )
-        _, std = inter_arrival_stats(trace, 1)
+        std = np.std(np.diff(trace.arrivals(1)), ddof=1)
         assert std == pytest.approx(np.sqrt(2) * 25e-6, rel=0.05)
 
     def test_reproducible(self):
@@ -115,27 +113,9 @@ class TestSynthesis:
         on_grid = np.round(trace.times / step) * step
         assert np.allclose(trace.times, on_grid, atol=1e-12)
 
-    def test_receiver_period(self):
-        assert receiver_period(0.1, 1e-4) == pytest.approx(0.1 / 1.0001, rel=1e-15)
-
-
-class TestInterArrivalStats:
-    def test_exact_spacing(self):
-        trace = Trace.from_records([(0.0, 1), (0.1, 1), (0.2, 1)])
-        mean, std = inter_arrival_stats(trace, 1)
-        assert mean == pytest.approx(0.1, abs=1e-15)
-        assert std == pytest.approx(0.0, abs=1e-15)
-
-    def test_two_spacings(self):
-        trace = Trace.from_records([(0.0, 1), (0.1, 1), (0.3, 1)])
-        mean, std = inter_arrival_stats(trace, 1)
-        assert mean == pytest.approx(0.15)
-        assert std == pytest.approx(np.std([0.1, 0.2], ddof=1))
-
-    def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
-            inter_arrival_stats(Trace.from_records([(0.0, 1)]), 1)
-
     def test_quantize_noop_at_zero_step(self):
         x = np.array([0.1234567])
         assert quantize(x, 0.0) is x
+
+    def test_receiver_period(self):
+        assert receiver_period(0.1, 1e-4) == pytest.approx(0.1 / 1.0001, rel=1e-15)

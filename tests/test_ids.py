@@ -1,5 +1,7 @@
 """Detector building blocks and end-to-end runs for both variants."""
 import copy
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from canskew.ids import (
     REFERENCE_CAP,
     CusumState,
     IdsConfig,
-    IdsStreams,
     Variant,
+    _branch,
+    _stages,
+    arrival_columns,
     arrival_stage,
     batch_arrivals,
     cusum_stage,
@@ -35,9 +39,10 @@ from conftest import make_config
 
 
 def seeded_cusum(errors):
+    """A CUSUM state whose references are ``errors``, which seed them at
+    the first armed error."""
     state = CusumState()
-    for e in errors:
-        state.add_reference(e)
+    cusum_stage(state, errors[:-1], errors[-1:], 0, make_config(Variant.NTP))
     return state
 
 
@@ -420,48 +425,50 @@ def cloak_arrivals(config, warmup, horizon, seed):
                            (warmup + 1) * n, n, np.random.default_rng(seed))
 
 
+STATE_FIELDS = {"": ("batch_index", "prev_batch_mean", "prev_last_arrival", "t_origin", "o_acc"),
+                "rls": ("skew", "gain_denominator"),
+                "cusum": ("mu_cusum", "sigma_cusum", "l_plus", "l_minus", "count", "ref_sum", "ref_sumsq")}
+
+
+def state_field(state, path, name):
+    return getattr(getattr(state, path) if path else state, name)
+
+
 def assert_streams_match_run_ids(config, warmup, base_arrivals, trial_base, arrivals0, shift_units, grid, qstep,
                                  horizon):
-    """Stream (trial, grid point) of IdsStreams and of the harness attack
-    phase behaves as run_ids over its base's warmup arrivals followed by its
-    own, bit for bit, after every attack batch: the same alarm and report
-    columns, the same P (rls_stage over the report's columns so far), the
-    same reference count, mu and sigma (cusum_stage stepping a copy of the
-    base's CUSUM through the report's errors) and the same previous batch
-    mean (arrival_stage over the last two batches); and the same survivors."""
+    """Stream (trial, grid point) of the attack phase behaves as run_ids over
+    its base's warmup arrivals followed by its own, bit for bit: after every
+    attack batch, the stage columns of the branched state (arrival_columns
+    and stages 2 to 4 over a (1, S, N) block, as _attack_phase runs them)
+    equal that batch's row of the report; after the last one, the carried
+    state equals the report's final state; _attack_phase keeps the same
+    survivors; and the bases are left unchanged."""
     n = config.batch_size
     bases = [run_on(a, config, warmup).final_state for a in base_arrivals]
+    before = copy.deepcopy(bases)
     trial, point = np.divmod(np.arange(len(arrivals0) * len(grid)), len(grid))
     arrivals = quantize(arrivals0[trial] + grid[point, None] * shift_units, qstep)
-    full = [np.concatenate([base_arrivals[trial_base[t]], a]) for t, a in zip(trial, arrivals)]
-    reports = [run_on(a, config, warmup) for a in full]
-    states = [copy.deepcopy(bases[trial_base[t]]) for t in trial]
-    streams = IdsStreams(bases, trial_base[trial])
-    alarmed = np.zeros(len(trial), dtype=bool)
+    reports = [run_on(np.concatenate([base_arrivals[trial_base[t]], a]), config, warmup)
+               for t, a in zip(trial, arrivals)]
+    streams = _branch(bases, trial_base[trial], horizon)
     for k in range(horizon):
-        alarm = streams.step(arrivals[:, k * n:(k + 1) * n])
+        o_avg, o_acc, t = arrival_columns(streams, arrivals[None, :, k * n:(k + 1) * n])
         row = warmup + k  # attack batch k is batch warmup + 1 + k
-        assert alarm.tolist() == [bool(r.alarm[row]) for r in reports], k
-        alarmed |= alarm
-        for name in ("o_acc", "skew", "l_plus", "l_minus"):
-            assert getattr(streams, name).tolist() == [getattr(r, name)[row] for r in reports], (name, k)
-        for s, r in zip(states, reports):
-            cusum_stage(s.cusum, s._bootstrap_errors, r.e[row:row + 1], 0, config)
-        scalars = {
-            "gain_denominator": [rls_stage(r.t[:row + 1], r.o_acc[:row + 1], config.rls_lambda)[1].gain_denominator
-                                 for r in reports],
-            "ref_count": [len(s.cusum.reference_errors) for s in states],
-            "mu_cusum": [s.cusum.mu_cusum for s in states],
-            "sigma_cusum": [s.cusum.sigma_cusum for s in states],
-            "prev_batch_mean": [arrival_stage(a[row * n:(row + 2) * n].reshape(2, n), config,
-                                              STREAM_PERIOD)[0].prev_batch_mean for a in full],
-        }
-        for name, values in scalars.items():
-            assert getattr(streams, name).tolist() == values, (name, k)
+        for name, column in zip(REPORT_COLUMNS, (o_avg, o_acc, t, *_stages(streams, o_acc, t, 0))):
+            assert np.array_equal(column[0], [getattr(r, name)[row] for r in reports], equal_nan=True), (name, k)
+    for path, names in STATE_FIELDS.items():
+        for name in names:
+            want = [state_field(r.final_state, path, name) for r in reports]
+            assert np.array_equal(np.broadcast_to(state_field(streams, path, name), len(want)), want), (path, name)
 
+    alarmed = np.array([r.alarm[warmup:].any() for r in reports])
     survivors = np.bincount(point[~alarmed], minlength=len(grid))
     counts = _attack_phase(bases, trial_base, arrivals0, shift_units, grid, qstep, horizon)
     assert counts.tolist() == survivors.tolist()
+    assert bases == before
+
+
+REPORT_COLUMNS = ("o_avg", "o_acc", "t", "skew", "e", "e_n", "l_plus", "l_minus", "alarm")
 
 
 class TestIdsStreams:
@@ -471,7 +478,7 @@ class TestIdsStreams:
         kappa=st.floats(0.0, 10.0),
         big_gamma=st.floats(0.5, 10.0),
         gamma=st.floats(0.5, 6.0),
-        warmup=st.integers(1, 80),  # below 50 the reference set is still bootstrapping
+        warmup=st.integers(0, 80),  # below 50 the reference set is still bootstrapping
         trials=st.integers(1, 3),
         shared_base=st.booleans(),
         vary=st.sampled_from(["delta_t", "mistiming"]),
@@ -505,46 +512,56 @@ class TestIdsStreams:
         assert_streams_match_run_ids(config, warmup, [base_arrivals], np.zeros(2, dtype=int), arrivals0, shift_units,
                                      grid, 0.0, horizon)
 
-    def test_reference_stats_round_like_add_reference(self):
+    def test_reference_stats_round_like_one_stream(self):
         # Python's mu**2 goes through libm pow, which rounds differently from
-        # mu * mu now and then; with two nearly equal references the variance
-        # cancels down to that last bit
+        # mu * mu now and then; with nearly equal references the variance
+        # cancels down to that last bit. Find references and an error whose
+        # sigma differs between the two, then add the error on five streams.
+        config = make_config(Variant.SOTA)
+        warm = warm_state(config, 60, seed=1)
         rng = np.random.default_rng(12)
-        cusums = []
-        while len(cusums) < 5:
+        bases, errors, singles = [], [], []
+        while len(bases) < 5:
             mid = rng.uniform(1e-6, 1e-3)
             cusum = CusumState()
-            cusum.add_reference(mid * (1 + 1e-9))
-            cusum.add_reference(mid * (1 - 1e-9))
-            if cusum.mu_cusum**2 != cusum.mu_cusum * cusum.mu_cusum:
-                cusums.append(cusum)
-        bases = []
-        for cusum in cusums:
-            base = warm_state(make_config(Variant.SOTA), 60, seed=1)
-            base.cusum = cusum
-            bases.append(base)
-        streams = IdsStreams(bases, np.arange(len(bases)))
-        assert streams.mu_cusum.tolist() == [c.mu_cusum for c in cusums]
-        assert streams.sigma_cusum.tolist() == [c.sigma_cusum for c in cusums]
+            cusum_stage(cusum, [mid * (1 + 1e-9)], [mid * (1 - 1e-9)], 0, config)  # the two seed the references
+            single = copy.deepcopy(cusum)
+            cusum_stage(single, [], [mid], 0, config)
+            mu, n = single.mu_cusum, single.count
+            if math.sqrt(max(0.0, (single.ref_sumsq - n * (mu * mu)) / (n - 1))) != single.sigma_cusum:
+                bases.append(dataclasses.replace(warm, cusum=cusum))
+                errors.append(mid)
+                singles.append(single)
+        streams = _branch(bases, np.arange(len(bases)), 1)
+        cusum_stage(streams.cusum, streams._bootstrap_errors, [errors], 0, config)
+        assert streams.cusum.mu_cusum.tolist() == [c.mu_cusum for c in singles]
+        assert streams.cusum.sigma_cusum.tolist() == [c.sigma_cusum for c in singles]
 
     def test_bases_left_unchanged(self):
         config = make_config(Variant.NTP)
         base = warm_state(config, 60, seed=1)
         before = copy.deepcopy(base)
-        streams = IdsStreams([base], np.zeros(3, dtype=int))
-        streams.step(np.tile(cloak_arrivals(config, 60, 1, seed=2), (3, 1)))
-        assert base.o_acc == before.o_acc and base.cusum._sum == before.cusum._sum
-        assert list(base.cusum.reference_errors) == list(before.cusum.reference_errors)
+        streams = _branch([base], np.zeros(3, dtype=int), 1)
+        _, o_acc, t = arrival_columns(streams, np.tile(cloak_arrivals(config, 60, 1, seed=2), (1, 3, 1)))
+        _stages(streams, o_acc, t, 0)
+        assert base == before
 
     def test_rejects_mismatched_bases(self):
         ntp = warm_state(make_config(Variant.NTP), 60, seed=1)
         sota = warm_state(make_config(Variant.SOTA), 60, seed=1)
         with pytest.raises(ValueError):
-            IdsStreams([ntp, sota], np.array([0, 1]))
+            _branch([ntp, sota], np.array([0, 1]), 1)
         with pytest.raises(ValueError):
-            IdsStreams([ntp, warm_state(make_config(Variant.NTP), 10, seed=1)], np.array([0, 1]))
+            _branch([ntp, warm_state(make_config(Variant.NTP), 10, seed=1)], np.array([0, 1]), 1)
+
+    def test_rejects_a_horizon_past_the_reference_cap(self):
+        # a stream would evict its own references, which it does not keep
+        base = warm_state(make_config(Variant.NTP), 60, seed=1)
+        _branch([base], np.zeros(2, dtype=int), REFERENCE_CAP)
+        with pytest.raises(ValueError):
+            _branch([base], np.zeros(2, dtype=int), REFERENCE_CAP + 1)
 
     def test_rejects_wrong_batch_shape(self):
-        streams = IdsStreams([warm_state(make_config(Variant.NTP), 60, seed=1)], np.zeros(2, dtype=int))
+        streams = _branch([warm_state(make_config(Variant.NTP), 60, seed=1)], np.zeros(2, dtype=int), 1)
         with pytest.raises(ValueError):
-            streams.step(np.zeros((3, 20)))
+            arrival_columns(streams, np.zeros((1, 3, 20)))

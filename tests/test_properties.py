@@ -10,7 +10,6 @@ from canskew.clock import (
     ClockSpec,
     MessageSchedule,
     NoiseModel,
-    inter_arrival_stats,
     invert_relative_skew,
     quantize,
     relative_skew,
@@ -30,7 +29,6 @@ from canskew.formal import (
 )
 from canskew.harness import epsilon_msi
 from canskew.ids import Variant, rls_stage, run_ids
-from canskew.attacks import shift_inter_arrivals
 from canskew.traceio import LogFormat, parse_log, write_trace
 from conftest import make_config
 
@@ -121,24 +119,6 @@ class TestSnapshotInvariants:
             for name in ("t_hat", "o_acc_hat", "skew_hat", "e_hat", "mu_cusum_hat", "sigma_cusum_hat",
                          "e_n_mean", "e_n_std"):
                 assert getattr(new_fc, name).tobytes() == getattr(old_fc, name).tobytes(), name
-
-
-class TestAttackInvariants:
-    @given(delta=st.floats(min_value=-1e-3, max_value=1e-3),
-           index=st.integers(min_value=1, max_value=40))
-    @settings(max_examples=25)
-    def test_shift_then_unshift_restores(self, delta, index):
-        trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(jitter_std=1e-5), NoiseModel(), 50, seed=1)
-        roundtrip = shift_inter_arrivals(shift_inter_arrivals(trace, 1, delta, index), 1, -delta, index)
-        assert np.allclose(roundtrip.arrivals(1), trace.arrivals(1), atol=1e-12)
-
-    @given(delta=st.floats(min_value=-1e-2, max_value=1e-2),
-           index=st.integers(min_value=1, max_value=40))
-    @settings(max_examples=25)
-    def test_shift_preserves_counts(self, delta, index):
-        trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(jitter_std=1e-5), NoiseModel(), 50, seed=1)
-        shifted = shift_inter_arrivals(trace, 1, delta, index)
-        assert len(shifted) == len(trace)
 
 
 class TestFormalInvariants:
