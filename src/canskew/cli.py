@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 
@@ -42,6 +43,8 @@ def _parse_grid(text):
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:scale, got {text!r}")
     start, stop, scale = float(parts[0]), float(parts[1]), float(parts[2])
+    if not all(map(math.isfinite, (start, stop, scale))):
+        raise ValueError(f"grid spec {text!r}: start, stop and scale must be finite")
     if stop < start or scale <= 0:
         raise ValueError(f"bad grid spec {text!r}")
     return np.arange(int(round(start)), int(round(stop)) + 1) * scale
@@ -236,15 +239,16 @@ def _cmd_sweep(args):
     return 0
 
 
-def _forecast_csv(grid, forecasts):
-    """The per-batch NTP forecasts of a delta-T grid as one table: a delta_t
-    column, then the ``NtpForecast.to_csv`` columns, one row per (delta-T, batch)."""
+def _forecast_csv(grid, forecast):
+    """An NTP grid forecast as one table: a delta_t column, then the
+    ``NtpForecast.to_csv`` columns, one row per (delta-T, batch)."""
     names = [field.name for field in dataclasses.fields(formal.NtpForecast)][1:]
+    horizon = len(forecast.batches)
+    columns = [np.repeat(grid, horizon).tolist(), np.tile(forecast.batches, len(grid)).tolist(),
+               *(getattr(forecast, name).ravel().tolist() for name in names)]
     lines = [",".join(["delta_t", "batch", *names]) + "\n"]
-    for delta_t, forecast in zip(grid, forecasts):
-        columns = (getattr(forecast, name).tolist() for name in names)
-        lines.extend(f"{delta_t:.12g},{batch}," + ",".join(f"{value:.12g}" for value in values) + "\n"
-                     for batch, *values in zip(forecast.batches.tolist(), *columns))
+    lines.extend(f"{delta_t:.12g},{batch}," + ",".join(f"{value:.12g}" for value in values) + "\n"
+                 for delta_t, batch, *values in zip(*columns))
     return "".join(lines)
 
 
@@ -259,9 +263,9 @@ def _cmd_predict(args):
         raise ValueError(f"snapshot is for the {snap.config.variant.value} variant, not {args.model}")
     grid = _parse_grid(args.grid)
     if args.forecast_out:
-        curve, forecasts = formal.ntp_success_curve(snap, grid, horizon=args.horizon)
+        curve, forecast = formal.ntp_success_curve(snap, grid, horizon=args.horizon)
         with open(args.forecast_out, "w", encoding="utf-8") as fh:
-            fh.write(_forecast_csv(grid, forecasts))
+            fh.write(_forecast_csv(grid, forecast))
     else:
         curve = formal.success_curve(snap, grid, horizon=args.horizon)
     _write_output(args, curve.to_csv())
@@ -269,11 +273,21 @@ def _cmd_predict(args):
 
 
 def _cmd_compare(args):
-    curves = []
+    curves, recorded = [], []
     for path in (args.predicted, args.experimental):
         with open(path, encoding="utf-8") as fh:
-            curves.append(harness.SuccessCurve.from_csv(fh.read()))
-    value = harness.ade(curves[0], curves[1])
+            text = fh.read()
+        curves.append(harness.SuccessCurve.from_csv(text))
+        recorded.append(harness.SuccessCurve.records_provenance(text))
+    predicted, experimental = curves
+    if all(recorded):
+        if predicted.source == experimental.source == "EXPERIMENTAL":
+            raise ValueError(f"both curves are Monte Carlo results (source EXPERIMENTAL): "
+                             f"{args.predicted} must be a predicted curve")
+        if predicted.horizon > 0 and experimental.horizon > 0 and predicted.horizon != experimental.horizon:
+            raise ValueError(f"the curves are for different horizons: {predicted.horizon} attack batches "
+                             f"in {args.predicted}, {experimental.horizon} in {args.experimental}")
+    value = harness.ade(predicted, experimental)
     _write_output(args, f"ADE = {value:.4g}%\n")
     return 0
 

@@ -3,7 +3,10 @@
 The SOTA detector gets a closed-form Gaussian bound on the first-batch
 normalized error plus a linear decay rate; the NTP detector gets a
 deterministic state forecast feeding a backward recursion over the joint
-CUSUM control-limit state.
+CUSUM control-limit state. An NTP curve takes one forecast pass and one
+recursion for its whole delta-T grid: both step the horizon's batches once,
+over every grid point together, and each point comes out exactly as it
+would alone.
 """
 from __future__ import annotations
 
@@ -92,10 +95,19 @@ class CusumRecursionConfig:
             raise ValueError("horizon must be >= 1")
 
 
+_FORECAST_COLUMNS = ("t_hat", "o_acc_hat", "skew_hat", "e_hat", "mu_cusum_hat", "sigma_cusum_hat",
+                     "e_n_mean", "e_n_std")
+
+
 @dataclass(frozen=True)
 class NtpForecast:
     """Deterministic per-batch forecast of the NTP detector under attack,
-    plus the Gaussian parameters of each batch's normalized error."""
+    plus the Gaussian parameters of each batch's normalized error.
+
+    ``batches`` is (H,). The other columns are (H,) for one delta-T, or
+    (G, H) for a grid, row g being the forecast at the grid's g-th delta-T;
+    ``to_csv`` writes the one-delta-T form.
+    """
 
     batches: np.ndarray
     t_hat: np.ndarray
@@ -110,18 +122,10 @@ class NtpForecast:
     def to_csv(self):
         buf = io.StringIO(newline="")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([
-            "batch", "t_hat", "o_acc_hat", "skew_hat", "e_hat",
-            "mu_cusum_hat", "sigma_cusum_hat", "e_n_mean", "e_n_std",
-        ])
+        writer.writerow(["batch", *_FORECAST_COLUMNS])
+        columns = [getattr(self, name) for name in _FORECAST_COLUMNS]
         for i in range(len(self.batches)):
-            writer.writerow([
-                int(self.batches[i]),
-                *(f"{col[i]:.12g}" for col in (
-                    self.t_hat, self.o_acc_hat, self.skew_hat, self.e_hat,
-                    self.mu_cusum_hat, self.sigma_cusum_hat, self.e_n_mean, self.e_n_std,
-                )),
-            ])
+            writer.writerow([int(self.batches[i]), *(f"{col[i]:.12g}" for col in columns)])
         return buf.getvalue()
 
 
@@ -206,69 +210,68 @@ def sota_success_prob(snapshot, delta_t):
     return SotaPrediction(mu_e=mu_e, sigma_e=sigma_e, tau=tau, p_success=min(max(p, 0.0), 1.0))
 
 
-def _forecast_sums(snapshot):
-    """The delta-T independent start of the NTP forecast: the snapshot's
-    lambda-weighted least-squares sums of O_acc * t and t * t, and the sums
-    of the CUSUM reference set, as (a_sum, b_sum, ref_sum, ref_sumsq, ref_n)."""
+def _forecast(snapshot, delta_t_grid, horizon):
+    """The NTP forecast for every delta-T of a grid at once. The horizon's
+    batches are stepped once over (G,) arrays, each row with the operations
+    and operand order of a one-delta-T forecast, and every column is (G, H)."""
     if snapshot.period is None:
         raise ValueError("NTP forecast requires the nominal period in the snapshot")
     if not snapshot.tt_sum > 0.0:
         raise ValueError("NTP forecast requires the pre-attack least-squares sums ot_sum and tt_sum "
                          f"(tt_sum must be > 0, got {snapshot.tt_sum})")
-    ref = snapshot.reference_errors
-    return snapshot.ot_sum, snapshot.tt_sum, sum(ref), sum(e * e for e in ref), len(ref)
-
-
-def _forecast(snapshot, sums, delta_t, horizon):
     cfg = snapshot.config
     n = cfg.batch_size
     lam = cfg.rls_lambda
-    offset = snapshot.period - snapshot.mu  # per-period offset O
+    delta_t = np.asarray(delta_t_grid, dtype=np.float64)
+    shifted = snapshot.mu + delta_t
+    drift = (snapshot.period - snapshot.mu) - delta_t  # per-period offset O, less delta-T
     sigma_eta = snapshot.sigma / math.sqrt(2.0)
 
-    a_sum, b_sum, ref_sum, ref_sumsq, ref_n = sums
+    ref = snapshot.reference_errors
+    size = delta_t.shape
+    ref_n = np.full(size, len(ref))
+    ref_sum = np.full(size, float(sum(ref)))
+    ref_sumsq = np.full(size, float(sum(e * e for e in ref)))
+    a_sum = np.full(size, snapshot.ot_sum)
+    b_sum = np.full(size, snapshot.tt_sum)
     skew_prev = a_sum / b_sum
-    mu_c = snapshot.mu_cusum
-    sigma_c = snapshot.sigma_cusum
+    mu_c = np.full(size, snapshot.mu_cusum)
+    sigma_c = np.full(size, snapshot.sigma_cusum)
 
+    cols = {name: np.empty(size + (horizon,)) for name in _FORECAST_COLUMNS}
+    # rows that do not update compute values they then discard, and a delta-T
+    # large enough to overflow gives non-finite densities the recursion refuses
+    with np.errstate(all="ignore"):
+        for j in range(1, horizon + 1):
+            t_hat = snapshot.t + j * n * shifted
+            o_hat = snapshot.o_acc + j * n * drift
+            e_hat = o_hat - skew_prev * t_hat
+            mean_en = (e_hat - mu_c) / sigma_c
+            std_en = np.abs(1.0 + skew_prev) * sigma_eta / sigma_c
+            for name, value in (("t_hat", t_hat), ("o_acc_hat", o_hat), ("e_hat", e_hat),
+                                ("mu_cusum_hat", mu_c), ("sigma_cusum_hat", sigma_c),
+                                ("e_n_mean", mean_en), ("e_n_std", std_en)):
+                cols[name][..., j - 1] = value
+            update = np.abs(mean_en) <= cfg.update_threshold
+            ref_n = ref_n + update
+            ref_sum = np.where(update, ref_sum + e_hat, ref_sum)
+            ref_sumsq = np.where(update, ref_sumsq + e_hat * e_hat, ref_sumsq)
+            mu_c = np.where(update, ref_sum / ref_n, mu_c)
+            var = np.maximum(0.0, (ref_sumsq - ref_n * mu_c * mu_c) / (ref_n - 1))
+            # same floor as the detector
+            sigma_c = np.where(update & (ref_n >= 2), np.maximum(np.sqrt(var), 1e-12), sigma_c)
+            a_sum = lam * a_sum + o_hat * t_hat
+            b_sum = lam * b_sum + t_hat * t_hat
+            skew_prev = a_sum / b_sum
+            cols["skew_hat"][..., j - 1] = skew_prev
     m = snapshot.start_batch
-    cols = {k: [] for k in ("t", "o", "s", "e", "mu", "sig", "mean", "std")}
-    for j in range(1, horizon + 1):
-        t_hat = snapshot.t + j * n * (snapshot.mu + delta_t)
-        o_hat = snapshot.o_acc + j * n * (offset - delta_t)
-        e_hat = o_hat - skew_prev * t_hat
-        mean_en = (e_hat - mu_c) / sigma_c
-        std_en = abs(1.0 + skew_prev) * sigma_eta / sigma_c
-        cols["t"].append(t_hat)
-        cols["o"].append(o_hat)
-        cols["e"].append(e_hat)
-        cols["mu"].append(mu_c)
-        cols["sig"].append(sigma_c)
-        cols["mean"].append(mean_en)
-        cols["std"].append(std_en)
-        if abs(mean_en) <= cfg.update_threshold:
-            ref_n += 1
-            ref_sum += e_hat
-            ref_sumsq += e_hat * e_hat
-            mu_c = ref_sum / ref_n
-            if ref_n >= 2:
-                var = max(0.0, (ref_sumsq - ref_n * mu_c * mu_c) / (ref_n - 1))
-                sigma_c = max(math.sqrt(var), 1e-12)  # same floor as the detector
-        a_sum = lam * a_sum + o_hat * t_hat
-        b_sum = lam * b_sum + t_hat * t_hat
-        skew_prev = a_sum / b_sum
-        cols["s"].append(skew_prev)
-    return NtpForecast(
-        batches=np.arange(m, m + horizon),
-        t_hat=np.array(cols["t"]),
-        o_acc_hat=np.array(cols["o"]),
-        skew_hat=np.array(cols["s"]),
-        e_hat=np.array(cols["e"]),
-        mu_cusum_hat=np.array(cols["mu"]),
-        sigma_cusum_hat=np.array(cols["sig"]),
-        e_n_mean=np.array(cols["mean"]),
-        e_n_std=np.array(cols["std"]),
-    )
+    return NtpForecast(batches=np.arange(m, m + horizon), **cols)
+
+
+def _forecast_row(forecast, g):
+    """Row g of a grid forecast, as views of its columns."""
+    return NtpForecast(batches=forecast.batches,
+                       **{name: getattr(forecast, name)[g] for name in _FORECAST_COLUMNS})
 
 
 def ntp_forecast(snapshot, delta_t, horizon):
@@ -279,33 +282,36 @@ def ntp_forecast(snapshot, delta_t, horizon):
     snapshot's sums over batches 1..m-1 and takes in each forecast batch,
     and the CUSUM reference statistics are advanced by their own update rule.
     """
-    return _forecast(snapshot, _forecast_sums(snapshot), delta_t, horizon)
+    return _forecast_row(_forecast(snapshot, [delta_t], horizon), 0)
 
 
 def ntp_forecasts(snapshot, delta_t_grid, horizon):
-    """``ntp_forecast`` for every delta-T of a grid; the starting sums, which
-    do not depend on delta-T, are taken once."""
-    sums = _forecast_sums(snapshot)
-    return [_forecast(snapshot, sums, float(dt), horizon) for dt in delta_t_grid]
+    """``ntp_forecast`` for every delta-T of a grid, from one pass over the
+    horizon for the whole grid."""
+    forecast = _forecast(snapshot, delta_t_grid, horizon)
+    return [_forecast_row(forecast, g) for g in range(len(forecast.t_hat))]
 
 
 def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
     """Probability that neither CUSUM limit exceeds the detection threshold
     within the horizon, by backward recursion over the limit state.
 
-    ``error_densities`` is a sequence of (mean, std) Gaussian parameters of
-    the normalized error, one per attack batch, in batch order. Requires the
-    modeling assumption kappa >= Gamma, under which at most one control limit
-    is nonzero at a time and the state space collapses to the two axes of
-    [0, Gamma]^2.
+    ``error_densities`` holds the (mean, std) Gaussian parameters of the
+    normalized error, one per attack batch, in batch order: an (H, 2)
+    sequence, for which the result is a float, or a (G, H, 2) block of G
+    such sequences, for which it is a (G,) array. The rows of a block step
+    together, and each gets exactly the probability its own sequence gives.
+    Requires the modeling assumption kappa >= Gamma, under which at most one
+    control limit is nonzero at a time and the state space collapses to the
+    two axes of [0, Gamma]^2.
 
     The transition kernels are Toeplitz: on grid node z_i and cell midpoint
     u_j they depend only on z_i - u_j = (i - j - 1/2) h. Each step therefore
     evaluates the Gaussian density on the 2M distinct offsets only and
     applies the (M+1) x M kernels as a convolution of that vector with g.
-    Once both axes of g are exactly 0, every earlier step keeps them at 0
-    (the kernels act on zeros and the reset term is scaled by g(0, 0) = 0),
-    so the recursion stops there and returns 0.0.
+    Once both axes of a row's g are exactly 0, every earlier step keeps them
+    at 0 (the kernels act on zeros and the reset term is scaled by
+    g(0, 0) = 0), so the row leaves the recursion there with 0.0.
     """
     # loaded here, not with the module: scipy.special adds about 24 MB of
     # resident memory to every process that imports canskew, and only this
@@ -314,10 +320,15 @@ def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
 
     if kappa < big_gamma:
         raise ValueError(f"recursion assumes kappa >= Gamma, got kappa={kappa}, Gamma={big_gamma}")
-    densities = list(error_densities)
-    if not densities:
-        raise ValueError("need at least one error density")
-    if any(std <= 0.0 for _, std in densities):
+    densities = np.asarray(error_densities, dtype=np.float64)
+    single = densities.ndim == 2
+    if single:
+        densities = densities[np.newaxis]
+    if densities.ndim != 3 or densities.shape[1] == 0 or densities.shape[2] != 2:
+        raise ValueError("need at least one error density: an (H, 2) or (G, H, 2) array of (mean, std), H >= 1")
+    if not np.isfinite(densities).all():
+        raise ValueError("error densities must be finite")
+    if np.any(densities[..., 1] <= 0.0):
         raise ValueError("error densities must have positive std")
     big_m = cfg.grid_resolution
     h = big_gamma / big_m
@@ -325,46 +336,55 @@ def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
     # z_i - kappa - u_j on the offsets i - j = -(M-1) .. M; the "valid" part
     # of its convolution with a length-M vector is indexed by i = 0 .. M
     lower_arg = (np.arange(1 - big_m, big_m + 1) - 0.5) * h - kappa
+    # one density call per step: the lower limit's offsets, then the upper's
+    pdf_at = np.concatenate([lower_arg, -lower_arg])
+    # one cdf call per step: kappa - z, z - kappa, -kappa, kappa
+    cdf_at = np.concatenate([kappa - z, z - kappa, [-kappa, kappa]])
+    pdf_scale = math.sqrt(2.0 * math.pi)
 
-    g_plus = np.ones(big_m + 1)   # g(z, 0)
-    g_minus = np.ones(big_m + 1)  # g(0, z)
+    rows, horizon = densities.shape[:2]
+    p = np.zeros(rows)
+    live = np.arange(rows)
+    g_plus = np.ones((rows, big_m + 1))   # g(z, 0)
+    g_minus = np.ones((rows, big_m + 1))  # g(0, z)
+    conv = np.empty((rows, 2, big_m + 1))
+    for k in range(horizon - 1, -1, -1):
+        alive = g_plus.any(axis=1) | g_minus.any(axis=1)
+        if not alive.all():
+            live, g_plus, g_minus = live[alive], g_plus[alive], g_minus[alive]
+            if not live.size:
+                break
+        mean = densities[live, k, :1]
+        std = densities[live, k, 1:]
+        g_mid_minus = 0.5 * (g_minus[:, :-1] + g_minus[:, 1:])
+        g_mid_plus = 0.5 * (g_plus[:, :-1] + g_plus[:, 1:])
+        g00 = g_minus[:, :1]
 
-    def norm_pdf(x, mean, std):
-        return np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
-
-    def norm_cdf(x, mean, std):
-        return ndtr((x - mean) / std)
-
-    for mean, std in reversed(densities):
-        if not (g_plus.any() or g_minus.any()):
-            return 0.0
-        g_mid_minus = 0.5 * (g_minus[:-1] + g_minus[1:])
-        g_mid_plus = 0.5 * (g_plus[:-1] + g_plus[1:])
-        g00 = g_minus[0]
-
+        pdf = np.exp(-0.5 * ((pdf_at - mean) / std) ** 2) / (std * pdf_scale)
+        cdf = ndtr((cdf_at - mean) / std)
+        for row in range(live.size):
+            conv[row, 0] = np.convolve(pdf[row, :2 * big_m], g_mid_minus[row], "valid")
+            conv[row, 1] = np.convolve(pdf[row, 2 * big_m:], g_mid_plus[row], "valid")
         # term 1: lower limit lands in (0, Gamma];  r = z_minus - kappa - u
-        term1 = h * np.convolve(norm_pdf(lower_arg, mean, std), g_mid_minus, "valid")
+        term1 = h * conv[:live.size, 0]
         # term 3: upper limit lands in (0, Gamma];  r = kappa - z_plus + u
-        term3 = h * np.convolve(norm_pdf(-lower_arg, mean, std), g_mid_plus, "valid")
+        term3 = h * conv[:live.size, 1]
         # term 2: both limits reset to zero
-        p_mid_plus = norm_cdf(kappa - z, mean, std) - norm_cdf(-kappa, mean, std)
-        p_mid_minus = norm_cdf(kappa, mean, std) - norm_cdf(z - kappa, mean, std)
+        p_mid_plus = cdf[:, :big_m + 1] - cdf[:, -2:-1]
+        p_mid_minus = cdf[:, -1:] - cdf[:, big_m + 1:-2]
 
-        new_g_plus = term1[0] + g00 * p_mid_plus + term3
-        new_g_minus = term1 + g00 * p_mid_minus + term3[0]
-        g_plus = np.clip(new_g_plus, 0.0, 1.0)
-        g_minus = np.clip(new_g_minus, 0.0, 1.0)
-
-    return float(g_minus[0])
+        g_plus = np.clip(term1[:, :1] + g00 * p_mid_plus + term3, 0.0, 1.0)
+        g_minus = np.clip(term1 + g00 * p_mid_minus + term3[:, :1], 0.0, 1.0)
+    p[live] = g_minus[:, 0]
+    return float(p[0]) if single else p
 
 
 def _ntp_success(snapshot, forecast, cfg):
     if cfg is None:
         cfg = CusumRecursionConfig(horizon=len(forecast.batches))
-    densities = list(zip(forecast.e_n_mean, forecast.e_n_std))
-    p = cusum_success_recursion(densities, snapshot.config.detection_threshold,
-                                snapshot.config.sensitivity, cfg)
-    return min(max(p, 0.0), 1.0)
+    densities = np.stack([forecast.e_n_mean, forecast.e_n_std], axis=-1)
+    return cusum_success_recursion(densities, snapshot.config.detection_threshold,
+                                   snapshot.config.sensitivity, cfg)
 
 
 def ntp_success_prob(snapshot, delta_t, horizon, cfg=None):
@@ -383,11 +403,12 @@ def _curve_grid(delta_t_grid):
 
 def ntp_success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
     """The NTP model's predicted success curve over a delta-T grid, and the
-    per-delta-T forecasts it was computed from."""
+    grid forecast it was computed from (columns (G, H), row g for
+    ``delta_t_grid[g]``): one forecast pass and one recursion for the grid."""
     grid = _curve_grid(delta_t_grid)
-    forecasts = ntp_forecasts(snapshot, grid, horizon)
-    p = np.array([_ntp_success(snapshot, fc, recursion_cfg) for fc in forecasts])
-    return SuccessCurve(grid=grid, p_success=p, trials=0, horizon=horizon, source="PREDICTED"), forecasts
+    forecast = _forecast(snapshot, grid, horizon)
+    p = _ntp_success(snapshot, forecast, recursion_cfg)
+    return SuccessCurve(grid=grid, p_success=p, trials=0, horizon=horizon, source="PREDICTED"), forecast
 
 
 def success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):

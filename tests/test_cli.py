@@ -155,6 +155,36 @@ class TestBadInput:
         assert code == 1 and "least-squares sums" in err
 
 
+class TestNonFiniteGrids:
+    @pytest.fixture(scope="class")
+    def snapshot(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("snap")
+        trace, snap = path / "trace.log", path / "snap.csv"
+        assert main(["generate", "--count", "4020", "--seed", "3", "--out", str(trace)]) == 0
+        assert main(["detect", "--input", str(trace), "--variant", "ntp", "--warmup", "150",
+                     "--snapshot-out", str(snap), "--out", str(path / "r.csv")]) == 0
+        return snap
+
+    @pytest.mark.parametrize("spec", ["-1:1:nan", "-1:1:inf", "nan:1:1e-7", "-inf:1:1e-7", "-1:inf:1e-7"])
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_non_finite_grid_spec_exits_1(self, capsys, tmp_path, snapshot, command, spec):
+        out = tmp_path / "curve.csv"
+        args = (["--model", "ntp", "--snapshot", str(snapshot)] if command == "predict"
+                else ["--warmup", "20", "--trials", "2", "--horizon", "3"])
+        code, _, err = run_cli([command, *args, f"--grid={spec}", "--out", str(out)], capsys)
+        assert code == 1 and f"grid spec {spec!r}" in err and "finite" in err
+        assert not out.exists()
+
+    def test_overflowing_forecast_exits_1(self, capsys, tmp_path, snapshot):
+        # finite grid points whose forecast overflows give no density to recurse on
+        out, forecast = tmp_path / "curve.csv", tmp_path / "forecast.csv"
+        code, _, err = run_cli(["predict", "--model", "ntp", "--snapshot", str(snapshot), "--grid=-1:1:1e308",
+                                "--horizon", "3", "--forecast-out", str(forecast), "--out", str(out)], capsys)
+        assert code == 1 and "error densities must be finite" in err
+        assert "Warning" not in err
+        assert not out.exists() and not forecast.exists()
+
+
 class TestWorkflows:
     def test_generate_detect_predict(self, capsys, tmp_path):
         trace = tmp_path / "trace.log"
@@ -234,7 +264,10 @@ class TestWorkflows:
         assert run_cli(["predict", "--model", "ntp", "--snapshot", str(snap), "--grid", "-2:2:1e-7",
                         "--horizon", "4", "--forecast-out", str(tmp_path / "f.csv"), "--out", str(pred)],
                        capsys)[0] == 0
-        assert len(calls) == 5
+        # one grid-wide pass over the horizon covers each delta-T once
+        assert len(calls) == 1
+        snapshot, grid, horizon = calls[0]
+        assert np.array_equal(grid, np.arange(-2, 3) * 1e-7) and horizon == 4
         assert pred.read_text() == plain.read_text()
 
     def test_predict_forecast_out_rejects_sota(self, capsys, tmp_path):
@@ -272,7 +305,12 @@ class TestWorkflows:
         assert code == 0
         curve = SuccessCurve.from_csv(exp.read_text())
         assert curve.p_success.max() == 1.0
-        code, out_text, _ = run_cli(["compare", str(exp), str(exp)], capsys)
+        assert (curve.trials, curve.horizon, curve.source) == (5, 10, "EXPERIMENTAL")
+        # the same values labelled as a prediction compare at ADE 0
+        pred = tmp_path / "pred.csv"
+        pred.write_text(SuccessCurve(grid=curve.grid, p_success=curve.p_success, horizon=10,
+                                     source="PREDICTED").to_csv())
+        code, out_text, _ = run_cli(["compare", str(pred), str(exp)], capsys)
         assert code == 0
         assert out_text.startswith("ADE = 0")
         code, out_text, _ = run_cli(["msi", "--curve", str(exp), "--epsilon", "0.05"], capsys)
@@ -283,11 +321,35 @@ class TestWorkflows:
         grid = np.arange(-50, 51) * 1e-6
         pred, exp = tmp_path / "pred.csv", tmp_path / "exp.csv"
         narrow = np.abs(grid) <= 10e-6
-        pred.write_text(SuccessCurve(grid=grid[narrow], p_success=np.ones(narrow.sum())).to_csv())
+        pred.write_text(SuccessCurve(grid=grid[narrow], p_success=np.ones(narrow.sum()),
+                                     source="PREDICTED").to_csv())
         exp.write_text(SuccessCurve(grid=grid, p_success=np.ones(len(grid))).to_csv())
         code, out_text, err = run_cli(["compare", str(pred), str(exp)], capsys)
         assert code == 1 and out_text == ""
         assert "80 of 101 experimental grid points lie outside the predicted grid" in err
+
+    def test_compare_rejects_two_monte_carlo_curves(self, capsys, tmp_path):
+        exp = tmp_path / "exp.csv"
+        exp.write_text(SuccessCurve(grid=np.zeros(1), p_success=np.ones(1), trials=5, horizon=10).to_csv())
+        code, out_text, err = run_cli(["compare", str(exp), str(exp)], capsys)
+        assert code == 1 and out_text == ""
+        assert "both curves are Monte Carlo results" in err
+
+    def test_compare_rejects_different_horizons(self, capsys, tmp_path):
+        pred, exp = tmp_path / "pred.csv", tmp_path / "exp.csv"
+        pred.write_text(SuccessCurve(grid=np.zeros(1), p_success=np.ones(1), horizon=20,
+                                     source="PREDICTED").to_csv())
+        exp.write_text(SuccessCurve(grid=np.zeros(1), p_success=np.ones(1), trials=5, horizon=60).to_csv())
+        code, out_text, err = run_cli(["compare", str(pred), str(exp)], capsys)
+        assert code == 1 and out_text == ""
+        assert "different horizons: 20 attack batches" in err
+
+    def test_compare_reads_two_column_curves_as_before(self, capsys, tmp_path):
+        old = tmp_path / "old.csv"
+        old.write_text("delta_t_seconds,p_success\n-1e-06,0.5\n0,1\n1e-06,0.5\n")
+        code, out_text, err = run_cli(["compare", str(old), str(old)], capsys)
+        assert code == 0, err
+        assert out_text.startswith("ADE = 0")
 
     def test_correlate(self, capsys, tmp_path):
         out = tmp_path / "pair.csv"

@@ -16,6 +16,7 @@ from canskew.formal import (
     lplus_max,
     ntp_forecast,
     ntp_forecasts,
+    ntp_success_curve,
     ntp_success_prob,
     snapshot_from_csv,
     snapshot_to_csv,
@@ -336,6 +337,30 @@ class TestCusumRecursion:
         with pytest.raises(ValueError):
             cusum_success_recursion([(0.0, -1.0), (100.0, 1.0)], 5.0, 8.0, CusumRecursionConfig())
 
+    @pytest.mark.parametrize("bad", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0)])
+    def test_non_finite_density_rejected_before_early_exit(self, bad):
+        cfg = CusumRecursionConfig()
+        with pytest.raises(ValueError, match="finite"):
+            cusum_success_recursion([bad, (100.0, 1.0)], 5.0, 8.0, cfg)
+        # row 0 exits at the last batch; row 1's bad first batch must still fail
+        block = np.array([[(0.0, 1.0), (100.0, 1.0)], [bad, (0.0, 1.0)]])
+        with pytest.raises(ValueError, match="finite"):
+            cusum_success_recursion(block, 5.0, 8.0, cfg)
+
+    def test_block_gives_one_probability_per_row(self):
+        cfg = CusumRecursionConfig(grid_resolution=40)
+        block = np.array([[(0.0, 0.3)] * 3, [(9.0, 1.0)] * 3, [(0.0, 1.0), (0.0, 1.0), (100.0, 1.0)]])
+        p = cusum_success_recursion(block, 5.0, 8.0, cfg)
+        assert p.shape == (3,) and p[2] == 0.0
+        assert p.tolist() == [cusum_success_recursion(rows, 5.0, 8.0, cfg) for rows in block]
+        single = cusum_success_recursion(block[0], 5.0, 8.0, cfg)
+        assert type(single) is float
+
+    @pytest.mark.parametrize("densities", [[], [[]], np.zeros((2, 0, 2)), np.zeros((3, 3))])
+    def test_shape_checked(self, densities):
+        with pytest.raises(ValueError, match="need at least one error density"):
+            cusum_success_recursion(densities, 5.0, 8.0, CusumRecursionConfig())
+
     def test_grid_convergence(self):
         densities = [(9.0, 1.0)] * 20
         p100 = cusum_success_recursion(densities, 5.0, 8.0, CusumRecursionConfig(grid_resolution=100))
@@ -441,6 +466,19 @@ class TestSuccessCurve:
         p = success_curve(snap, grid, horizon=60,
                           recursion_cfg=CusumRecursionConfig(grid_resolution=100, horizon=60)).p_success
         assert np.max(np.abs(p - np.array(PINNED_NTP_CURVE))) <= 1e-12
+
+    def test_ntp_curve_is_the_pointwise_probabilities(self, ntp_snapshot):
+        grid = np.arange(-25, 26) * 1e-7
+        cfg = CusumRecursionConfig(grid_resolution=50, horizon=30)
+        curve, forecast = ntp_success_curve(ntp_snapshot, grid, horizon=30, recursion_cfg=cfg)
+        pointwise = [ntp_success_prob(ntp_snapshot, float(dt), 30, cfg) for dt in grid]
+        assert 0.0 < min(p for p in pointwise if p > 0.0) and max(pointwise) > 0.9 and 0.0 in pointwise
+        assert np.array_equal(curve.p_success, pointwise)
+        assert forecast.e_n_mean.shape == (len(grid), 30)
+        for g, dt in enumerate(grid):
+            single = ntp_forecast(ntp_snapshot, float(dt), 30)
+            assert np.array_equal(forecast.e_n_mean[g], single.e_n_mean)
+            assert np.array_equal(forecast.e_n_std[g], single.e_n_std)
 
     def test_grid_validation(self, ntp_snapshot):
         with pytest.raises(ValueError):

@@ -184,6 +184,44 @@ class TestSuccessCurveType:
         with pytest.raises(ValueError):
             SuccessCurve(grid=np.array([0.0]), p_success=np.array([1.5]))
 
+    @pytest.mark.parametrize("grid, p", [([0.0], [np.nan]), ([np.nan], [0.5]), ([-np.inf, 0.0], [0.5, 0.5])])
+    def test_non_finite_points_rejected(self, grid, p):
+        with pytest.raises(ValueError, match="finite|lie in"):
+            SuccessCurve(grid=np.array(grid), p_success=np.array(p))
+
+    def test_csv_keeps_provenance(self):
+        curve = SuccessCurve(grid=np.array([-1e-6, 0.0]), p_success=np.array([0.25, 1.0]),
+                             trials=40, horizon=20, source="EXPERIMENTAL")
+        text = curve.to_csv()
+        assert text.splitlines()[:2] == ["delta_t_seconds,p_success,trials,horizon,source",
+                                         "-1e-06,0.25,40,20,EXPERIMENTAL"]
+        for kwargs in ({}, {"trials": 40}, {"trials": 40, "horizon": 20, "source": "EXPERIMENTAL"}):
+            restored = SuccessCurve.from_csv(text, **kwargs)
+            assert (restored.trials, restored.horizon, restored.source) == (40, 20, "EXPERIMENTAL")
+            assert restored.to_csv() == text
+
+    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"horizon": 60}, {"source": "PREDICTED"}])
+    def test_csv_keyword_disagreeing_with_file_rejected(self, kwargs):
+        text = SuccessCurve(grid=np.zeros(1), p_success=np.ones(1), trials=40, horizon=20).to_csv()
+        with pytest.raises(ValueError, match="curve file records"):
+            SuccessCurve.from_csv(text, **kwargs)
+
+    @pytest.mark.parametrize("second, message", [("1e-6,1,40,60,EXPERIMENTAL", "disagree"),
+                                                 ("1e-6,1,40", "line 3: expected 5 fields, got 3")])
+    def test_csv_bad_rows_rejected(self, second, message):
+        text = f"delta_t_seconds,p_success,trials,horizon,source\n0,1,40,20,EXPERIMENTAL\n{second}\n"
+        with pytest.raises(ValueError, match=message):
+            SuccessCurve.from_csv(text)
+
+    def test_two_column_csv_reads_as_before(self):
+        text = "delta_t_seconds,p_success\n0,1\n1e-06,0.5\n"
+        assert not SuccessCurve.records_provenance(text)
+        plain = SuccessCurve.from_csv(text)
+        assert (plain.trials, plain.horizon, plain.source) == (0, 0, "EXPERIMENTAL")
+        given = SuccessCurve.from_csv(text, trials=7, horizon=3, source="PREDICTED")
+        assert (given.trials, given.horizon, given.source) == (7, 3, "PREDICTED")
+        assert np.array_equal(given.p_success, [1.0, 0.5])
+
 
 class TestConsistency:
     def test_noiseless_ntp_sigma_near_zero(self, schedule):

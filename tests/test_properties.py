@@ -121,6 +121,28 @@ class TestSnapshotInvariants:
                 assert getattr(new_fc, name).tobytes() == getattr(old_fc, name).tobytes(), name
 
 
+@st.composite
+def density_blocks(draw, kappa=8.0, big_gamma=5.0):
+    """(G, H, 2) blocks of (mean, std) whose rows mix dead-zone sequences,
+    sequences with one batch far past kappa + Gamma (each row at its own
+    batch, so rows leave the recursion at different steps) and free ones."""
+    horizon = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.lists(st.sampled_from(("dead", "far", "free")), min_size=1, max_size=6))
+    stds = st.floats(min_value=0.05, max_value=5.0)
+    block = np.empty((len(rows), horizon, 2))
+    for g, kind in enumerate(rows):
+        for k in range(horizon):
+            if kind == "dead":
+                block[g, k] = draw(st.floats(min_value=-1.0, max_value=1.0)), draw(st.floats(0.05, 0.5))
+            else:
+                block[g, k] = draw(st.floats(min_value=-30.0, max_value=30.0)), draw(stds)
+        if kind == "far":
+            k = draw(st.integers(min_value=0, max_value=horizon - 1))
+            sign = draw(st.sampled_from((-1.0, 1.0)))
+            block[g, k, 0] = sign * (kappa + big_gamma + draw(st.floats(40.0, 1e3)) * block[g, k, 1])
+    return block
+
+
 class TestFormalInvariants:
     @given(mean=st.floats(min_value=-20, max_value=20),
            std=st.floats(min_value=0.1, max_value=5.0),
@@ -145,6 +167,25 @@ class TestFormalInvariants:
         p = cusum_success_recursion(prefix + [last], big_gamma, kappa,
                                     CusumRecursionConfig(grid_resolution=30))
         assert p == 0.0
+
+    @given(block=density_blocks(), resolution=st.sampled_from((10, 30, 37)))
+    @settings(max_examples=60, deadline=None)
+    def test_recursion_block_equals_rows(self, block, resolution):
+        cfg = CusumRecursionConfig(grid_resolution=resolution)
+        rows = [cusum_success_recursion(densities, 5.0, 8.0, cfg) for densities in block]
+        assert np.array_equal(cusum_success_recursion(block, 5.0, 8.0, cfg), rows)
+
+    @given(block=density_blocks(), data=st.data(),
+           bad=st.sampled_from(((0, math.nan), (0, math.inf), (0, -math.inf),
+                                (1, math.nan), (1, math.inf), (1, 0.0), (1, -1.0))))
+    @settings(max_examples=40, deadline=None)
+    def test_recursion_block_refuses_any_bad_density(self, block, data, bad):
+        row = data.draw(st.integers(0, block.shape[0] - 1))
+        step = data.draw(st.integers(0, block.shape[1] - 1))
+        column, value = bad
+        block[row, step, column] = value
+        with pytest.raises(ValueError, match="finite|positive std"):
+            cusum_success_recursion(block, 5.0, 8.0, CusumRecursionConfig(grid_resolution=10))
 
     @given(e0=st.floats(min_value=8.01, max_value=30.0),
            tau=st.floats(min_value=0.01, max_value=5.0))
