@@ -26,7 +26,6 @@ from .formal import (
     CusumRecursionConfig,
     Snapshot,
     cusum_success_recursion,
-    ntp_success_prob,
     sota_success_prob,
     success_curve,
     take_snapshot,

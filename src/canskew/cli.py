@@ -8,7 +8,6 @@ configuration to stderr so runs can be reproduced and audited.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import math
 import os
@@ -20,6 +19,10 @@ from . import attacks, correlation, formal, harness, ids, traceio
 from .clock import ClockSpec, MessageSchedule, NoiseModel, ppm
 
 SEED_ENV_VAR = "CANSKEW_SEED"
+# far above the 61-, 81- and 601-point grids of the studies; a larger spec is
+# refused before its array is allocated
+MAX_GRID_POINTS = 100_000
+GRID_HELP = f"start:stop:scale, e.g. -50:50:1e-6; at most {MAX_GRID_POINTS} points"
 
 
 def _read_config_file(path):
@@ -38,7 +41,8 @@ def _read_config_file(path):
 
 def _parse_grid(text):
     """Grid spec 'start:stop:scale' -> integer range scaled, e.g. -50:50:1e-6
-    is -50..50 microseconds in 1-step units of the scale."""
+    is -50..50 microseconds in 1-step units of the scale. At most
+    ``MAX_GRID_POINTS`` points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:scale, got {text!r}")
@@ -47,7 +51,11 @@ def _parse_grid(text):
         raise ValueError(f"grid spec {text!r}: start, stop and scale must be finite")
     if stop < start or scale <= 0:
         raise ValueError(f"bad grid spec {text!r}")
-    return np.arange(int(round(start)), int(round(stop)) + 1) * scale
+    first, last = int(round(start)), int(round(stop))
+    if last - first + 1 > MAX_GRID_POINTS:
+        raise ValueError(f"grid spec {text!r} has {last - first + 1} points; "
+                         f"at most {MAX_GRID_POINTS} are allowed")
+    return np.arange(first, last + 1) * scale
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,10 +115,6 @@ def _write_output(args, text):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _log_format(name):
-    return traceio.LogFormat(name)
 
 
 def _ids_config(args):
@@ -198,13 +202,13 @@ def _cmd_generate(args):
     from .clock import synthesize_trace
 
     trace = synthesize_trace(schedule, _target_clock(args), _target_noise(args), args.count, args.seed)
-    _write_output(args, traceio.write_trace(trace, _log_format(args.format)))
+    _write_output(args, traceio.write_trace(trace, traceio.LogFormat(args.format)))
     return 0
 
 
 def _cmd_detect(args):
     with open(args.input, encoding="utf-8") as fh:
-        trace = traceio.parse_log(fh.read(), _log_format(args.format))
+        trace = traceio.parse_log(fh.read(), traceio.LogFormat(args.format))
     if args.fill_missing:
         trace = traceio.fill_missing(trace, args.message_id, args.period)
     report = ids.run_ids(trace, args.message_id, _ids_config(args), args.warmup, period=args.period)
@@ -224,7 +228,7 @@ def _cmd_attack(args):
     spec = _attack_spec(args, args.attack_batches)
     trace = attacks.cloaked_trace(spec, schedule, _target_clock(args), _target_noise(args),
                                   args.normal_count, args.batch_size, args.seed)
-    _write_output(args, traceio.write_trace(trace, _log_format(args.format)))
+    _write_output(args, traceio.write_trace(trace, traceio.LogFormat(args.format)))
     return 0
 
 
@@ -237,19 +241,6 @@ def _cmd_sweep(args):
     curve = harness.monte_carlo_ps(source, _attack_spec(args, args.horizon), cfg, vary=args.vary)
     _write_output(args, curve.to_csv())
     return 0
-
-
-def _forecast_csv(grid, forecast):
-    """An NTP grid forecast as one table: a delta_t column, then the
-    ``NtpForecast.to_csv`` columns, one row per (delta-T, batch)."""
-    names = [field.name for field in dataclasses.fields(formal.NtpForecast)][1:]
-    horizon = len(forecast.batches)
-    columns = [np.repeat(grid, horizon).tolist(), np.tile(forecast.batches, len(grid)).tolist(),
-               *(getattr(forecast, name).ravel().tolist() for name in names)]
-    lines = [",".join(["delta_t", "batch", *names]) + "\n"]
-    lines.extend(f"{delta_t:.12g},{batch}," + ",".join(f"{value:.12g}" for value in values) + "\n"
-                 for delta_t, batch, *values in zip(*columns))
-    return "".join(lines)
 
 
 def _cmd_predict(args):
@@ -265,7 +256,7 @@ def _cmd_predict(args):
     if args.forecast_out:
         curve, forecast = formal.ntp_success_curve(snap, grid, horizon=args.horizon)
         with open(args.forecast_out, "w", encoding="utf-8") as fh:
-            fh.write(_forecast_csv(grid, forecast))
+            fh.write(forecast.to_csv())
     else:
         curve = formal.success_curve(snap, grid, horizon=args.horizon)
     _write_output(args, curve.to_csv())
@@ -328,7 +319,7 @@ def _cmd_consistency(args):
     traces = []
     for path in args.inputs:
         with open(path, encoding="utf-8") as fh:
-            traces.append(traceio.parse_log(fh.read(), _log_format(args.format)))
+            traces.append(traceio.parse_log(fh.read(), traceio.LogFormat(args.format)))
     batch_sizes = [int(v) for v in args.batch_sizes.split(",")]
     # the study sets the variant and batch size of each run itself
     config = ids.IdsConfig(variant=ids.Variant.NTP, rls_lambda=args.rls_lambda)
@@ -379,7 +370,7 @@ def build_parser():
     _add_attack_flags(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--horizon", type=int, default=60)
-    p.add_argument("--grid", help="start:stop:scale, e.g. -50:50:1e-6")
+    p.add_argument("--grid", help=GRID_HELP)
     p.add_argument("--vary", choices=["delta_t", "mistiming"], default="delta_t")
     p.set_defaults(func=_cmd_sweep)
 
@@ -387,7 +378,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--model", choices=["sota", "ntp"], required=True)
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--grid", required=True, help="start:stop:scale, e.g. -50:50:1e-6")
+    p.add_argument("--grid", required=True, help=GRID_HELP)
     p.add_argument("--horizon", type=int, default=60)
     p.add_argument("--forecast-out",
                    help="also write the per-batch NTP forecast for every delta-T (ntp model only)")

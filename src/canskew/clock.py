@@ -117,10 +117,6 @@ class Trace:
     def records(self):
         return list(zip(self.times.tolist(), self.ids.tolist()))
 
-    @property
-    def message_ids(self):
-        return sorted(int(i) for i in np.unique(self.ids))
-
     def arrivals(self, message_id):
         """Arrival times of one message id, in trace order."""
         return self.times[self.ids == message_id]

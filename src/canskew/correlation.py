@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .clock import ClockSpec, InsufficientDataError, MessageSchedule, NoiseModel, Trace, synthesize_trace
+from .clock import InsufficientDataError, MessageSchedule, NoiseModel, Trace, synthesize_trace
 
 __all__ = [
     "CorrelationScenario",
@@ -28,7 +28,6 @@ __all__ = [
     "correlation_verdict",
 ]
 
-DEFAULT_REFERENCE_BATCHES = 500
 DEFAULT_DROP_THRESHOLD = 0.3
 
 
@@ -43,8 +42,6 @@ class CorrelationScenario:
     id_v: int
     id_w: int
     transmission_duration: float
-    delay_v: float = 0.0
-    delay_w: float = 0.0
     arbitration_delay_dist: object = None
     batch_size: int = 20
     period: float = 0.1
@@ -123,13 +120,12 @@ def predicted_rho(var_o, var_d):
     return math.sqrt(var_o / (var_o + var_d))
 
 
-def simulate_sibling_pair(scenario, source_clock, batches, seed,
-                          jitter_std=0.0, independent_clock=None):
+def simulate_sibling_pair(scenario, source_clock, batches, seed, independent_clock=None):
     """Synthesize (trace_v, trace_w) for a sibling pair.
 
-    w arrives at v + transmission_duration + (delay_w - delay_v) + arbitration
-    draw. With ``independent_clock`` set, w instead comes from its own clock on
-    a separate ECU (the uncorrelated baseline).
+    w arrives at v + transmission_duration + arbitration draw. With
+    ``independent_clock`` set, w instead comes from its own clock on a
+    separate ECU (the uncorrelated baseline).
     """
     if batches < 2:
         raise ValueError("batches must be >= 2")
@@ -137,15 +133,13 @@ def simulate_sibling_pair(scenario, source_clock, batches, seed,
     rng = np.random.default_rng(seed)
     seed_v, seed_w = (int(s) for s in rng.integers(0, 2**63, size=2))
     schedule_v = MessageSchedule(scenario.id_v, scenario.period)
-    clock = ClockSpec(skew=source_clock.skew, jitter_std=jitter_std or source_clock.jitter_std)
-    trace_v = synthesize_trace(schedule_v, clock, NoiseModel(delay_mean=scenario.delay_v), count, seed_v)
+    trace_v = synthesize_trace(schedule_v, source_clock, NoiseModel(), count, seed_v)
     if independent_clock is not None:
         schedule_w = MessageSchedule(scenario.id_w, scenario.period,
                                      start_time=scenario.transmission_duration)
-        trace_w = synthesize_trace(schedule_w, independent_clock,
-                                   NoiseModel(delay_mean=scenario.delay_w), count, seed_w)
+        trace_w = synthesize_trace(schedule_w, independent_clock, NoiseModel(), count, seed_w)
         return trace_v, trace_w
-    w_times = trace_v.times + scenario.transmission_duration + (scenario.delay_w - scenario.delay_v)
+    w_times = trace_v.times + scenario.transmission_duration
     if scenario.arbitration_delay_dist is not None:
         arb = np.asarray(scenario.arbitration_delay_dist(rng, count), dtype=np.float64)
         if np.any(arb < 0):

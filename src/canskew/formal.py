@@ -10,10 +10,8 @@ would alone.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +30,8 @@ __all__ = [
     "sota_success_prob",
     "lplus_max",
     "ntp_forecast",
-    "ntp_forecasts",
     "ntp_success_curve",
     "cusum_success_recursion",
-    "ntp_success_prob",
     "success_curve",
     "snapshot_to_csv",
     "snapshot_from_csv",
@@ -86,6 +82,8 @@ class SotaPrediction:
 @dataclass(frozen=True)
 class CusumRecursionConfig:
     grid_resolution: int = 100
+    # read by nothing (the recursion's horizon is the length of its density
+    # sequences); kept while the benchmark constructs the config with it
     horizon: int = 60
 
     def __post_init__(self):
@@ -102,13 +100,14 @@ _FORECAST_COLUMNS = ("t_hat", "o_acc_hat", "skew_hat", "e_hat", "mu_cusum_hat", 
 @dataclass(frozen=True)
 class NtpForecast:
     """Deterministic per-batch forecast of the NTP detector under attack,
-    plus the Gaussian parameters of each batch's normalized error.
+    plus the Gaussian parameters of each batch's normalized error, for every
+    delta-T of a grid.
 
-    ``batches`` is (H,). The other columns are (H,) for one delta-T, or
-    (G, H) for a grid, row g being the forecast at the grid's g-th delta-T;
-    ``to_csv`` writes the one-delta-T form.
+    ``delta_t`` is the (G,) grid and ``batches`` the (H,) attack batches;
+    every other column is (G, H), row g being the forecast at ``delta_t[g]``.
     """
 
+    delta_t: np.ndarray
     batches: np.ndarray
     t_hat: np.ndarray
     o_acc_hat: np.ndarray
@@ -120,13 +119,15 @@ class NtpForecast:
     e_n_std: np.ndarray
 
     def to_csv(self):
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["batch", *_FORECAST_COLUMNS])
-        columns = [getattr(self, name) for name in _FORECAST_COLUMNS]
-        for i in range(len(self.batches)):
-            writer.writerow([int(self.batches[i]), *(f"{col[i]:.12g}" for col in columns)])
-        return buf.getvalue()
+        """The forecast as one table: delta_t, batch, then the forecast
+        columns, one row per (delta-T, batch)."""
+        horizon = len(self.batches)
+        columns = [np.repeat(self.delta_t, horizon).tolist(), np.tile(self.batches, len(self.delta_t)).tolist(),
+                   *(getattr(self, name).ravel().tolist() for name in _FORECAST_COLUMNS)]
+        lines = [",".join(["delta_t", "batch", *_FORECAST_COLUMNS]) + "\n"]
+        lines.extend(f"{delta_t:.12g},{batch}," + ",".join(f"{value:.12g}" for value in values) + "\n"
+                     for delta_t, batch, *values in zip(*columns))
+        return "".join(lines)
 
 
 def take_snapshot(report, state, m):
@@ -210,10 +211,20 @@ def sota_success_prob(snapshot, delta_t):
     return SotaPrediction(mu_e=mu_e, sigma_e=sigma_e, tau=tau, p_success=min(max(p, 0.0), 1.0))
 
 
-def _forecast(snapshot, delta_t_grid, horizon):
-    """The NTP forecast for every delta-T of a grid at once. The horizon's
-    batches are stepped once over (G,) arrays, each row with the operations
-    and operand order of a one-delta-T forecast, and every column is (G, H)."""
+def ntp_forecast(snapshot, delta_t_grid, horizon):
+    """Forecast the NTP detector's state over ``horizon`` attack batches, for
+    every delta-T of a 1-d grid.
+
+    Noise terms are taken at their means, the RLS output is approximated by
+    the lambda-weighted least-squares slope, which starts from the
+    snapshot's sums over batches 1..m-1 and takes in each forecast batch,
+    and the CUSUM reference statistics are advanced by their own update rule.
+    The horizon's batches are stepped once over (G,) arrays, and each row
+    comes out exactly as a one-point grid gives it.
+    """
+    delta_t = np.asarray(delta_t_grid, dtype=np.float64)
+    if delta_t.ndim != 1:
+        raise ValueError(f"NTP forecast takes a 1-d delta-T grid, got shape {delta_t.shape}")
     if snapshot.period is None:
         raise ValueError("NTP forecast requires the nominal period in the snapshot")
     if not snapshot.tt_sum > 0.0:
@@ -222,7 +233,6 @@ def _forecast(snapshot, delta_t_grid, horizon):
     cfg = snapshot.config
     n = cfg.batch_size
     lam = cfg.rls_lambda
-    delta_t = np.asarray(delta_t_grid, dtype=np.float64)
     shifted = snapshot.mu + delta_t
     drift = (snapshot.period - snapshot.mu) - delta_t  # per-period offset O, less delta-T
     sigma_eta = snapshot.sigma / math.sqrt(2.0)
@@ -265,31 +275,7 @@ def _forecast(snapshot, delta_t_grid, horizon):
             skew_prev = a_sum / b_sum
             cols["skew_hat"][..., j - 1] = skew_prev
     m = snapshot.start_batch
-    return NtpForecast(batches=np.arange(m, m + horizon), **cols)
-
-
-def _forecast_row(forecast, g):
-    """Row g of a grid forecast, as views of its columns."""
-    return NtpForecast(batches=forecast.batches,
-                       **{name: getattr(forecast, name)[g] for name in _FORECAST_COLUMNS})
-
-
-def ntp_forecast(snapshot, delta_t, horizon):
-    """Forecast the NTP detector's state over ``horizon`` attack batches.
-
-    Noise terms are taken at their means, the RLS output is approximated by
-    the lambda-weighted least-squares slope, which starts from the
-    snapshot's sums over batches 1..m-1 and takes in each forecast batch,
-    and the CUSUM reference statistics are advanced by their own update rule.
-    """
-    return _forecast_row(_forecast(snapshot, [delta_t], horizon), 0)
-
-
-def ntp_forecasts(snapshot, delta_t_grid, horizon):
-    """``ntp_forecast`` for every delta-T of a grid, from one pass over the
-    horizon for the whole grid."""
-    forecast = _forecast(snapshot, delta_t_grid, horizon)
-    return [_forecast_row(forecast, g) for g in range(len(forecast.t_hat))]
+    return NtpForecast(delta_t=delta_t, batches=np.arange(m, m + horizon), **cols)
 
 
 def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
@@ -379,19 +365,6 @@ def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
     return float(p[0]) if single else p
 
 
-def _ntp_success(snapshot, forecast, cfg):
-    if cfg is None:
-        cfg = CusumRecursionConfig(horizon=len(forecast.batches))
-    densities = np.stack([forecast.e_n_mean, forecast.e_n_std], axis=-1)
-    return cusum_success_recursion(densities, snapshot.config.detection_threshold,
-                                   snapshot.config.sensitivity, cfg)
-
-
-def ntp_success_prob(snapshot, delta_t, horizon, cfg=None):
-    """Cloaking success probability against the NTP detector."""
-    return _ntp_success(snapshot, ntp_forecast(snapshot, delta_t, horizon), cfg)
-
-
 def _curve_grid(delta_t_grid):
     grid = np.asarray(delta_t_grid, dtype=np.float64)
     if grid.size == 0:
@@ -403,11 +376,13 @@ def _curve_grid(delta_t_grid):
 
 def ntp_success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
     """The NTP model's predicted success curve over a delta-T grid, and the
-    grid forecast it was computed from (columns (G, H), row g for
-    ``delta_t_grid[g]``): one forecast pass and one recursion for the grid."""
+    ``ntp_forecast`` it was computed from: one forecast pass and one
+    recursion for the grid."""
     grid = _curve_grid(delta_t_grid)
-    forecast = _forecast(snapshot, grid, horizon)
-    p = _ntp_success(snapshot, forecast, recursion_cfg)
+    forecast = ntp_forecast(snapshot, grid, horizon)
+    densities = np.stack([forecast.e_n_mean, forecast.e_n_std], axis=-1)
+    p = cusum_success_recursion(densities, snapshot.config.detection_threshold, snapshot.config.sensitivity,
+                                recursion_cfg or CusumRecursionConfig())
     return SuccessCurve(grid=grid, p_success=p, trials=0, horizon=horizon, source="PREDICTED"), forecast
 
 

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, config files, seeds, exit codes."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from canskew import formal
-from canskew.cli import main
+from canskew.cli import _parse_grid, main
 from canskew.curves import SuccessCurve
-from canskew.formal import ntp_forecast, snapshot_from_csv
 from canskew.traceio import LogFormat, parse_log
 
 
@@ -155,23 +156,28 @@ class TestBadInput:
         assert code == 1 and "least-squares sums" in err
 
 
-class TestNonFiniteGrids:
-    @pytest.fixture(scope="class")
-    def snapshot(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("snap")
-        trace, snap = path / "trace.log", path / "snap.csv"
-        assert main(["generate", "--count", "4020", "--seed", "3", "--out", str(trace)]) == 0
-        assert main(["detect", "--input", str(trace), "--variant", "ntp", "--warmup", "150",
-                     "--snapshot-out", str(snap), "--out", str(path / "r.csv")]) == 0
-        return snap
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    path = tmp_path_factory.mktemp("snap")
+    trace, snap = path / "trace.log", path / "snap.csv"
+    assert main(["generate", "--count", "4020", "--seed", "3", "--out", str(trace)]) == 0
+    assert main(["detect", "--input", str(trace), "--variant", "ntp", "--warmup", "150",
+                 "--snapshot-out", str(snap), "--out", str(path / "r.csv")]) == 0
+    return snap
 
+
+def grid_command(command, snapshot):
+    return (["--model", "ntp", "--snapshot", str(snapshot)] if command == "predict"
+            else ["--warmup", "20", "--trials", "2", "--horizon", "3"])
+
+
+class TestNonFiniteGrids:
     @pytest.mark.parametrize("spec", ["-1:1:nan", "-1:1:inf", "nan:1:1e-7", "-inf:1:1e-7", "-1:inf:1e-7"])
     @pytest.mark.parametrize("command", ["predict", "sweep"])
     def test_non_finite_grid_spec_exits_1(self, capsys, tmp_path, snapshot, command, spec):
         out = tmp_path / "curve.csv"
-        args = (["--model", "ntp", "--snapshot", str(snapshot)] if command == "predict"
-                else ["--warmup", "20", "--trials", "2", "--horizon", "3"])
-        code, _, err = run_cli([command, *args, f"--grid={spec}", "--out", str(out)], capsys)
+        code, _, err = run_cli([command, *grid_command(command, snapshot), f"--grid={spec}", "--out", str(out)],
+                               capsys)
         assert code == 1 and f"grid spec {spec!r}" in err and "finite" in err
         assert not out.exists()
 
@@ -183,6 +189,26 @@ class TestNonFiniteGrids:
         assert code == 1 and "error densities must be finite" in err
         assert "Warning" not in err
         assert not out.exists() and not forecast.exists()
+
+
+class TestGridSize:
+    # both specs are refused before an array is made: the point count alone
+    # is past the cap
+    @pytest.mark.parametrize("spec, count", [("0:1e15:1e-9", 10**15 + 1), ("-1e18:1e18:1e-30", 2 * 10**18 + 1)],
+                             ids=["1e15-points", "2e18-points"])
+    @pytest.mark.parametrize("command", ["predict", "sweep"])
+    def test_oversized_grid_spec_exits_1(self, capsys, tmp_path, snapshot, command, spec, count):
+        out = tmp_path / "curve.csv"
+        code, _, err = run_cli([command, *grid_command(command, snapshot), f"--grid={spec}", "--out", str(out)],
+                               capsys)
+        assert code == 1 and f"grid spec {spec!r} has {count} points" in err
+        assert not out.exists()
+
+    def test_cap_is_100000_points(self):
+        assert len(_parse_grid("1:100000:1e-9")) == 100_000
+        assert len(_parse_grid("-50000.4:49999.4:1e-9")) == 100_000
+        with pytest.raises(ValueError, match="has 100001 points; at most 100000"):
+            _parse_grid("0:100000:1e-9")
 
 
 class TestWorkflows:
@@ -239,15 +265,13 @@ class TestWorkflows:
             "--horizon", "4", "--forecast-out", str(forecast), "--out", str(tmp_path / "pred.csv"),
         ], capsys)
         assert code == 0
-        snapshot = snapshot_from_csv(snap.read_text())
         lines = forecast.read_text().splitlines()
-        assert lines[0] == "delta_t," + ntp_forecast(snapshot, 0.0, 4).to_csv().splitlines()[0]
+        assert lines[0] == "delta_t,batch,t_hat,o_acc_hat,skew_hat,e_hat,mu_cusum_hat,sigma_cusum_hat,e_n_mean,e_n_std"
         assert len(lines) == 1 + 3 * 4
-        for k, delta_t in enumerate((-1e-7, 0.0, 1e-7)):
-            rows = ntp_forecast(snapshot, delta_t, 4).to_csv().splitlines()[1:]
-            block = lines[1 + 4 * k: 1 + 4 * (k + 1)]
-            assert [row.split(",", 1)[1] for row in block] == rows
-            assert all(float(row.split(",", 1)[0]) == pytest.approx(delta_t, abs=1e-18) for row in block)
+        # the bytes written when each delta-T's rows came from its own
+        # one-point forecast and were prefixed with the delta-T
+        assert hashlib.sha256(forecast.read_bytes()).hexdigest() == \
+            "534b3b56fd970dd14a1f1d6c01f14f7f36e24c16651c839a61a22b44697d26cb"
 
     def test_predict_forecasts_each_delta_t_once(self, capsys, tmp_path, monkeypatch):
         trace, snap = tmp_path / "trace.log", tmp_path / "snap.csv"
@@ -258,8 +282,8 @@ class TestWorkflows:
         assert run_cli(["predict", "--model", "ntp", "--snapshot", str(snap), "--grid", "-2:2:1e-7",
                         "--horizon", "4", "--out", str(plain)], capsys)[0] == 0
         calls = []
-        forecast = formal._forecast
-        monkeypatch.setattr(formal, "_forecast", lambda *args: calls.append(args) or forecast(*args))
+        forecast = formal.ntp_forecast
+        monkeypatch.setattr(formal, "ntp_forecast", lambda *args: calls.append(args) or forecast(*args))
         pred = tmp_path / "pred.csv"
         assert run_cli(["predict", "--model", "ntp", "--snapshot", str(snap), "--grid", "-2:2:1e-7",
                         "--horizon", "4", "--forecast-out", str(tmp_path / "f.csv"), "--out", str(pred)],

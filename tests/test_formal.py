@@ -1,6 +1,7 @@
 """Success-probability models: closed-form SOTA bound, NTP forecast, and the
 CUSUM control-limit recursion."""
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,7 @@ from canskew.formal import (
     gaussian_cdf,
     lplus_max,
     ntp_forecast,
-    ntp_forecasts,
     ntp_success_curve,
-    ntp_success_prob,
     snapshot_from_csv,
     snapshot_to_csv,
     sota_initial_error,
@@ -196,9 +195,9 @@ class TestSnapshot:
         snap = snapshot_from_csv(OLD_FORMAT_SNAPSHOT)
         assert snap.start_batch == 8 and len(snap.reference_errors) == 7
         assert snap.t == 2.799730021868301
-        fc = ntp_forecast(snap, 1e-7, 3)
+        fc = ntp_forecast(snap, [1e-7], 3)
         for name, want in OLD_FORMAT_FORECAST.items():
-            assert getattr(fc, name).tolist() == want, name
+            assert getattr(fc, name)[0].tolist() == want, name
         assert snapshot_from_csv(snapshot_to_csv(snap)) == snap
 
     def test_old_format_unequal_histories_rejected(self):
@@ -370,11 +369,11 @@ class TestCusumRecursion:
 
 class TestNtpForecast:
     def test_o_acc_identity(self, ntp_snapshot):
-        fc = ntp_forecast(ntp_snapshot, 0.0, 60)
+        fc = ntp_forecast(ntp_snapshot, [0.0], 60)
         n = ntp_snapshot.config.batch_size
         drift = ntp_snapshot.o_acc - (ntp_snapshot.start_batch - 1) * n * PERIOD + ntp_snapshot.t
         # identity O_acc = kNT - t holds up to the run's own constant offset
-        for k, (t_hat, o_hat) in enumerate(zip(fc.t_hat, fc.o_acc_hat), start=ntp_snapshot.start_batch):
+        for k, (t_hat, o_hat) in enumerate(zip(fc.t_hat[0], fc.o_acc_hat[0]), start=ntp_snapshot.start_batch):
             assert o_hat == pytest.approx(k * n * PERIOD - t_hat + drift, abs=1e-9)
 
     def test_zero_offset_trivial_forecast(self):
@@ -385,10 +384,10 @@ class TestNtpForecast:
             Variant.NTP, config=make_config(Variant.NTP, rls_lambda=1.0), mu=PERIOD, sigma=1e-6,
             o_acc=0.0, t=t_now, ot_sum=0.0, tt_sum=sum(t * t for t in history_t), start_batch=101,
         )
-        fc = ntp_forecast(snap, 0.0, 5)
-        assert np.allclose(fc.t_hat, [(101 + j) * n * PERIOD for j in range(5)], atol=1e-9)
-        assert np.allclose(fc.o_acc_hat, 0.0, atol=1e-12)
-        assert np.allclose(fc.e_hat, 0.0, atol=1e-12)
+        fc = ntp_forecast(snap, [0.0], 5)
+        assert np.allclose(fc.t_hat[0], [(101 + j) * n * PERIOD for j in range(5)], atol=1e-9)
+        assert np.allclose(fc.o_acc_hat[0], 0.0, atol=1e-12)
+        assert np.allclose(fc.e_hat[0], 0.0, atol=1e-12)
 
     def test_lambda_one_recovers_exact_slope(self):
         # with mu = T the forecast continues the exact line when
@@ -402,21 +401,43 @@ class TestNtpForecast:
             ot_sum=sum(o * t for o, t in zip(history_o, history_t)),
             tt_sum=sum(t * t for t in history_t), start_batch=51,
         )
-        fc = ntp_forecast(snap, -slope * PERIOD / (1 + slope), 1)
-        assert fc.e_hat[0] == pytest.approx(0.0, abs=1e-12)
+        fc = ntp_forecast(snap, [-slope * PERIOD / (1 + slope)], 1)
+        assert fc.e_hat[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_grid_forecasts_match_single_forecasts(self, ntp_snapshot):
         grid = np.arange(-3, 4) * 1e-7
-        for dt, fc in zip(grid, ntp_forecasts(ntp_snapshot, grid, 30)):
-            single = ntp_forecast(ntp_snapshot, float(dt), 30)
+        forecast = ntp_forecast(ntp_snapshot, grid, 30)
+        assert forecast.delta_t.tolist() == grid.tolist()
+        for g, dt in enumerate(grid):
+            single = ntp_forecast(ntp_snapshot, [float(dt)], 30)
             for name in ("t_hat", "o_acc_hat", "skew_hat", "e_hat", "mu_cusum_hat",
                          "sigma_cusum_hat", "e_n_mean", "e_n_std"):
-                assert np.array_equal(getattr(fc, name), getattr(single, name)), name
+                assert getattr(forecast, name).shape == (len(grid), 30), name
+                assert np.array_equal(getattr(forecast, name)[g], getattr(single, name)[0]), name
+
+    @pytest.mark.parametrize("delta_t", [0.0, [[0.0, 1e-7]]], ids=["scalar", "2-d"])
+    def test_grid_must_be_1d(self, ntp_snapshot, delta_t):
+        shape = np.shape(delta_t)
+        with pytest.raises(ValueError, match=f"1-d delta-T grid, got shape {re.escape(str(shape))}"):
+            ntp_forecast(ntp_snapshot, delta_t, 5)
+
+    def test_to_csv_writes_one_row_per_delta_t_and_batch(self, ntp_snapshot):
+        grid = np.array([-1e-7, 0.0, 1e-7])
+        forecast = ntp_forecast(ntp_snapshot, grid, 4)
+        lines = forecast.to_csv().splitlines()
+        assert lines[0] == "delta_t,batch,t_hat,o_acc_hat,skew_hat,e_hat,mu_cusum_hat,sigma_cusum_hat,e_n_mean,e_n_std"
+        assert len(lines) == 1 + len(grid) * 4
+        for g, dt in enumerate(grid):
+            for j, line in enumerate(lines[1 + 4 * g: 1 + 4 * (g + 1)]):
+                fields = line.split(",")
+                assert float(fields[0]) == pytest.approx(dt, abs=1e-18)
+                assert int(fields[1]) == ntp_snapshot.start_batch + j
+                assert float(fields[9]) == pytest.approx(forecast.e_n_std[g, j], rel=1e-11)
 
     def test_requires_history(self):
         snap = manual_snapshot(Variant.NTP)
         with pytest.raises(ValueError, match="least-squares sums"):
-            ntp_forecast(snap, 0.0, 5)
+            ntp_forecast(snap, [0.0], 5)
 
     def test_forecast_tracks_simulated_errors(self, ntp_snapshot, warm_trace, schedule,
                                                target_clock, attacker_clock, matched_delta_t0):
@@ -424,7 +445,7 @@ class TestNtpForecast:
 
         delta_t = 5e-6
         horizon = 60
-        fc = ntp_forecast(ntp_snapshot, delta_t, horizon)
+        fc = ntp_forecast(ntp_snapshot, [delta_t], horizon)
         spec = AttackSpec(delta_t0=matched_delta_t0, delta_t=delta_t, start_batch=301,
                           attack_batches=horizon, attacker_clock=attacker_clock)
         sims = np.zeros((100, horizon))
@@ -436,7 +457,7 @@ class TestNtpForecast:
             sims[trial] = run_ids(trace, MESSAGE_ID, make_config(Variant.NTP), 300, period=PERIOD).e[300:]
         mean_e = sims.mean(axis=0)
         scale = np.max(np.abs(mean_e))
-        assert np.all(np.abs(fc.e_hat - mean_e) <= 0.10 * scale)
+        assert np.all(np.abs(fc.e_hat[0] - mean_e) <= 0.10 * scale)
 
 
 class TestSuccessCurve:
@@ -471,14 +492,14 @@ class TestSuccessCurve:
         grid = np.arange(-25, 26) * 1e-7
         cfg = CusumRecursionConfig(grid_resolution=50, horizon=30)
         curve, forecast = ntp_success_curve(ntp_snapshot, grid, horizon=30, recursion_cfg=cfg)
-        pointwise = [ntp_success_prob(ntp_snapshot, float(dt), 30, cfg) for dt in grid]
+        singles = [ntp_success_curve(ntp_snapshot, [float(dt)], horizon=30, recursion_cfg=cfg) for dt in grid]
+        pointwise = [single.p_success[0] for single, _ in singles]
         assert 0.0 < min(p for p in pointwise if p > 0.0) and max(pointwise) > 0.9 and 0.0 in pointwise
         assert np.array_equal(curve.p_success, pointwise)
         assert forecast.e_n_mean.shape == (len(grid), 30)
-        for g, dt in enumerate(grid):
-            single = ntp_forecast(ntp_snapshot, float(dt), 30)
-            assert np.array_equal(forecast.e_n_mean[g], single.e_n_mean)
-            assert np.array_equal(forecast.e_n_std[g], single.e_n_std)
+        for g, (_, single) in enumerate(singles):
+            assert np.array_equal(forecast.e_n_mean[g], single.e_n_mean[0])
+            assert np.array_equal(forecast.e_n_std[g], single.e_n_std[0])
 
     def test_grid_validation(self, ntp_snapshot):
         with pytest.raises(ValueError):
