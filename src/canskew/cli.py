@@ -206,9 +206,14 @@ def _cmd_generate(args):
     return 0
 
 
+def _read_log(path, fmt):
+    """Parse the log file at ``path``; its bytes are released once parsed."""
+    with open(path, "rb") as fh:
+        return traceio.parse_log(fh.read(), traceio.LogFormat(fmt))
+
+
 def _cmd_detect(args):
-    with open(args.input, encoding="utf-8") as fh:
-        trace = traceio.parse_log(fh.read(), traceio.LogFormat(args.format))
+    trace = _read_log(args.input, args.format)
     if args.fill_missing:
         trace = traceio.fill_missing(trace, args.message_id, args.period)
     report = ids.run_ids(trace, args.message_id, _ids_config(args), args.warmup, period=args.period)
@@ -316,10 +321,7 @@ def _cmd_correlate(args):
 
 
 def _cmd_consistency(args):
-    traces = []
-    for path in args.inputs:
-        with open(path, encoding="utf-8") as fh:
-            traces.append(traceio.parse_log(fh.read(), traceio.LogFormat(args.format)))
+    traces = [_read_log(path, args.format) for path in args.inputs]
     batch_sizes = [int(v) for v in args.batch_sizes.split(",")]
     # the study sets the variant and batch size of each run itself
     config = ids.IdsConfig(variant=ids.Variant.NTP, rls_lambda=args.rls_lambda)

@@ -367,6 +367,8 @@ def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
 
 def _curve_grid(delta_t_grid):
     grid = np.asarray(delta_t_grid, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ValueError(f"delta_t_grid must be 1-d, got shape {grid.shape}")
     if grid.size == 0:
         raise ValueError("delta_t_grid must be non-empty")
     if np.any(np.diff(grid) < 0):

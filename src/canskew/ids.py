@@ -181,16 +181,17 @@ class DetectionReport:
 
     def to_csv(self):
         """One row per batch; floats as %.12g, a NaN e_n as an empty cell."""
-        g = "%.12g".__mod__
-        cols = [map(str, self.batch.tolist())]
-        cols += [map(g, getattr(self, name).tolist()) for name in ("o_avg", "o_acc", "t", "skew", "e")]
-        e_n = list(map(g, self.e_n.tolist()))
+        cols = [c.tolist() for c in (self.batch, self.o_avg, self.o_acc, self.t, self.skew, self.e, self.e_n,
+                                     self.l_plus, self.l_minus, self.alarm.astype(int))]
+        rows = list(map(_ROW.__mod__, zip(*cols)))
         for k in np.flatnonzero(np.isnan(self.e_n)).tolist():
-            e_n[k] = ""
-        cols += [e_n, map(g, self.l_plus.tolist()), map(g, self.l_minus.tolist()),
-                 map(str, self.alarm.astype(int).tolist())]
-        rows = map(",".join, zip(*cols))
+            rows[k] = _ROW_NO_E_N % tuple(c[k] for c in cols[:6] + cols[7:])
         return "\n".join([",".join(self.CSV_COLUMNS), *rows, ""])
+
+
+# DetectionReport rows: batch, five floats, e_n, two floats, alarm
+_ROW = "%d" + ",%.12g" * 8 + ",%d"
+_ROW_NO_E_N = "%d" + ",%.12g" * 5 + "," + ",%.12g" * 2 + ",%d"
 
 
 def _max(a, b):

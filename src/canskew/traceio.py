@@ -5,21 +5,27 @@ header "timestamp,can_id,data", whose can_id is hex with a 0x prefix and
 decimal without one. Payload bytes are discarded on parse — only timing
 matters here. Timestamps serialize at microsecond resolution.
 
-Logs are parsed and written as numpy passes over their ASCII bytes, in
-chunks of at most CHUNK_LINES lines that bound the temporary arrays. Field
-boundaries come from ``np.flatnonzero``; digits are gathered into (lines,
-width) arrays and combined with powers of the base. A candump time is
-``sec + micros / 1e6``; a CSV time is its digits as one integer below 2**53
-over a power of ten, so it rounds as ``float`` rounds the text. A written
-chunk is one (lines, width) array of digits and punctuation, decoded once.
+``parse_log`` takes a log as ``str`` or as UTF-8 ``bytes`` and parses it in
+slices of whole lines of at most SLICE_BYTES (characters, for a ``str``,
+which is encoded one slice at a time). A slice's temporary arrays are all
+that exist beside the output arrays, which the slices fill in place, so the
+memory follows the parsed records rather than the log text. A log already in
+time order is not sorted again. Each slice is a numpy pass over its ASCII
+bytes: field boundaries come from ``np.flatnonzero``; digits are gathered
+into (lines, width) arrays and combined with powers of the base. A candump
+time is ``sec + micros / 1e6``; a CSV time is its digits as one integer
+below 2**53 over a power of ten, so it rounds as ``float`` rounds the text.
+A written chunk of at most CHUNK_LINES lines is one (lines, width) array of
+digits and punctuation, decoded once.
 
-Texts under 4096 characters, and chunks the array pass does not take, are
-parsed line by line (candump by one regex ``findall``, CSV by ``csv.reader``);
-only that path raises ParseError. It takes chunks with a bad line, a byte
-outside ASCII or a line break other than LF and CRLF; candump chunks with a
-seconds field over 18 digits; and CSV chunks with a quote, a blank-only line,
-a time not written digits.digits below 2**53 units of its last digit, or an
-id without 0x.
+Texts under 4096 characters (bytes), and slices the array pass does not
+take, are parsed line by line (candump by one regex ``findall``, CSV by
+``csv.reader``); only that path raises ParseError. It takes slices with a bad
+line, a byte outside ASCII or a line break other than LF and CRLF; candump
+slices with a seconds field over 18 digits; and CSV slices with a quote, a
+blank-only line, a time not written digits.digits below 2**53 units of its
+last digit, or an id without 0x. A byte that is not UTF-8 is a ParseError
+naming its line.
 """
 from __future__ import annotations
 
@@ -35,12 +41,13 @@ from .clock import MAX_CAN_ID, Trace
 
 __all__ = ["LogFormat", "ParseError", "parse_log", "write_trace", "fill_missing"]
 
-CHUNK_LINES = 32_768
+CHUNK_LINES = 8192  # lines per written chunk
+SLICE_BYTES = 1 << 17  # parse slice, unless one line is longer
 # shorter texts are parsed line by line: there numpy's cost per call
 # outweighs its saving per line (they broke even near 3-5 KB of log lines)
 _ARRAY_MIN_CHARS = 4096
 # one record per line: the separators exclude newlines, so a match never
-# crosses into the next line of a joined chunk. Digits are ASCII ones: \d
+# crosses into the next line of joined records. Digits are ASCII ones: \d
 # would take any Unicode digit, which int and float read as its value.
 _CANDUMP_RE = re.compile(
     r"^\(([0-9]+)\.([0-9]{1,6})\)[^\S\n]+\S+[^\S\n]+([0-9A-Fa-f]{1,8})#[0-9A-Fa-f]*[^\S\n]*$", re.M
@@ -113,28 +120,22 @@ def _raise_first_bad_line(lines, before):
 
 def _candump_lines(lines, before):
     """Parse candump ``lines`` that follow ``before`` lines of the text with
-    one regex ``findall`` per CHUNK_LINES records."""
+    one regex ``findall``."""
     records = [line for line in lines if line.strip()]
-    times = np.empty(len(records), dtype=np.float64)
-    ids = np.empty(len(records), dtype=np.uint32)
-    for start in range(0, len(records), CHUNK_LINES):
-        chunk = records[start:start + CHUNK_LINES]
-        found = _CANDUMP_RE.findall("\n".join(chunk))
-        n = len(found)
-        if n < len(chunk):
-            _raise_first_bad_line(lines, before)
-        sec, micros, can_id = ([m[k] for m in found] for k in range(3))
-        chunk_ids = np.fromiter(map(int, can_id, repeat(16)), dtype=np.int64, count=n)
-        # int(micros.ljust(6, "0")) as micros * 10**(6 - digits); float(sec)
-        # is int(sec) rounded to a double, as int + float rounds it
-        us = np.fromiter(map(int, micros), dtype=np.int64, count=n)
-        us *= _MICROS_SCALE[np.fromiter(map(len, micros), dtype=np.intp, count=n)]
-        chunk_times = np.fromiter(map(float, sec), dtype=np.float64, count=n) + us / 1e6
-        if chunk_ids.max() > MAX_CAN_ID or not np.isfinite(chunk_times).all():
-            _raise_first_bad_line(lines, before)
-        times[start:start + n] = chunk_times
-        ids[start:start + n] = chunk_ids
-    return times, ids
+    found = _CANDUMP_RE.findall("\n".join(records))
+    n = len(found)
+    if n < len(records):
+        _raise_first_bad_line(lines, before)
+    sec, micros, can_id = ([m[k] for m in found] for k in range(3))
+    ids = np.fromiter(map(int, can_id, repeat(16)), dtype=np.int64, count=n)
+    # int(micros.ljust(6, "0")) as micros * 10**(6 - digits); float(sec)
+    # is int(sec) rounded to a double, as int + float rounds it
+    us = np.fromiter(map(int, micros), dtype=np.int64, count=n)
+    us *= _MICROS_SCALE[np.fromiter(map(len, micros), dtype=np.intp, count=n)]
+    times = np.fromiter(map(float, sec), dtype=np.float64, count=n) + us / 1e6
+    if ids.max(initial=0) > MAX_CAN_ID or not np.isfinite(times).all():
+        _raise_first_bad_line(lines, before)
+    return times, ids.astype(np.uint32)
 
 
 def _csv_lines(lines, before):
@@ -248,59 +249,99 @@ def _csv_chunk(chunk, cls, newlines):
     return units / _POWERS[10][frac_digits], ids.astype(np.uint32)
 
 
-def _parse_chunks(text, before, chunk_parser, line_parser):
-    """Parse ``text``, which follows ``before`` lines, in chunks of at most
-    CHUNK_LINES lines: each by ``chunk_parser`` over its bytes and their
-    classes where it takes them, else by ``line_parser`` over its lines."""
-    if len(text) < _ARRAY_MIN_CHARS:
-        return line_parser(text.splitlines(), before)
-    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    newlines = np.flatnonzero(data == 10)
-    cuts = [0, *(newlines[CHUNK_LINES - 1::CHUNK_LINES] + 1).tolist()]
-    if cuts[-1] < len(data):
-        cuts.append(len(data))
-    parts = [(np.zeros(0), np.zeros(0, dtype=np.uint32))]
-    for i, (start, stop) in enumerate(zip(cuts, cuts[1:])):
-        chunk = data[start:stop]
-        cls = _CLASS.take(np.append(chunk, ord("\n")))  # a line break past the end ends every token
-        cr = np.flatnonzero(chunk == 13)
-        parts.append(None)
-        if cls.max() < _FOREIGN and (chunk.take(cr + 1, mode="clip") == 10).all():  # CR only in CRLF
-            parts[-1] = chunk_parser(chunk, cls, newlines[i * CHUNK_LINES:(i + 1) * CHUNK_LINES] - start)
-        if parts[-1] is None:
-            lines = chunk.tobytes().decode("utf-8", "surrogatepass").splitlines()
-            parts[-1] = line_parser(lines, before)
+def _decode(piece, before, line_parser=None):
+    """``piece`` of a log, which follows ``before`` lines, as text: bytes are
+    decoded as UTF-8, and a byte that is not raises ParseError naming its
+    line, once ``line_parser`` has found no bad line before that one."""
+    if isinstance(piece, str):
+        return piece
+    try:
+        return piece.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (piece[:exc.start].decode("utf-8") + "x").splitlines()  # "x" stands in for the bad byte
+        if line_parser is not None:
+            line_parser(lines[:-1], before)
+        raise ParseError(before + len(lines), f"not UTF-8: {exc.reason} {piece[exc.start]:#04x}") from None
+
+
+def _array_pass(piece, slice_parser):
+    """(times, ids) of a slice by ``slice_parser`` over its bytes and their
+    classes, or None when the slice holds a byte outside ASCII or a line
+    break other than LF and CRLF, or the parser does not take it."""
+    if not piece.isascii():
+        return None
+    data = np.frombuffer(piece.encode("ascii") if isinstance(piece, str) else piece, dtype=np.uint8)
+    cls = _CLASS.take(np.append(data, ord("\n")))  # a line break past the end ends every token
+    if cls.max() == _FOREIGN or not (data.take(np.flatnonzero(data == 13) + 1, mode="clip") == 10).all():
+        return None
+    return slice_parser(data, cls, np.flatnonzero(data == 10))
+
+
+def _parse_slices(text, pos, before, slice_parser, line_parser):
+    """(times, ids) in text order of the records of ``text`` from index
+    ``pos`` on, which follow ``before`` lines. Slices of whole lines, of at
+    most SLICE_BYTES unless one line is longer, are parsed by the array pass
+    where it takes them, else by ``line_parser`` over their lines, and fill
+    the output arrays in place."""
+    newline = "\n" if isinstance(text, str) else b"\n"
+    size = text.count(newline, pos) + 1  # lines, unless some break at other than LF
+    times, ids = np.empty(size), np.empty(size, dtype=np.uint32)
+    n, short = 0, len(text) - pos < _ARRAY_MIN_CHARS
+    while pos < len(text):
+        # after the last LF within SLICE_BYTES, else after the next one
+        cut = len(text) if short else (text.rfind(newline, pos, pos + SLICE_BYTES) + 1
+                                       or text.find(newline, pos + SLICE_BYTES) + 1 or len(text))
+        piece = text[pos:cut]
+        part = None if short else _array_pass(piece, slice_parser)
+        if part is None:
+            lines = _decode(piece, before, line_parser).splitlines()
+            part = line_parser(lines, before)
             before += len(lines)
         else:
-            before += CHUNK_LINES  # LF-ended lines; only the last chunk has fewer
-    times, ids = zip(*parts)
-    return np.concatenate(times), np.concatenate(ids)
+            before += piece.count(newline)
+        k = len(part[0])
+        if n + k > len(times):
+            times, ids = np.resize(times, 2 * (n + k)), np.resize(ids, 2 * (n + k))
+        times[n:n + k], ids[n:n + k] = part
+        n, pos = n + k, cut
+    return times[:n], ids[:n]
 
 
 def _parse_csv(text):
     """Check the header, the first non-blank line, and parse what follows."""
+    newline = "\n" if isinstance(text, str) else b"\n"
     number = pos = 0
     while pos < len(text):
-        for line in text[pos:text.find("\n", pos) + 1 or len(text)].splitlines(keepends=True):
-            number, pos = number + 1, pos + len(line)
+        for line in _decode(text[pos:text.find(newline, pos) + 1 or len(text)], number).splitlines(keepends=True):
+            number, pos = number + 1, pos + (len(line) if isinstance(text, str) else len(line.encode()))
             if line.strip():
                 header = line.splitlines()[0]
                 if [c.strip().lower() for c in next(csv.reader([header]))[:3]] != _CSV_HEADER:
                     raise ParseError(number, f"expected header 'timestamp,can_id,data', got {header!r}")
-                return _parse_chunks(text[pos:], number, _csv_chunk, _csv_lines)
+                return _parse_slices(text, pos, number, _csv_chunk, _csv_lines)
     raise ValueError("empty input")
 
 
 def parse_log(text, fmt):
-    """Parse log text into a Trace sorted by timestamp (stable for ties)."""
+    """Parse a log, ``str`` or UTF-8 ``bytes``, into a Trace sorted by
+    timestamp (stable for ties)."""
     if fmt is LogFormat.CANDUMP:
-        times, ids = _parse_chunks(text, 0, _candump_chunk, _candump_lines)
+        times, ids = _parse_slices(text, 0, 0, _candump_chunk, _candump_lines)
     else:
         times, ids = _parse_csv(text)
     if not len(times):  # a CSV text without records still has its header
         raise ValueError("empty input" if fmt is LogFormat.CANDUMP else "no records in input")
+    times, ids = _time_ordered(times, ids)
+    return Trace(times=times, ids=ids)
+
+
+def _time_ordered(times, ids):
+    """``times`` and ``ids`` stably sorted by time: as they are when the
+    times are already in order, since a stable sort leaves them so."""
+    if (times[1:] >= times[:-1]).all():
+        return times, ids
     order = np.argsort(times, kind="stable")
-    return Trace(times=times[order], ids=ids[order])
+    return times[order], ids[order]
 
 
 def _numerals(values, base, min_digits):
@@ -356,20 +397,29 @@ def write_trace(trace, fmt):
     return "".join(out)
 
 
-def fill_missing(trace, message_id, period):
-    """Repair dropped messages of one id: any gap above 1.5*period gets
-    floor(gap/period - 0.5) synthetic arrivals, evenly spaced. Originals are
-    never moved."""
-    if period <= 0.0:
-        raise ValueError("period must be > 0")
-    a = trace.arrivals(message_id)
+def _fill_times(a, period):
+    """The synthetic arrivals, in time order, that repair arrivals ``a``."""
     gaps = np.diff(a)
-    fills = []
+    fills = [np.zeros(0)]
     for i in np.flatnonzero(gaps > 1.5 * period).tolist():
         gap = gaps[i]
         n_ins = int(np.floor(gap / period - 0.5))
         fills.append(a[i] + gap / (n_ins + 1) * np.arange(1, n_ins + 1))
-    if not fills:
+    return np.sort(np.concatenate(fills), kind="stable")
+
+
+def fill_missing(trace, message_id, period):
+    """Repair dropped messages of one id: any gap above 1.5*period gets
+    floor(gap/period - 0.5) synthetic arrivals, evenly spaced. Originals are
+    never moved. The result equals ``Trace.merge`` of the trace and the
+    arrivals: each is inserted into the stably sorted trace after the
+    originals it ties with."""
+    if period <= 0.0:
+        raise ValueError("period must be > 0")
+    # the id's arrivals and their gaps are gone before the output is built
+    fills = _fill_times(trace.arrivals(message_id), period)
+    if not len(fills):
         return trace
-    times = np.concatenate(fills)
-    return Trace.merge(trace, Trace(times=times, ids=np.full(len(times), message_id, dtype=np.uint32)))
+    times, ids = _time_ordered(trace.times, trace.ids)
+    at = np.searchsorted(times, fills, side="right")
+    return Trace(times=np.insert(times, at, fills), ids=np.insert(ids, at, message_id))

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from canskew import formal
+from canskew import formal, traceio
 from canskew.cli import _parse_grid, main
 from canskew.curves import SuccessCurve
 from canskew.traceio import LogFormat, parse_log
@@ -143,6 +143,23 @@ class TestBadInput:
         code, _, err = run_cli([command, *args, "--period", "0",
                                 "--out", str(tmp_path / "out.csv")], capsys)
         assert code == 1 and "nominal period > 0" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "consistency"])
+    @pytest.mark.parametrize("count, line, slice_bytes", [(100, 3, None), (400, 350, 1024)],
+                             ids=["short", "sliced"])
+    def test_undecodable_byte_names_its_line(self, capsys, tmp_path, trace, monkeypatch, command, count, line,
+                                             slice_bytes):
+        lines = trace.read_bytes().splitlines(keepends=True)[:count]
+        lines[line - 1] = lines[line - 1].replace(b"can0", b"can\xff")
+        bad = tmp_path / "bad.log"
+        bad.write_bytes(b"".join(lines))
+        assert (bad.stat().st_size < traceio._ARRAY_MIN_CHARS) == (slice_bytes is None)
+        if slice_bytes:
+            monkeypatch.setattr(traceio, "SLICE_BYTES", slice_bytes)
+        args = ["--input", str(bad)] if command == "detect" else [str(bad)]
+        code, _, err = run_cli([command, *args, "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 1 and f"error: line {line}: not UTF-8" in err
         assert not (tmp_path / "out.csv").exists()
 
     def test_predict_without_sums_exits_1(self, capsys, tmp_path, trace):

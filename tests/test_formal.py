@@ -506,3 +506,10 @@ class TestSuccessCurve:
             success_curve(ntp_snapshot, np.array([]))
         with pytest.raises(ValueError):
             success_curve(ntp_snapshot, np.array([1e-6, -1e-6]))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("grid", [0.0, [[0.0, 1e-7], [2e-7, 3e-7]]], ids=["scalar", "2-d"])
+    def test_grid_must_be_1d(self, sota_snapshot, ntp_snapshot, variant, grid):
+        snap = sota_snapshot if variant is Variant.SOTA else ntp_snapshot
+        with pytest.raises(ValueError, match=re.escape(f"delta_t_grid must be 1-d, got shape {np.shape(grid)}")):
+            success_curve(snap, grid)

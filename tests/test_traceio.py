@@ -1,4 +1,6 @@
 """Log parsing, serialization round-trips, and gap repair."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from canskew import traceio
 from canskew.cli import main as cli_main
 from canskew.clock import MAX_CAN_ID, ClockSpec, MessageSchedule, NoiseModel, Trace, ppm, synthesize_trace
-from canskew.traceio import CHUNK_LINES, LogFormat, ParseError, fill_missing, parse_log, write_trace
+from canskew.traceio import CHUNK_LINES, SLICE_BYTES, LogFormat, ParseError, fill_missing, parse_log, write_trace
 
 
 class TestParse:
@@ -288,19 +290,23 @@ def line_by_line(text, fmt):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(traceio, "_candump_chunk", lambda *args: None)
         patch.setattr(traceio, "_csv_chunk", lambda *args: None)
-        patch.setattr(traceio, "CHUNK_LINES", 10**9)
+        patch.setattr(traceio, "SLICE_BYTES", 10**18)
         return outcome(text, fmt)
 
 
-def by_arrays(text, fmt, chunk_lines):
-    """``outcome`` with the array pass offered every chunk of ``chunk_lines``
-    lines, however short the text."""
+def by_arrays(text, fmt, slice_bytes):
+    """``outcome`` with the array pass offered every slice of ``slice_bytes``,
+    however short the text."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(traceio, "_ARRAY_MIN_CHARS", 0)
-        patch.setattr(traceio, "CHUNK_LINES", chunk_lines)
+        patch.setattr(traceio, "SLICE_BYTES", slice_bytes)
         return outcome(text, fmt)
 
 
+# a slice ends at the last line break within SLICE_BYTES, else at the next
+# one: slices of 1 to 7 bytes hold one line each (or a few blank ones), and
+# 40 bytes end within most second records
+SLICE_SIZES = [1, 2, 3, 7, 40, SLICE_BYTES]
 CANDUMP_EDGES = ["(1.1234567) can0 1#", "(1.) can0 1#", "(.5) can0 1#", "(1a.5) can0 1#", "(1.5a) can0 1#",
                  "(" + "9" * 18 + ".5) can0 1#", "(" + "9" * 19 + ".5) can0 1#", "(" + "9" * 309 + ".5) can0 1#",
                  " (1.5) can0 1#", "(1.5)can0 1#", "(1.5) can0", "(1.5) can0 1# x", "(1.5) can0 #",
@@ -319,22 +325,102 @@ class TestArrayPassMatchesLineParser:
     later one."""
 
     @staticmethod
-    def check(texts, fmt, chunk_lines):
+    def check(texts, fmt, slice_bytes):
         for text in texts:
-            assert by_arrays(text, fmt, chunk_lines) == line_by_line(text, fmt), text
+            assert by_arrays(text, fmt, slice_bytes) == line_by_line(text, fmt), text
 
     @settings(max_examples=75, deadline=None)
-    @given(text=CANDUMP_TEXTS, chunk_lines=st.sampled_from([1, 2, 3, 7, CHUNK_LINES]))
-    @example(text="\n".join(CANDUMP_EDGES), chunk_lines=1)
-    def test_candump(self, text, chunk_lines):
-        self.check([text, *text.splitlines(keepends=True)], LogFormat.CANDUMP, chunk_lines)
+    @given(text=CANDUMP_TEXTS, slice_bytes=st.sampled_from(SLICE_SIZES))
+    @example(text="\n".join(CANDUMP_EDGES), slice_bytes=1)
+    def test_candump(self, text, slice_bytes):
+        self.check([text, *text.splitlines(keepends=True)], LogFormat.CANDUMP, slice_bytes)
 
     @settings(max_examples=75, deadline=None)
-    @given(header=st.sampled_from(CSV_HEADERS), text=CSV_TEXTS, chunk_lines=st.sampled_from([1, 2, 3, 7, CHUNK_LINES]))
-    @example(header=CSV_HEADERS[0], text="\n".join(CSV_EDGES), chunk_lines=1)
-    def test_csv(self, header, text, chunk_lines):
+    @given(header=st.sampled_from(CSV_HEADERS), text=CSV_TEXTS, slice_bytes=st.sampled_from(SLICE_SIZES))
+    @example(header=CSV_HEADERS[0], text="\n".join(CSV_EDGES), slice_bytes=1)
+    def test_csv(self, header, text, slice_bytes):
         self.check([header + text, *(CSV_HEADERS[0] + line for line in text.splitlines(keepends=True))],
-                   LogFormat.CSV, chunk_lines)
+                   LogFormat.CSV, slice_bytes)
+
+
+class TestBytesAndSlices:
+    """UTF-8 bytes parse as their text does, at every slice size: the same
+    times and ids, or the same error at the same line, as the whole text
+    parsed line by line."""
+
+    @settings(max_examples=75, deadline=None)
+    @given(text=CANDUMP_TEXTS, slice_bytes=st.sampled_from(SLICE_SIZES))
+    def test_candump(self, text, slice_bytes):
+        assert by_arrays(text.encode(), LogFormat.CANDUMP, slice_bytes) == line_by_line(text, LogFormat.CANDUMP)
+
+    @settings(max_examples=75, deadline=None)
+    @given(header=st.sampled_from(CSV_HEADERS), text=CSV_TEXTS, slice_bytes=st.sampled_from(SLICE_SIZES))
+    def test_csv(self, header, text, slice_bytes):
+        text = header + text
+        assert by_arrays(text.encode(), LogFormat.CSV, slice_bytes) == line_by_line(text, LogFormat.CSV)
+
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    @pytest.mark.parametrize("slice_bytes", [1, 700, SLICE_BYTES])
+    def test_shuffled_and_tied_times(self, fmt, slice_bytes, monkeypatch):
+        rng = np.random.default_rng(31)
+        if fmt is LogFormat.CANDUMP:
+            lines = candump_lines(4000, seed=32)
+        else:
+            trace = Trace(times=rng.integers(0, 500, 4000) / 8.0, ids=rng.integers(0, 0x800, 4000))
+            lines = write_trace(trace, fmt).splitlines()
+        lines = lines[:1] + [lines[i] for i in rng.permutation(np.arange(1, len(lines)))] + lines[1:800]
+        text = join_lines(lines, seed=33)
+        want = line_by_line(text, fmt)
+        assert (np.diff(np.frombuffer(want[0])) == 0).any()  # tied times
+        monkeypatch.setattr(traceio, "SLICE_BYTES", slice_bytes)
+        assert outcome(text, fmt) == outcome(text.encode(), fmt) == want
+
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    @pytest.mark.parametrize("slice_bytes", [1000, SLICE_BYTES])
+    def test_bad_line_in_a_later_slice(self, long_candump, as_bytes, slice_bytes, monkeypatch):
+        lines, _ = long_candump
+        index = len(lines) - 50
+        text = join_lines(lines[:index] + ["(12.5) can0 #"] + lines[index + 1:], seed=25)
+        assert len(text[:text.index("(12.5) can0 #")].encode()) > 2 * slice_bytes
+        want = line_by_line(text, LogFormat.CANDUMP)
+        assert want[0] is ParseError and want[2] == index + 1
+        monkeypatch.setattr(traceio, "SLICE_BYTES", slice_bytes)
+        assert outcome(text.encode() if as_bytes else text, LogFormat.CANDUMP) == want
+
+
+class TestUndecodable:
+    """A byte that is not UTF-8 is a ParseError naming its line, unless a
+    bad line comes before it."""
+
+    @pytest.mark.parametrize("data, fmt, line, message", [
+        (b"(1.0) can0 1#\n\n(2.0) can0 2#\xff\n", LogFormat.CANDUMP, 3, "not UTF-8: invalid start byte 0xff"),
+        (b"(1.0) can0 1#\r\xff(2.0) can0 2#\n", LogFormat.CANDUMP, 2, "not UTF-8"),
+        (b"\xe2\x82(1.0) can0 1#\n", LogFormat.CANDUMP, 1, "not UTF-8"),
+        (b"(1.0) can0 1#\nnot a record\n(2.0) can0 2#\xff\n", LogFormat.CANDUMP, 2, "not a candump record"),
+        (b"\n\xfftimestamp,can_id,data\n1.0,0x1,\n", LogFormat.CSV, 2, "not UTF-8"),
+        (b"timestamp,can_id,data\n1.0,0x1,\n2.0,0x1,\xc3\x28\n", LogFormat.CSV, 3, "not UTF-8"),
+    ])
+    def test_short_log(self, data, fmt, line, message):
+        assert len(data) < traceio._ARRAY_MIN_CHARS
+        with pytest.raises(ParseError, match=message) as exc:
+            parse_log(data, fmt)
+        assert exc.value.line_number == line
+
+    @pytest.mark.parametrize("earlier_bad_line", [False, True])
+    def test_multi_slice_log(self, long_candump, earlier_bad_line, monkeypatch):
+        lines, _ = long_candump
+        index = line_past_first_chunk(lines, 700)
+        lines = lines[:index] + ["(1.5) can\x00 1#"] + lines[index + 1:]
+        if earlier_bad_line:
+            lines[index - 3] = "(1.5) can0 #"
+        data = join_lines(lines, seed=26).encode().replace(b"\x00", b"\xff")
+        monkeypatch.setattr(traceio, "SLICE_BYTES", 4096)
+        with pytest.raises(ParseError) as exc:
+            parse_log(data, LogFormat.CANDUMP)
+        if earlier_bad_line:
+            assert exc.value.line_number == index - 2 and "not a candump record" in str(exc.value)
+        else:
+            assert exc.value.line_number == index + 1 and "not UTF-8" in str(exc.value)
 
 
 class TestWrite:
@@ -482,3 +568,75 @@ class TestFillMissing:
         trace = Trace.from_records([(0.0, 1), (0.1, 1)])
         with pytest.raises(ValueError):
             fill_missing(trace, 1, 0.0)
+
+    @staticmethod
+    def merged(trace, message_id, period):
+        """The repair as a merge of the trace with its filler arrivals, or the
+        trace itself when it needs none."""
+        a = trace.arrivals(message_id)
+        fills = [np.zeros(0)]
+        for i in np.flatnonzero(np.diff(a) > 1.5 * period).tolist():
+            n_ins = int(np.floor((a[i + 1] - a[i]) / period - 0.5))
+            fills.append(a[i] + (a[i + 1] - a[i]) / (n_ins + 1) * np.arange(1, n_ins + 1))
+        fills = np.concatenate(fills)
+        if not len(fills):
+            return trace
+        return Trace.merge(trace, Trace(times=fills, ids=np.full(len(fills), message_id, dtype=np.uint32)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.5, 0.6, 1.0]),
+                                                st.floats(0.0, 2.0)), st.sampled_from([1, 2])), max_size=40),
+           ordered=st.booleans(), period=st.sampled_from([0.05, 0.1, 0.3]))
+    def test_equals_merge_with_fillers(self, records, ordered, period):
+        # fillers land on original times (ties) with these grids and periods
+        if ordered:
+            records.sort(key=lambda r: r[0])
+        trace = Trace(times=np.array([t for t, _ in records]), ids=np.array([m for _, m in records]))
+        repaired, want = fill_missing(trace, 1, period), self.merged(trace, 1, period)
+        assert repaired.times.tobytes() == want.times.tobytes()
+        assert repaired.ids.tobytes() == want.ids.tobytes()
+
+
+class TestMemoryBudget:
+    """Peak traced allocations on a 200 000-line log, against bounds that
+    follow from the design. ``parse_log`` holds its output (8 + 4 bytes per
+    record), a byte per record to test time order, and the temporaries of
+    one slice at a time: 8-byte indices of a slice's field edges and digits,
+    15 to 19 bytes per byte of the slice, bounded here by 24. The log text is
+    the caller's. ``fill_missing`` holds either the id's arrivals, their
+    gaps and a mask (17 bytes per record of the id) or its output and one
+    mask (13 bytes per record), bounded here by 20. Parsing the whole text at
+    once took over 100 bytes per record here, and repairing by a merge 48."""
+
+    RECORDS = 200_000
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        trace = synthesize_trace(MessageSchedule(0x185, 0.01, start_time=1.0), ClockSpec(skew=ppm(100)),
+                                 NoiseModel(), self.RECORDS + 200, seed=5)
+        keep = np.ones(len(trace), dtype=bool)
+        keep[1000::1000] = False
+        return Trace(times=trace.times[keep], ids=trace.ids[keep])
+
+    @staticmethod
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    def test_parse_log(self, trace, fmt, as_bytes):
+        text = write_trace(trace, fmt)
+        text = text.encode() if as_bytes else text
+        restored, peak = self.peak(parse_log, text, fmt)
+        assert len(restored) == len(trace) >= self.RECORDS
+        assert peak <= 13 * len(trace) + 24 * traceio.SLICE_BYTES, peak
+
+    def test_fill_missing(self, trace):
+        repaired, peak = self.peak(fill_missing, trace, 0x185, 0.01)
+        assert len(repaired) == len(trace) + 200
+        assert peak <= 20 * len(trace), peak
