@@ -411,9 +411,9 @@ def _fill_times(a, period):
 def fill_missing(trace, message_id, period):
     """Repair dropped messages of one id: any gap above 1.5*period gets
     floor(gap/period - 0.5) synthetic arrivals, evenly spaced. Originals are
-    never moved. The result equals ``Trace.merge`` of the trace and the
-    arrivals: each is inserted into the stably sorted trace after the
-    originals it ties with."""
+    never moved. A trace with no gap to fill is returned as it is; else the
+    result equals ``Trace.merge`` of the trace and the arrivals, each
+    inserted into the stably sorted trace after the originals it ties with."""
     if period <= 0.0:
         raise ValueError("period must be > 0")
     # the id's arrivals and their gaps are gone before the output is built
