@@ -10,22 +10,32 @@ slices of whole lines of at most SLICE_BYTES (characters, for a ``str``,
 which is encoded one slice at a time). A slice's temporary arrays are all
 that exist beside the output arrays, which the slices fill in place, so the
 memory follows the parsed records rather than the log text. A log already in
-time order is not sorted again. Each slice is a numpy pass over its ASCII
-bytes: field boundaries come from ``np.flatnonzero``; digits are gathered
-into (lines, width) arrays and combined with powers of the base. A candump
-time is ``sec + micros / 1e6``; a CSV time is its digits as one integer
-below 2**53 over a power of ten, so it rounds as ``float`` rounds the text.
-A written chunk of at most CHUNK_LINES lines is one (lines, width) array of
-digits and punctuation, decoded once.
+time order is not sorted again. Each slice takes one of three paths:
 
-Texts under 4096 characters (bytes), and slices the array pass does not
-take, are parsed line by line (candump by one regex ``findall``, CSV by
-``csv.reader``); only that path raises ParseError. It takes slices with a bad
-line, a byte outside ASCII or a line break other than LF and CRLF; candump
-slices with a seconds field over 18 digits; and CSV slices with a quote, a
-blank-only line, a time not written digits.digits below 2**53 units of its
-last digit, or an id without 0x. A byte that is not UTF-8 is a ParseError
-naming its line.
+- The uniform pass takes a slice whose lines have one length, each ended by
+  LF, and one layout: every line holds each field in the columns where its
+  first line does. Every slice of a log ``write_trace`` wrote is one, unless
+  its seconds or ids differ in digit count. The slice is a (lines, width)
+  view; each run of like columns is checked at once, by the byte classes
+  the general pass uses, and each numeral is decoded column by column.
+- The general pass takes the other slices of ASCII lines: field boundaries
+  come from ``np.flatnonzero`` and ``searchsorted``, and each numeral's
+  digits are gathered place by place.
+- Texts under 4096 characters (bytes), and slices neither pass takes, are
+  parsed line by line (candump by one regex ``findall``, CSV by
+  ``csv.reader``); only this path raises ParseError. It takes slices with a
+  bad line, a byte outside ASCII or a line break other than LF and CRLF;
+  candump slices with a seconds field over 18 digits; and CSV slices with a
+  quote, a blank-only line, a time not written digits.digits below 2**53
+  units of its last digit, or an id without 0x. A byte that is not UTF-8 is
+  a ParseError naming its line.
+
+Both array passes decode numerals by Horner's rule in exact int64
+arithmetic. A candump time is ``sec + micros / 1e6``; a CSV time is its
+digits as one integer below 2**53 over a power of ten, so it rounds as
+``float`` rounds the text. ``write_trace`` formats CHUNK_LINES lines at a
+time, each chunk one (lines, width) array of digits and punctuation, decoded
+once.
 """
 from __future__ import annotations
 
@@ -33,7 +43,7 @@ import csv
 import enum
 import math
 import re
-from itertools import repeat
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -55,6 +65,9 @@ _CANDUMP_RE = re.compile(
 # what float and int read in a numeral beyond ASCII digits: "_" between
 # digits and Unicode digits, which a log's CSV fields may not hold
 _NOT_ASCII_NUMERAL = re.compile(r"_|(?![0-9])\d")
+# the start of a CSV record _csv_chunk takes: digits.digits,0xhex, then
+# "," or the end of the line
+_CSV_RECORD_RE = re.compile(r"([0-9]+)\.([0-9]+),0[xX]([0-9A-Fa-f]{1,8})(,|$)")
 _MICROS_SCALE = 10 ** np.arange(6, -1, -1, dtype=np.int64)  # indexed by digit count
 _CSV_HEADER = ["timestamp", "can_id", "data"]
 _MAX_NS = 2.0**63  # nanosecond counts below this fit an int64
@@ -70,6 +83,9 @@ _CLASS[list(b" \t\x1f")] = _BLANK
 _CLASS[list(b"\n\r")] = _BREAK
 _CLASS[list(b"\x0b\x0c\x1c\x1d\x1e")] = _FOREIGN
 _CLASS[128:] = _FOREIGN
+# the classes a column of a uniform slice may hold, by its letter in _fits:
+# hex digit, token byte, blank, a byte after a CSV record's id
+_KINDS = {"h": (_DIGIT, _HEX_LETTER), "t": (_DIGIT, _OTHER), "s": (_BLANK, _BLANK), "r": (_DIGIT, _BLANK)}
 _DIGIT_VALUE = np.zeros(256, dtype=np.uint8)
 _DIGIT_VALUE[list(b"0123456789abcdefABCDEF")] = [*range(16), *range(10, 16)]
 _NUMERALS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
@@ -165,17 +181,114 @@ def _csv_lines(lines, before):
     return np.array(times, dtype=np.float64), np.array(ids, dtype=np.uint32)
 
 
+def _horner(places, base, n):
+    """Values of ``n`` numerals in ``base`` from their digit values, given
+    place by place, most significant first, as arrays of ``n``: exact int64
+    arithmetic up to 18 decimal or 15 hex digits."""
+    value = np.zeros(n, dtype=np.int64)
+    for place in places:
+        value *= base
+        value += place
+    return value
+
+
 def _numbers(chunk, end, count, base):
     """Values of the numerals of ``count`` digits in ``base`` that end just
     before the indices ``end`` of the chunk."""
-    if not len(end):
-        return np.zeros(0, dtype=np.int64)
-    width = int(count.max())
-    offsets = np.arange(-width, 0)
-    digits = _DIGIT_VALUE.take(chunk.take(end[:, None] + offsets, mode="clip"))
-    if count.min() < width:  # zero the bytes before the shorter numerals
-        digits *= offsets >= -count[:, None]
-    return digits @ _POWERS[base][width - 1::-1]
+    least = int(count.min(initial=0))
+
+    def place(k):  # a shorter numeral's places before its first digit are 0
+        digits = _DIGIT_VALUE.take(chunk.take(end - k, mode="clip"))
+        return digits if k <= least else np.where(count >= k, digits, 0)
+
+    return _horner(map(place, range(int(count.max(initial=0)), 0, -1)), base, len(end))
+
+
+def _fits(cols, template):
+    """Whether every line of a slice, given as the columns ``cols`` of its
+    (lines, width) view, has line 0's layout ``template``, one letter per
+    column: "L" where a line holds line 0's byte, "d" a decimal digit, else
+    a byte of the letter's classes in _KINDS. Runs of one letter are checked
+    together."""
+    start = 0
+    for kind, run in groupby(template):
+        stop = start + len(list(run))
+        block = cols[start:stop]
+        if kind == "L":
+            fits = (block == block[:, :1]).all()
+        elif kind == "d":  # class _DIGIT: the bytes 0-9
+            fits = (block - ord("0")).max() <= 9
+        else:
+            low, high = _KINDS[kind]
+            cls = _CLASS.take(block)
+            fits = ((cls >= low) & (cls <= high)).all()
+        if not fits:
+            return False
+        start = stop
+    return True
+
+
+def _blanks_or(cls, kind):
+    """Template letters of the columns whose line 0 bytes have classes
+    ``cls``: "s" where a blank is, ``kind`` elsewhere."""
+    return "".join("s" if c == _BLANK else kind for c in cls.tolist())
+
+
+def _record_end(rows):
+    """Column of the line break of (lines, width) ``rows``: the LF at the
+    end, or the CR before it where line 0 has one."""
+    width = rows.shape[1]
+    return width - 2 if width > 1 and rows[0, -2] == ord("\r") else width - 1
+
+
+def _values(cols, span, base):
+    """Values of the numerals in ``base`` whose digits are the columns
+    ``span`` of a slice's columns ``cols``."""
+    digits = cols[span[0]:span[1]]
+    return _horner(digits - ord("0") if base == 10 else _DIGIT_VALUE.take(digits), base, cols.shape[1])
+
+
+def _candump_rows(rows):
+    """(times, ids) of a candump slice whose lines, all of one length, are
+    the rows of ``rows``, or None unless every line has line 0's layout: a
+    record whose fields lie in the columns of line 0's, with a seconds field
+    of at most 18 digits and an id in range."""
+    end = _record_end(rows)
+    m = _CANDUMP_RE.match(rows[0, :end].tobytes().decode("ascii"))
+    if m is None or len(m[1]) > 18:
+        return None
+    cls, close, (id_start, hash_at) = _CLASS.take(rows[0]), m.end(2), m.span(3)
+    template = ("L" + "d" * len(m[1]) + "L" + "d" * len(m[2]) + "L" + _blanks_or(cls[close + 1:id_start], "t")
+                + "h" * len(m[3]) + "L" + _blanks_or(cls[hash_at + 1:end], "h") + "L" * (len(cls) - end))
+    cols = rows.T.copy()  # contiguous columns: numpy runs over them several times faster
+    if not _fits(cols, template):
+        return None
+    ids = _values(cols, m.span(3), 16)
+    if ids.max() > MAX_CAN_ID:
+        return None
+    us = _values(cols, m.span(2), 10) * _MICROS_SCALE[len(m[2])]
+    return _values(cols, m.span(1), 10).astype(np.float64) + us / 1e6, ids.astype(np.uint32)
+
+
+def _csv_rows(rows):
+    """(times, ids) of a CSV slice whose record lines, all of one length, are
+    the rows of ``rows``, or None unless every line has line 0's layout: a
+    record ``_csv_chunk`` takes whose fields lie in the columns of line 0's,
+    with a time of at most 2**53 units and an id in range."""
+    end = _record_end(rows)
+    m = _CSV_RECORD_RE.match(rows[0, :end].tobytes().decode("ascii"))
+    if m is None or len(m[1]) + len(m[2]) > 18:
+        return None
+    rest = "L" + "r" * (end - m.end()) if m[4] else ""
+    template = "d" * len(m[1]) + "L" + "d" * len(m[2]) + "LLL" + "h" * len(m[3]) + rest + "L" * (rows.shape[1] - end)
+    cols = rows.T.copy()
+    if not _fits(cols, template) or (cols[m.end():end] == ord('"')).any():
+        return None
+    units = _values(cols, m.span(1), 10) * _POWERS[10][len(m[2])] + _values(cols, m.span(2), 10)
+    ids = _values(cols, m.span(3), 16)
+    if units.max() > 2**53 or ids.max() > MAX_CAN_ID:
+        return None
+    return units / _POWERS[10][len(m[2])], ids.astype(np.uint32)
 
 
 def _candump_chunk(chunk, cls, newlines):
@@ -264,25 +377,40 @@ def _decode(piece, before, line_parser=None):
         raise ParseError(before + len(lines), f"not UTF-8: {exc.reason} {piece[exc.start]:#04x}") from None
 
 
-def _array_pass(piece, slice_parser):
-    """(times, ids) of a slice by ``slice_parser`` over its bytes and their
-    classes, or None when the slice holds a byte outside ASCII or a line
-    break other than LF and CRLF, or the parser does not take it."""
+def _array_pass(piece, row_parser, slice_parser):
+    """(times, ids, LF count) of a slice by the array passes, or None when
+    the slice holds a byte outside ASCII or a line break other than LF and
+    CRLF, or neither pass takes it. A slice of lines of one length, each
+    ended by LF, is a (lines, width) view that ``row_parser`` takes when its
+    lines share one layout; any other goes to ``slice_parser`` over its
+    bytes and their classes."""
     if not piece.isascii():
         return None
-    data = np.frombuffer(piece.encode("ascii") if isinstance(piece, str) else piece, dtype=np.uint8)
+    raw = piece.encode("ascii") if isinstance(piece, str) else piece
+    data = np.frombuffer(raw, dtype=np.uint8)
+    width = raw.find(b"\n") + 1
+    if width and not len(raw) % width:
+        rows = data.reshape(-1, width)
+        if (rows[:, -1] == ord("\n")).all():
+            part = row_parser(rows)
+            if part is not None:
+                return (*part, len(rows))
     cls = _CLASS.take(np.append(data, ord("\n")))  # a line break past the end ends every token
     if cls.max() == _FOREIGN or not (data.take(np.flatnonzero(data == 13) + 1, mode="clip") == 10).all():
         return None
-    return slice_parser(data, cls, np.flatnonzero(data == 10))
+    newlines = np.flatnonzero(data == 10)
+    part = slice_parser(data, cls, newlines)
+    return None if part is None else (*part, len(newlines))
 
 
-def _parse_slices(text, pos, before, slice_parser, line_parser):
+def _parse_slices(text, pos, before, parsers):
     """(times, ids) in text order of the records of ``text`` from index
     ``pos`` on, which follow ``before`` lines. Slices of whole lines, of at
-    most SLICE_BYTES unless one line is longer, are parsed by the array pass
-    where it takes them, else by ``line_parser`` over their lines, and fill
-    the output arrays in place."""
+    most SLICE_BYTES unless one line is longer, are parsed by the array
+    passes where they take them, else by the line parser over their lines,
+    and fill the output arrays in place. ``parsers`` are the format's row,
+    slice and line parsers."""
+    row_parser, slice_parser, line_parser = parsers
     newline = "\n" if isinstance(text, str) else b"\n"
     size = text.count(newline, pos) + 1  # lines, unless some break at other than LF
     times, ids = np.empty(size), np.empty(size, dtype=np.uint32)
@@ -292,18 +420,16 @@ def _parse_slices(text, pos, before, slice_parser, line_parser):
         cut = len(text) if short else (text.rfind(newline, pos, pos + SLICE_BYTES) + 1
                                        or text.find(newline, pos + SLICE_BYTES) + 1 or len(text))
         piece = text[pos:cut]
-        part = None if short else _array_pass(piece, slice_parser)
+        part = None if short else _array_pass(piece, row_parser, slice_parser)
         if part is None:
             lines = _decode(piece, before, line_parser).splitlines()
-            part = line_parser(lines, before)
-            before += len(lines)
-        else:
-            before += piece.count(newline)
-        k = len(part[0])
+            part = (*line_parser(lines, before), len(lines))
+        part_times, part_ids, count = part
+        k = len(part_times)
         if n + k > len(times):
             times, ids = np.resize(times, 2 * (n + k)), np.resize(ids, 2 * (n + k))
-        times[n:n + k], ids[n:n + k] = part
-        n, pos = n + k, cut
+        times[n:n + k], ids[n:n + k] = part_times, part_ids
+        n, pos, before = n + k, cut, before + count
     return times[:n], ids[:n]
 
 
@@ -318,15 +444,16 @@ def _parse_csv(text):
                 header = line.splitlines()[0]
                 if [c.strip().lower() for c in next(csv.reader([header]))[:3]] != _CSV_HEADER:
                     raise ParseError(number, f"expected header 'timestamp,can_id,data', got {header!r}")
-                return _parse_slices(text, pos, number, _csv_chunk, _csv_lines)
+                return _parse_slices(text, pos, number, (_csv_rows, _csv_chunk, _csv_lines))
     raise ValueError("empty input")
 
 
 def parse_log(text, fmt):
     """Parse a log, ``str`` or UTF-8 ``bytes``, into a Trace sorted by
-    timestamp (stable for ties)."""
+    timestamp (stable for ties). ``fmt`` is a LogFormat or its value."""
+    fmt = LogFormat(fmt)
     if fmt is LogFormat.CANDUMP:
-        times, ids = _parse_slices(text, 0, 0, _candump_chunk, _candump_lines)
+        times, ids = _parse_slices(text, 0, 0, (_candump_rows, _candump_chunk, _candump_lines))
     else:
         times, ids = _parse_csv(text)
     if not len(times):  # a CSV text without records still has its header
@@ -379,21 +506,22 @@ def write_trace(trace, fmt):
     microsecond resolution and 0.123456499999 s writes as 0.123456. A
     timestamp below zero at that resolution raises ValueError naming the
     first one, since parse_log rejects negative times; so does one that is
-    not finite or reaches 2**63 ns (about 292 years)."""
-    times = np.asarray(trace.times, dtype=np.float64)
-    ns = np.rint(times * 1e9)
-    bad = np.flatnonzero(~((ns >= 0.0) & (ns < _MAX_NS)))
-    if len(bad):
-        t = float(times[bad[0]])
-        if ns[bad[0]] < 0.0:
-            raise ValueError(f"cannot write negative timestamp {t:.9f} s: logs hold only non-negative times")
-        raise ValueError(f"cannot write timestamp {t!r} s: logs hold finite times below 2**63 ns")
-    sec, frac = np.divmod(ns.astype(np.int64) // 1000, 1_000_000)
-    ids = np.asarray(trace.ids, dtype=np.int64)
+    not finite or reaches 2**63 ns (about 292 years). ``fmt`` is a
+    LogFormat or its value. The trace is formatted CHUNK_LINES at a time."""
+    fmt = LogFormat(fmt)
+    times, ids = np.asarray(trace.times, dtype=np.float64), np.asarray(trace.ids)
     out = [] if fmt is LogFormat.CANDUMP else [",".join(_CSV_HEADER) + "\n"]
     for start in range(0, len(times), CHUNK_LINES):
-        stop = start + CHUNK_LINES
-        out.append(_format_lines(sec[start:stop], frac[start:stop], ids[start:stop], fmt))
+        chunk = times[start:start + CHUNK_LINES]
+        ns = np.rint(chunk * 1e9)
+        bad = np.flatnonzero(~((ns >= 0.0) & (ns < _MAX_NS)))
+        if len(bad):
+            t = float(chunk[bad[0]])
+            if ns[bad[0]] < 0.0:
+                raise ValueError(f"cannot write negative timestamp {t:.9f} s: logs hold only non-negative times")
+            raise ValueError(f"cannot write timestamp {t!r} s: logs hold finite times below 2**63 ns")
+        sec, frac = np.divmod(ns.astype(np.int64) // 1000, 1_000_000)
+        out.append(_format_lines(sec, frac, ids[start:start + CHUNK_LINES].astype(np.int64), fmt))
     return "".join(out)
 
 

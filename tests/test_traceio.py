@@ -1,5 +1,6 @@
 """Log parsing, serialization round-trips, and gap repair."""
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -93,6 +94,15 @@ class TestParse:
     def test_extended_id_accepted(self):
         trace = parse_log("(1.000000) can0 1FFFFFFF#\n", LogFormat.CANDUMP)
         assert trace.records == [(1.0, 0x1FFFFFFF)]
+
+    @pytest.mark.parametrize("text, fmt", [("(1.5) can0 185#\n", "candump"),
+                                           ("timestamp,can_id,data\n1.5,0x185,\n", "csv")])
+    def test_format_given_as_its_value(self, text, fmt):
+        assert parse_log(text, fmt).records == parse_log(text, LogFormat(fmt)).records == [(1.5, 0x185)]
+
+    def test_unknown_format_named(self):
+        with pytest.raises(ValueError, match="'xml'"):
+            parse_log("(1.5) can0 185#\n", "xml")
 
 
 def candump_lines(count, seed):
@@ -288,8 +298,7 @@ def outcome(text, fmt):
 def line_by_line(text, fmt):
     """``outcome`` with the whole text parsed line by line, in one chunk."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(traceio, "_candump_chunk", lambda *args: None)
-        patch.setattr(traceio, "_csv_chunk", lambda *args: None)
+        patch.setattr(traceio, "_array_pass", lambda *args: None)
         patch.setattr(traceio, "SLICE_BYTES", 10**18)
         return outcome(text, fmt)
 
@@ -341,6 +350,151 @@ class TestArrayPassMatchesLineParser:
     def test_csv(self, header, text, slice_bytes):
         self.check([header + text, *(CSV_HEADERS[0] + line for line in text.splitlines(keepends=True))],
                    LogFormat.CSV, slice_bytes)
+
+
+DECIMAL, HEX_DIGITS = "0123456789", "0123456789abcdefABCDEF"
+SAME_WIDTH_BLANKS = " \t\x1f"
+TOKEN_BYTES = "az09#()._\x01"  # an interface: no blank, "#", "(" and ")" included
+REST_BYTES = "az09,.x \t\x1f"  # what follows a CSV record's id
+# bytes to write over a line of a uniform slice, by class: digits, hex
+# letters, other bytes, blanks, line breaks, foreign bytes and the quote
+ODD_BYTES = ["09", "aF", "gx.#(),", " \t\x1f", "\r\n", "\x0b\x1c", '"']
+
+
+def fixed(alphabet, size):
+    return st.text(alphabet=alphabet, min_size=size, max_size=size)
+
+
+def hex_ids(width, clean):
+    """Ids of ``width`` hex digits in either case: in range if ``clean``,
+    else at times above MAX_CAN_ID."""
+    top = 16**width - 1
+    values = st.integers(0, min(top, MAX_CAN_ID))
+    return st.builds(lambda value, case: case("%0*x" % (width, value)),
+                     values if clean else st.one_of(values, st.integers(0, top)),
+                     st.sampled_from([str.lower, str.upper]))
+
+
+def candump_layout(clean):
+    """A candump line's form and its fields' least and greatest widths and
+    strategies by width: 1-18 second digits (to 20 unless ``clean``), 1-6
+    micro digits, blank runs of spaces, tabs and \x1f, an interface, a 1-8
+    digit id and a payload."""
+    return "({}.{}){}{}{}{}#{}{}", [
+        (1, 18 if clean else 20, partial(fixed, DECIMAL)), (1, 6, partial(fixed, DECIMAL)),
+        (1, 2, partial(fixed, SAME_WIDTH_BLANKS)), (1, 5, partial(fixed, TOKEN_BYTES)),
+        (1, 2, partial(fixed, SAME_WIDTH_BLANKS)), (1, 8, partial(hex_ids, clean=clean)),
+        (0, 16, partial(fixed, HEX_DIGITS)), (0, 2, partial(fixed, SAME_WIDTH_BLANKS))]
+
+
+def csv_layout(clean):
+    """A CSV record line's form and fields, as ``candump_layout``'s: a time
+    of at most 15 digits if ``clean``, else up to 28; "0x", or also "0X"
+    unless ``clean``; a 1-8 digit id; no data field or one of fixed length."""
+    return "{}.{},{}{}{}", [
+        (1, 10 if clean else 18, partial(fixed, DECIMAL)), (1, 5 if clean else 10, partial(fixed, DECIMAL)),
+        (2, 2, lambda width: st.just("0x") if clean else st.sampled_from(["0x", "0X"])),
+        (1, 8, partial(hex_ids, clean=clean)),
+        (0, 7, lambda width: st.builds(",{}".format, fixed(REST_BYTES, width - 1)) if width else st.just(""))]
+
+
+@st.composite
+def uniform_texts(draw, layout):
+    """(text, clean): lines of one length, all ended by LF or all by CRLF,
+    of one layout if clean. Else the fields may pass the array passes'
+    limits; lines after the first may have a second layout of the same
+    length, one byte moved from a field to its neighbour; and one or two
+    may have a byte written over or two neighbouring bytes swapped, often
+    at a punctuation mark or blank. A second layout that fits the first's
+    columns yields the same values, so the written-over bytes are what test
+    each column's check."""
+    clean = draw(st.booleans())
+    form, fields = layout(clean)
+    widths = [draw(st.integers(least, most)) for least, most, _ in fields]
+    layouts = [widths]
+    k = draw(st.integers(0, len(fields) - 2))
+    give, take = (k, k + 1) if draw(st.booleans()) else (k + 1, k)
+    if not clean and widths[give] > fields[give][0] and fields[take][0] < fields[take][1]:
+        layouts.append([w - (i == give) + (i == take) for i, w in enumerate(widths)])
+
+    def lines_of(widths):
+        return st.builds(form.format, *(field(width) for (_, _, field), width in zip(fields, widths)))
+
+    lines = [draw(lines_of(widths)), *draw(st.lists(st.one_of(*map(lines_of, layouts)), max_size=11))]
+    for _ in range(0 if clean else draw(st.sampled_from([0, 1, 1, 2]))):
+        i = draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))
+        line = lines[i]
+        marks = [p for p, c in enumerate(line[:-1]) if not c.isalnum()]
+        j = draw(st.sampled_from(marks) if marks and draw(st.booleans()) else st.integers(0, len(line) - 2))
+        lines[i] = (line[:j] + draw(st.sampled_from(draw(st.sampled_from(ODD_BYTES)))) + line[j + 1:]
+                    if draw(st.booleans())
+                    else line[:j] + line[j + 1] + line[j] + line[j + 2:])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + end for line in lines), clean
+
+
+def refuse_slice(*args):
+    raise AssertionError("a uniform slice reached the general pass")
+
+
+class TestUniformSlices:
+    """Slices of lines of one length and layout parse as (lines, width)
+    views: to the line parser's times and ids, or to its error at its line.
+    Slices of lines within the array passes' limits never reach the general
+    pass or the line parser."""
+
+    @staticmethod
+    def check(text, fmt, clean, slice_bytes):
+        want = line_by_line(text, fmt)
+        assert by_arrays(text, fmt, slice_bytes) == want
+        if clean:
+            with pytest.MonkeyPatch.context() as patch:
+                for name in ("_candump_chunk", "_csv_chunk", "_candump_lines", "_csv_lines"):
+                    patch.setattr(traceio, name, refuse_slice)
+                assert by_arrays(text, fmt, slice_bytes) == by_arrays(text.encode(), fmt, slice_bytes) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=uniform_texts(candump_layout), slice_bytes=st.sampled_from([40, 100, SLICE_BYTES]))
+    @example(case=("(1.5) can0 185#\n(1.5) can 0185#\n(15.) can0 185#\n", False), slice_bytes=SLICE_BYTES)
+    @example(case=("(1.5) can0 185#\n(1.5( can0 185#\n", False), slice_bytes=SLICE_BYTES)
+    @example(case=("(1.5) can0 185#\n(1.5) ca 0 185#\n", False), slice_bytes=SLICE_BYTES)
+    @example(case=("(1.5) can0 185#\n(a.5) can0 185#\n", False), slice_bytes=SLICE_BYTES)
+    @example(case=("(1.5) can0 185#\n(1.5) can0 1g5#\n", False), slice_bytes=SLICE_BYTES)
+    @example(case=("(1.5) can0 185#\n(1.5)\x0bcan0 185#\n", False), slice_bytes=SLICE_BYTES)
+    def test_candump(self, case, slice_bytes):
+        text, clean = case
+        self.check(text, LogFormat.CANDUMP, clean, slice_bytes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=uniform_texts(csv_layout), slice_bytes=st.sampled_from([40, 100, SLICE_BYTES]))
+    @example(case=("1.50,0x185,\n15.0,0x185,\n", False), slice_bytes=SLICE_BYTES)
+    @example(case=("1.5,0x185,ab\n1.5,0x185,a\"\n", False), slice_bytes=SLICE_BYTES)
+    @example(case=("1.5,0x185,ab\n1.5,0x185,\rb\n", False), slice_bytes=SLICE_BYTES)
+    def test_csv(self, case, slice_bytes):
+        text, clean = case
+        self.check("timestamp,can_id,data\n" + text, LogFormat.CSV, clean, slice_bytes)
+
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    def test_written_log_takes_the_general_pass_only_across_a_digit_boundary(self, fmt, monkeypatch):
+        # 1 ms apart from 1 s on: the seconds gain a digit at 10 s, 9 000
+        # lines in, within the second of several slices
+        trace = synthesize_trace(MessageSchedule(0x185, 0.001, start_time=1.0), ClockSpec(), NoiseModel(),
+                                 3 * CHUNK_LINES, seed=4)
+        text = write_trace(trace, fmt)
+        assert len(text) > 3 * SLICE_BYTES
+        general = traceio._candump_chunk if fmt is LogFormat.CANDUMP else traceio._csv_chunk
+        widths = []
+
+        def counted(chunk, cls, newlines):
+            widths.append({len(line) for line in chunk.tobytes().splitlines()})
+            return general(chunk, cls, newlines)
+
+        monkeypatch.setattr(traceio, general.__name__, counted)
+        want = line_by_line(text, fmt)
+        for data in (text, text.encode()):
+            widths.clear()
+            assert outcome(data, fmt) == want
+            assert len(widths) == 1 and len(widths[0]) == 2, widths
 
 
 class TestBytesAndSlices:
@@ -459,6 +613,15 @@ class TestWrite:
         with pytest.raises(ValueError, match="2\\*\\*63 ns"):
             write_trace(trace, fmt)
 
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    def test_format_given_as_its_value(self, fmt):
+        trace = Trace.from_records([(1.5, 0x185)])
+        assert write_trace(trace, fmt.value) == write_trace(trace, fmt)
+
+    def test_unknown_format_named(self):
+        with pytest.raises(ValueError, match="'xml'"):
+            write_trace(Trace.from_records([(1.5, 0x185)]), "xml")
+
     def test_microsecond_truncation(self):
         trace = Trace.from_records([(0.1234567, 0x10)])
         assert write_trace(trace, LogFormat.CANDUMP).startswith("(0.123456)")
@@ -488,6 +651,13 @@ class TestWrite:
         trace = Trace.from_records([(0.5, 0x1), (-4.2e-6, 0x2), (-1.0, 0x3)])
         with pytest.raises(ValueError, match=r"-0\.0000042"):
             write_trace(trace, fmt)
+
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    def test_first_bad_timestamp_past_the_first_chunk_named(self, fmt):
+        times = np.arange(2 * CHUNK_LINES + 10) * 1e-3
+        times[CHUNK_LINES + 3], times[2 * CHUNK_LINES + 1] = -1.5, np.nan
+        with pytest.raises(ValueError, match=r"negative timestamp -1\.5"):
+            write_trace(Trace(times=times, ids=np.ones(len(times))), fmt)
 
     def test_sub_microsecond_negative_rounds_to_zero(self):
         # rounding at nanoseconds first: -0.4 ns is written as 0
@@ -605,8 +775,13 @@ class TestMemoryBudget:
     15 to 19 bytes per byte of the slice, bounded here by 24. The log text is
     the caller's. ``fill_missing`` holds either the id's arrivals, their
     gaps and a mask (17 bytes per record of the id) or its output and one
-    mask (13 bytes per record), bounded here by 20. Parsing the whole text at
-    once took over 100 bytes per record here, and repairing by a merge 48."""
+    mask (13 bytes per record), bounded here by 20. ``write_trace`` holds the
+    chunk strings and their join, two bytes per character of the text, and
+    the temporaries of one chunk of CHUNK_LINES records (its 8-byte time,
+    second, micro and id arrays and its (lines, width) character arrays and
+    masks), bounded here by 400 bytes per record of the chunk. Parsing the
+    whole text at once took over 100 bytes per record here, and repairing by
+    a merge 48."""
 
     RECORDS = 200_000
 
@@ -635,6 +810,12 @@ class TestMemoryBudget:
         restored, peak = self.peak(parse_log, text, fmt)
         assert len(restored) == len(trace) >= self.RECORDS
         assert peak <= 13 * len(trace) + 24 * traceio.SLICE_BYTES, peak
+
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    def test_write_trace(self, trace, fmt):
+        text, peak = self.peak(write_trace, trace, fmt)
+        assert len(text) > 15 * len(trace)
+        assert peak <= 2 * len(text) + 400 * CHUNK_LINES, peak
 
     def test_fill_missing(self, trace):
         repaired, peak = self.peak(fill_missing, trace, 0x185, 0.01)
