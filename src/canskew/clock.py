@@ -44,10 +44,11 @@ class ClockSpec:
     jitter_std: float = 0.0
 
     def __post_init__(self):
-        if self.skew <= -1.0:
+        # written so that NaN fails each check
+        if not self.skew > -1.0:
             raise ValueError(f"skew must be > -1, got {self.skew}")
-        if self.jitter_std < 0.0:
-            raise ValueError("jitter_std must be >= 0")
+        if not self.jitter_std >= 0.0:
+            raise ValueError(f"jitter_std must be >= 0, got {self.jitter_std}")
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,9 @@ class NoiseModel:
     quantization_step: float = 0.0
 
     def __post_init__(self):
-        if self.delay_mean < 0.0:
-            raise ValueError("delay_mean must be >= 0")
-        if self.delay_std < 0.0:
-            raise ValueError("delay_std must be >= 0")
-        if self.quantization_step < 0.0:
-            raise ValueError("quantization_step must be >= 0")
+        for name in ("delay_mean", "delay_std", "quantization_step"):
+            if not getattr(self, name) >= 0.0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,8 @@ class MessageSchedule:
     start_time: float = 0.0
 
     def __post_init__(self):
-        if self.period <= 0.0:
-            raise ValueError("period must be > 0")
+        if not self.period > 0.0:  # NaN fails too
+            raise ValueError(f"period must be > 0, got {self.period}")
         if not 0 <= self.message_id <= MAX_STD_CAN_ID:
             raise ValueError(f"message_id must be in [0, 0x7FF], got {self.message_id:#x}")
 

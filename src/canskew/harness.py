@@ -2,9 +2,9 @@
 
 ``monte_carlo_ps`` warms a detector once per curve (synthetic source) or once
 per trial (recorded source), then runs the armed attack phase of every
-(trial, grid point) stream together: each batch of all live streams goes
-through the same detector stages as ``ids.detect``, with a leading stream
-axis, and streams that alarm are dropped. Trials redraw only the
+(trial, grid point) stream together: one ``ids._step`` per batch advances all
+live streams through the same per-batch arithmetic as ``ids.detect``, and
+streams that alarm are dropped. Trials redraw only the
 attack-stream noise, and grid points translate that trial's arrivals
 analytically. Success counts are integers, so aggregation order cannot change
 the result.
@@ -28,7 +28,7 @@ from .clock import (
     synthesize_trace,
 )
 from .curves import SuccessCurve
-from .ids import IdsConfig, Variant, _branch, _keep, _stages, arrival_columns, arrival_stage, detect, rls_stage
+from .ids import IdsConfig, Variant, _branch, _keep, _step, arrival_stage, detect, rls_stage
 
 __all__ = [
     "SyntheticSource",
@@ -216,9 +216,12 @@ def _replay_trials(trace, message_id, period, spec, cfg):
 def _attack_phase(bases, trial_base, arrivals0, shift_units, grid, qstep, horizon):
     """Surviving trials per grid point. Stream (trial t, grid point g) starts
     from trial t's warm state and sees arrivals0[t] translated by
-    grid[g] * shift_units, quantized; batch k of every stream is formed and
-    run through the detector stages at once, so no (streams, horizon * N)
-    array is built.
+    grid[g] * shift_units, quantized. Batch k of every live stream is formed
+    and advanced by one ``ids._step`` at once, so no (streams, horizon * N)
+    array is built. Only what the variant reads is formed: each stream's
+    whole batch for SOTA, for NTP its last arrival, gathered from the
+    (horizon, trials) and (horizon, points) arrays of the last arrivals and
+    their translations.
 
     An alarmed stream leaves the live set at once, but the arrays shrink only
     to the smallest power of two that holds the live streams: dropping
@@ -229,16 +232,25 @@ def _attack_phase(bases, trial_base, arrivals0, shift_units, grid, qstep, horizo
     n = bases[0].config.batch_size
     points = len(grid)
     trial, point = np.divmod(np.arange(len(arrivals0) * points), points)
-    shift = grid[:, None] * shift_units  # each grid point's translation of each attack arrival
     streams = _branch(bases, trial_base[trial], horizon)
+    if bases[0].config.variant is Variant.NTP:
+        last0 = np.ascontiguousarray(arrivals0[:, n - 1::n].T)
+        last_shift = np.ascontiguousarray((grid[:, None] * shift_units[n - 1::n]).T)
+
+        def batch(k, trial, point):
+            return (last0[k][trial] + last_shift[k][point])[:, None]
+    else:
+        shift = grid[:, None] * shift_units  # each grid point's translation of each attack arrival
+
+        def batch(k, trial, point):
+            cols = slice(k * n, (k + 1) * n)
+            # np.take of whole rows: half the cost of indexing rows and columns together
+            rows = np.take(arrivals0[:, cols], trial, axis=0)
+            rows += np.take(shift[:, cols], point, axis=0)
+            return rows
     alive = np.ones(len(trial), dtype=bool)
     for k in range(horizon):
-        cols = slice(k * n, (k + 1) * n)
-        # np.take of whole rows: half the cost of indexing rows and columns together
-        batch = np.take(arrivals0[:, cols], trial, axis=0)
-        batch += np.take(shift[:, cols], point, axis=0)
-        _, o_acc, t = arrival_columns(streams, quantize(batch, qstep)[None])
-        alive &= ~_stages(streams, o_acc, t, 0)[-1][0]
+        alive &= ~_step(streams, quantize(batch(k, trial, point), qstep))[-1]
         live = int(np.count_nonzero(alive))
         if not live:
             break

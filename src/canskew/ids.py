@@ -1,10 +1,13 @@
 """Clock-skew intrusion detectors: batch offset estimation, RLS skew
 tracking, and CUSUM change detection, in two variants (SOTA and NTP-based).
 
-One set of stage functions runs both a single stream (``detect``) and the
-Monte Carlo attack phase, where S streams branched from warm states advance
-together: there every numeric state field holds an (S,) array and each
-stage takes a leading stream axis.
+``detect`` runs one stream through stage functions that loop over its
+batches. The Monte Carlo attack phase advances S streams branched from warm
+states (``_branch``), whose numeric state fields hold (S,) arrays, one batch
+at a time (``_step``). Both call the same per-batch helpers for each
+recurrence: the offsets, the RLS update, the CUSUM limits and the reference
+set's add, evict, mean and sigma, on Python floats in the loops and on (S,)
+arrays in the step.
 """
 from __future__ import annotations
 
@@ -60,12 +63,12 @@ class IdsConfig:
             raise ValueError("batch_size must be >= 2")
         if not 0.0 < self.rls_lambda <= 1.0:
             raise ValueError("rls_lambda must be in (0, 1]")
-        if self.update_threshold <= 0.0:
-            raise ValueError("update_threshold must be > 0")
-        if self.detection_threshold <= 0.0:
-            raise ValueError("detection_threshold must be > 0")
-        if self.sensitivity < 0.0:
-            raise ValueError("sensitivity must be >= 0")
+        # written so that NaN fails each check
+        for name in ("update_threshold", "detection_threshold"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.sensitivity >= 0.0:
+            raise ValueError(f"sensitivity must be >= 0, got {self.sensitivity}")
 
 
 @dataclass
@@ -200,44 +203,109 @@ def _max(a, b):
     return b if b > a else a
 
 
-def _rows(x):
-    """``x`` by batch, as the stage loops step through it: a column of one
-    stream as Python floats, a (K, S) block of S streams as (S,) rows."""
-    return x.tolist() if x.ndim == 1 else x
+# Where Python floats and (S,) arrays differ: max, pow, sqrt and any for
+# the one-stream loops and for the stream step. Builtin max and np.maximum
+# part only on NaN, which np.maximum propagates. Python's mu**2 goes through
+# libm pow, which rounds differently from mu * mu now and then; with nearly
+# equal references the variance cancels down to that last bit.
+# np.float_power matched ** on 3M values, where x * x differed on 2 594 and
+# np.power with an array exponent on 107 316.
+_FLOAT_OPS = (_max, pow, math.sqrt, bool)
+_ARRAY_OPS = (np.maximum, np.float_power, np.sqrt, np.ndarray.any)
 
 
-def arrival_columns(state, batches):
-    """Stage 1's columns for the batches that follow ``state``: o_avg, O_acc
-    and t of a (K, N) array of them, or of a (K, S, N) block holding batch k
-    of S branched streams in row k. Advances the state's arrival fields past
-    them. The SOTA offsets are row means over one (K, [S,] N-1) block, and
-    O_acc is a running total from the state's.
-    """
-    a = np.asarray(batches, dtype=np.float64)
-    n = state.config.batch_size
-    if a.shape[1:] != np.shape(state.prev_last_arrival) + (n,):
-        raise ValueError(f"expected batches of {n} arrivals after the state, got shape {a.shape}")
-    last = np.concatenate(([state.prev_last_arrival], a[..., -1]))
-    # mu of each batch, from the gap between batch-last arrivals, after the carried one
-    means = np.concatenate(([state.prev_batch_mean], (last[1:] - last[:-1]) / n))
-    if state.config.variant is Variant.SOTA:
-        # a[1:] - (a[0] + i * mu[k-1]) per row, with mu[k-1] the previous batch's mean
-        offsets = np.arange(1, n) * means[:-1, ..., None]
+# The detector's per-batch arithmetic, once for both the one-stream loops
+# (Python floats) and the stream step (``_step``, (S,) arrays).
+
+def _offsets(config, period, a, prev_means, means):
+    """o_avg and the O_acc increment of batches ``a`` (..., N) with mean
+    spacings ``means``, each after a batch of mean spacing ``prev_means``.
+    SOTA: the row mean of a[1:] - (a[0] + i * mu[k-1]); NTP, which reads
+    neither ``a`` nor ``prev_means``: T - mu[k]."""
+    if config.variant is Variant.SOTA:
+        n = a.shape[-1]
+        offsets = np.arange(1, n) * prev_means[..., None]
         offsets += a[..., :1]
         # np.mean's sum and division, without its 2.5 us of Python per call
         o_avg = np.add.reduce(np.subtract(a[..., 1:], offsets, out=offsets), axis=-1) / (n - 1)
-        increments = np.abs(o_avg)
-    else:
-        o_avg = state.period - means[1:]
-        increments = n * o_avg
-    # added in batch order, as np.cumsum adds a column; not np.cumsum itself,
-    # which along the batch axis of a (1, S) block takes 15 times as long as
-    # one (S,) addition
-    o_acc = np.array(list(accumulate(_rows(increments), initial=state.o_acc)))
-    state.batch_index = state.batch_index + len(a)
-    # the last rows, as Python floats for one stream
-    state.prev_batch_mean, state.prev_last_arrival, state.o_acc = (_rows(x[-1:])[0] for x in (means, last, o_acc))
-    return o_avg, o_acc[1:], last[1:] - state.t_origin
+        return o_avg, np.abs(o_avg)
+    o_avg = period - means
+    return o_avg, config.batch_size * o_avg
+
+
+def _rls_update(skew, p, t, y, lam):
+    """The skew and inverse-covariance scalar P after one RLS step on the
+    point (t, O_acc = y)."""
+    gain = p * t / (lam + t * t * p)
+    return skew + gain * (y - skew * t), (p - gain * t * p) / lam
+
+
+def _limits(e, mu, sigma, l_plus, l_minus, kappa, big_gamma, armed, mx):
+    """e_n of the error ``e``, the limits L+ and L- after it, and, if
+    ``armed``, whether a limit exceeds the detection threshold ``big_gamma``
+    (else False)."""
+    e_n = (e - mu) / mx(sigma, _SIGMA_FLOOR)
+    l_plus = mx(0.0, l_plus + e_n - kappa)
+    l_minus = mx(0.0, l_minus - e_n - kappa)
+    return e_n, l_plus, l_minus, armed and mx(l_plus, l_minus) > big_gamma
+
+
+def _held_back(bootstrap, e, armed):
+    """Hold ``e`` back while the reference set bootstraps. Returns the
+    (mask, error) pairs that seed the references, all held-back errors, once
+    there are CUSUM_BOOTSTRAP_BATCHES of them or, at an armed error, two
+    (short warmups must still get a usable sigma); else ()."""
+    bootstrap.append(e)
+    if len(bootstrap) >= CUSUM_BOOTSTRAP_BATCHES or (armed and len(bootstrap) >= 2):
+        new = [(True, err) for err in bootstrap]
+        bootstrap.clear()
+        return new
+    return ()
+
+
+def _add_references(refs, evicted, count, ref_sum, ref_sumsq, new, keep, ops):
+    """Add each error of the (mask, error) pairs ``new`` to the reference
+    set where its mask holds, evicting the oldest reference, ``refs[evicted]``,
+    of a full set first; ``keep`` appends an added error to ``refs`` (None for
+    branched streams, see CusumState). Returns the new evicted index, count
+    and sums, and the set's mu_cusum and sigma_cusum."""
+    mx, pw, sqrt, any_ = ops
+    for add, err in new:
+        full = add & (count == REFERENCE_CAP)
+        if any_(full):
+            old = refs[evicted]
+            ref_sum = ref_sum - old * full
+            ref_sumsq = ref_sumsq - old * old * full
+            evicted = evicted + full
+        if keep and add:
+            keep(err)
+        err = err * add
+        ref_sum = ref_sum + err
+        ref_sumsq = ref_sumsq + err * err
+        count = count + add - full
+    mu = ref_sum / count
+    return evicted, count, ref_sum, ref_sumsq, mu, sqrt(mx(0.0, (ref_sumsq - count * pw(mu, 2)) / (count - 1)))
+
+
+def arrival_columns(state, batches):
+    """Stage 1's columns for the (K, N) array of batches that follow
+    ``state``: o_avg, O_acc and t. Advances the state's arrival fields past
+    them. The SOTA offsets are row means over one (K, N-1) block, and O_acc
+    is a running total from the state's.
+    """
+    a = np.asarray(batches, dtype=np.float64)
+    n = state.config.batch_size
+    if a.ndim != 2 or a.shape[1] != n:
+        raise ValueError(f"expected batches of {n} arrivals, got shape {a.shape}")
+    last = np.concatenate(([state.prev_last_arrival], a[:, -1]))
+    # mu of each batch, from the gap between batch-last arrivals, after the carried one
+    means = np.concatenate(([state.prev_batch_mean], (last[1:] - last[:-1]) / n))
+    o_avg, increments = _offsets(state.config, state.period, a, means[:-1], means[1:])
+    # added in batch order, as np.cumsum adds a column
+    o_acc = list(accumulate(increments.tolist(), initial=state.o_acc))
+    state.batch_index += len(a)
+    state.prev_batch_mean, state.prev_last_arrival, state.o_acc = float(means[-1]), float(last[-1]), o_acc[-1]
+    return o_avg, np.array(o_acc[1:], dtype=np.float64), last[1:] - state.t_origin
 
 
 def arrival_stage(batches, config, period=None):
@@ -274,102 +342,67 @@ def arrival_stage(batches, config, period=None):
 
 
 def rls_stage(t, o_acc, lam, rls=None):
-    """Stage 2: the scalar exponentially weighted RLS fit of O_acc = S * t,
-    batch by batch from ``rls`` (by default the prior: skew 0, P =
-    RLS_INITIAL_P), which also keeps the lambda-weighted sums of O_acc * t
-    and t * t unless ``rls`` holds None for them. It reads no CUSUM state.
-    The columns are 1-d for one stream, or (K, S) blocks for S streams whose
-    ``rls`` fields are (S,) arrays. Returns the K+1 skews (entry k is the
+    """Stage 2: the scalar exponentially weighted RLS fit of O_acc = S * t
+    over the columns ``t`` and ``o_acc``, batch by batch from ``rls`` (by
+    default the prior: skew 0, P = RLS_INITIAL_P), which also keeps the
+    lambda-weighted sums of O_acc * t and t * t unless ``rls`` holds None
+    for them. It reads no CUSUM state. Returns the K+1 skews (entry k is the
     estimate after batch k, entry 0 the starting one) and the final
     ``RlsState``."""
     t = np.asarray(t, dtype=np.float64)
     o_acc = np.asarray(o_acc, dtype=np.float64)
     if t.shape != o_acc.shape:
         raise ValueError(f"t and O_acc differ in length: {t.size} and {o_acc.size}")
+    if t.ndim != 1:
+        raise ValueError(f"expected columns of t and O_acc, got shape {t.shape}")
     if (t <= 0.0).any():
         raise ValueError("elapsed time must be > 0")
     rls = rls or RlsState()
     skew, p, ot, tt = rls.skew, rls.gain_denominator, rls.ot_sum, rls.tt_sum
     skews = [skew]
-    sums = ot is not None
-    for t_k, y in zip(_rows(t), _rows(o_acc)):
-        gain = p * t_k / (lam + t_k * t_k * p)
-        skew = skew + gain * (y - skew * t_k)
-        p = (p - gain * t_k * p) / lam
+    put, sums = skews.append, ot is not None
+    for t_k, y in zip(t.tolist(), o_acc.tolist()):
+        skew, p = _rls_update(skew, p, t_k, y, lam)
         if sums:
             ot = lam * ot + y * t_k
             tt = lam * tt + t_k * t_k
-        skews.append(skew)
+        put(skew)
     return np.array(skews), RlsState(skew=skew, gain_denominator=p, ot_sum=ot, tt_sum=tt)
 
 
 def cusum_stage(cusum, bootstrap, errors, armed_from, config):
-    """Stage 4: the two-sided CUSUM over identification errors, in place on
-    ``cusum`` and on ``bootstrap``, the errors held back while the reference
-    set has fewer than two entries.
+    """Stage 4: the two-sided CUSUM over a column of identification errors,
+    in place on ``cusum`` and on ``bootstrap``, the errors held back while
+    the reference set has fewer than two entries.
 
-    Held-back errors seed the references once there are
-    CUSUM_BOOTSTRAP_BATCHES of them, or at the first armed error once there
-    are two (short warmups must still get a usable sigma); their e_n is NaN.
-    Errors from index ``armed_from`` on are armed: their batch alarms when a
-    limit exceeds the detection threshold. ``errors`` is a column, or a
-    (K, S) block for the S streams of a branched ``cusum``, whose bootstrap
-    then holds (S,) rows. Returns the columns e_n, L+, L- and alarm.
+    Held-back errors seed the references (see ``_held_back``); their e_n is
+    NaN. Errors from index ``armed_from`` on are armed: their batch alarms
+    when a limit exceeds the detection threshold. Returns the columns e_n,
+    L+, L- and alarm.
     """
-    kappa, gamma, big_gamma = config.sensitivity, config.update_threshold, config.detection_threshold
     errors = np.asarray(errors, dtype=np.float64)
+    if errors.ndim != 1:
+        raise ValueError(f"expected a column of errors, got shape {errors.shape}")
     if not np.isfinite(errors).all():  # keeps the masked reference sums below exact
         raise ValueError("identification errors must be finite")
-    # Where Python floats and arrays differ. Builtin max and np.maximum part
-    # only on NaN, which np.maximum propagates. Python's mu**2 goes through
-    # libm pow, which rounds differently from mu * mu now and then; with
-    # nearly equal references the variance cancels down to that last bit.
-    # np.float_power matched ** on 3M values, where x * x differed on 2 594
-    # and np.power with an array exponent on 107 316.
-    if errors.ndim == 1:
-        mx, pw, sqrt, any_, no_alarm = _max, pow, math.sqrt, bool, False
-        keep = cusum.errors.append
-    else:
-        mx, pw, sqrt, any_ = np.maximum, np.float_power, np.sqrt, np.ndarray.any
-        no_alarm = np.zeros(errors.shape[1:], dtype=bool)
-        keep = None  # streams evict only their bases' references (see CusumState)
+    kappa, gamma, big_gamma = config.sensitivity, config.update_threshold, config.detection_threshold
     c = cusum
     mu, sigma, l_plus, l_minus = c.mu_cusum, c.sigma_cusum, c.l_plus, c.l_minus
     refs, evicted, count, ref_sum, ref_sumsq = c.errors, c.evicted, c.count, c.ref_sum, c.ref_sumsq
-    ready = any_(c.ready)
+    ready, keep = c.ready, c.errors.append
     e_n_col, l_plus_col, l_minus_col, alarm_col = [], [], [], []
-    for k, e in enumerate(_rows(errors)):
+    for k, e in enumerate(errors.tolist()):
         if ready:
-            e_n = (e - mu) / mx(sigma, _SIGMA_FLOOR)
-            l_plus = mx(0.0, l_plus + e_n - kappa)
-            l_minus = mx(0.0, l_minus - e_n - kappa)
-            alarm = no_alarm if k < armed_from else mx(l_plus, l_minus) > big_gamma
+            e_n, l_plus, l_minus, alarm = _limits(e, mu, sigma, l_plus, l_minus, kappa, big_gamma, k >= armed_from,
+                                                  _max)
             new = ((abs(e_n) < gamma, e),)
         else:
-            e_n, alarm, new = e * math.nan, no_alarm, ()  # e_n NaN, shaped as e
-            bootstrap.append(e)
-            if len(bootstrap) >= CUSUM_BOOTSTRAP_BATCHES or (k >= armed_from and len(bootstrap) >= 2):
-                new = [(True, err) for err in bootstrap]
-                bootstrap.clear()
-                ready = True
-        # add each new error where its mask holds, evicting the oldest
-        # reference of a full set first
-        for add, err in new:
-            full = add & (count == REFERENCE_CAP)
-            if any_(full):
-                old = refs[evicted]
-                ref_sum = ref_sum - old * full
-                ref_sumsq = ref_sumsq - old * old * full
-                evicted = evicted + full
-            if keep and add:
-                keep(err)
-            err = err * add
-            ref_sum = ref_sum + err
-            ref_sumsq = ref_sumsq + err * err
-            count = count + add - full
+            e_n, alarm = math.nan, False
+            new = _held_back(bootstrap, e, k >= armed_from)
+            ready = bool(new)
         if new:
-            mu = ref_sum / count
-            sigma = sqrt(mx(0.0, (ref_sumsq - count * pw(mu, 2)) / (count - 1)))
+            evicted, count, ref_sum, ref_sumsq, mu, sigma = _add_references(refs, evicted, count, ref_sum, ref_sumsq,
+                                                                            new, keep, _FLOAT_OPS)
         e_n_col.append(e_n)
         l_plus_col.append(l_plus)
         l_minus_col.append(l_minus)
@@ -380,16 +413,6 @@ def cusum_stage(cusum, bootstrap, errors, armed_from, config):
             np.array(l_minus_col, dtype=np.float64), np.array(alarm_col, dtype=bool))
 
 
-def _stages(state, o_acc, t, armed_from):
-    """Stages 2 to 4 over the O_acc and t columns of the batches that follow
-    ``state``, in place on it; stage 3 is the error column
-    e = O_acc - S[k-1] * t, with S[k-1] the skew held before batch k.
-    Returns the columns skew, e, e_n, L+, L- and alarm."""
-    skews, state.rls = rls_stage(t, o_acc, state.config.rls_lambda, state.rls)
-    e = o_acc - skews[:-1] * t
-    return (skews[1:], e, *cusum_stage(state.cusum, state._bootstrap_errors, e, armed_from, state.config))
-
-
 def detect(batches, config, warmup_batches, period=None):
     """The detector pass over a (K+1, N) batch array: row 0 initializes,
     rows 1..warmup_batches warm up with alarms suppressed, and later rows
@@ -397,10 +420,13 @@ def detect(batches, config, warmup_batches, period=None):
     if warmup_batches < 0:
         raise ValueError(f"warmup_batches must be >= 0, got {warmup_batches}")
     state, o_avg, o_acc, t = arrival_stage(batches, config, period)
-    skew, e, e_n, l_plus, l_minus, alarm = _stages(state, o_acc, t, warmup_batches)
+    skews, state.rls = rls_stage(t, o_acc, config.rls_lambda, state.rls)
+    # stage 3: e = O_acc - S[k-1] * t, with S[k-1] the skew held before batch k
+    e = o_acc - skews[:-1] * t
+    e_n, l_plus, l_minus, alarm = cusum_stage(state.cusum, state._bootstrap_errors, e, warmup_batches, config)
     alarms = np.flatnonzero(alarm)
     return DetectionReport(
-        o_avg=o_avg, o_acc=o_acc, t=t, skew=skew, e=e, e_n=e_n, l_plus=l_plus, l_minus=l_minus,
+        o_avg=o_avg, o_acc=o_acc, t=t, skew=skews[1:], e=e, e_n=e_n, l_plus=l_plus, l_minus=l_minus,
         alarm=alarm, first_alarm_batch=int(alarms[0]) + 1 if len(alarms) else None, final_state=state,
     )
 
@@ -451,6 +477,55 @@ def _keep(state, keep):
             if isinstance(value, np.ndarray) and value is not refs:
                 setattr(part, name, value[keep])
     state._bootstrap_errors[:] = [row[keep] for row in state._bootstrap_errors]
+
+
+def _step(state, batch):
+    """Advance the S streams of a ``_branch`` state by one armed batch, in
+    place: ``batch`` holds each stream's N arrivals in a row, or for NTP,
+    which reads only a batch's last arrival, may hold just that one. Runs
+    the per-batch arithmetic of ``detect`` on (S,) arrays and returns the
+    batch's rows o_avg, O_acc, t, skew, e, e_n, L+, L- and alarm."""
+    config, rls = state.config, state.rls
+    n = config.batch_size
+    widths = (n, 1) if config.variant is Variant.NTP else (n,)
+    if batch.ndim != 2 or len(batch) != len(state.prev_last_arrival) or batch.shape[1] not in widths:
+        raise ValueError(f"expected a batch of {n} arrivals per stream, got shape {batch.shape}")
+    last = batch[:, -1]
+    mean = (last - state.prev_last_arrival) / n
+    o_avg, increment = _offsets(config, state.period, batch, state.prev_batch_mean, mean)
+    o_acc = state.o_acc + increment
+    t = last - state.t_origin
+    if (t <= 0.0).any():
+        raise ValueError("elapsed time must be > 0")
+    skew, p = _rls_update(rls.skew, rls.gain_denominator, t, o_acc, config.rls_lambda)
+    if (p <= 0.0).any():
+        raise ValueError("gain_denominator must be > 0")
+    e = o_acc - rls.skew * t
+    state.batch_index += 1
+    state.prev_batch_mean, state.prev_last_arrival, state.o_acc = mean, last, o_acc
+    rls.skew, rls.gain_denominator = skew, p
+    return (o_avg, o_acc, t, skew, e, *_cusum_streams(state.cusum, state._bootstrap_errors, e, config))
+
+
+def _cusum_streams(cusum, bootstrap, e, config):
+    """Stage 4 of ``_step``: one armed error per stream of a branched
+    ``cusum`` (see CusumState), whose streams stand at one point of the
+    reference bootstrap, which ``bootstrap`` holds as (S,) rows. Returns the
+    rows e_n, L+, L- and alarm."""
+    if not np.isfinite(e).all():  # keeps the masked reference sums exact
+        raise ValueError("identification errors must be finite")
+    c = cusum
+    if c.ready.any():
+        e_n, c.l_plus, c.l_minus, alarm = _limits(e, c.mu_cusum, c.sigma_cusum, c.l_plus, c.l_minus,
+                                                  config.sensitivity, config.detection_threshold, True, np.maximum)
+        new = ((np.abs(e_n) < config.update_threshold, e),)
+    else:
+        e_n, alarm = e * math.nan, np.zeros(e.shape, dtype=bool)
+        new = _held_back(bootstrap, e, True)
+    if new:
+        c.evicted, c.count, c.ref_sum, c.ref_sumsq, c.mu_cusum, c.sigma_cusum = _add_references(
+            c.errors, c.evicted, c.count, c.ref_sum, c.ref_sumsq, new, None, _ARRAY_OPS)
+    return e_n, c.l_plus, c.l_minus, alarm
 
 
 def batch_arrivals(trace, message_id, batch_size):

@@ -208,6 +208,31 @@ class TestNonFiniteGrids:
         assert not out.exists() and not forecast.exists()
 
 
+class TestNanConfig:
+    @pytest.mark.parametrize("flag, name", [
+        ("--big-gamma", "detection_threshold"), ("--gamma", "update_threshold"), ("--kappa", "sensitivity"),
+        ("--jitter-std", "jitter_std"), ("--delay-std", "delay_std"),
+        ("--attacker-jitter-std", "jitter_std"), ("--attacker-delay-std", "delay_std"),
+    ])
+    def test_nan_flag_exits_1(self, capsys, tmp_path, flag, name):
+        out = tmp_path / "curve.csv"
+        code, _, err = run_cli(["sweep", "--variant", "sota", "--trials", "2", "--warmup", "60", "--horizon", "2",
+                                "--grid=-4:4:100e-6", flag, "nan", "--out", str(out)], capsys)
+        assert code == 1 and f"{name} must be" in err and "nan" in err
+        assert not out.exists()
+
+    def test_predict_refuses_a_nan_config(self, capsys, tmp_path, snapshot):
+        text = snapshot.read_text()
+        assert "\nsensitivity,8.0\n" in text
+        bad = tmp_path / "snap.csv"
+        bad.write_text(text.replace("\nsensitivity,8.0\n", "\nsensitivity,nan\n"))
+        out = tmp_path / "curve.csv"
+        code, _, err = run_cli(["predict", "--model", "ntp", "--snapshot", str(bad), "--grid=-1:1:1e-7",
+                                "--horizon", "3", "--out", str(out)], capsys)
+        assert code == 1 and "sensitivity must be >= 0, got nan" in err
+        assert not out.exists()
+
+
 class TestGridSize:
     # both specs are refused before an array is made: the point count alone
     # is past the cap

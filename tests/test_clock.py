@@ -1,4 +1,6 @@
 """Clock algebra and trace synthesis."""
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,15 @@ class TestValidation:
             MessageSchedule(0x800, 0.1)
         with pytest.raises(ValueError):
             MessageSchedule(0x185, 0.0)
+
+    @pytest.mark.parametrize("cls, name", [
+        (ClockSpec, "skew"), (ClockSpec, "jitter_std"), (NoiseModel, "delay_mean"), (NoiseModel, "delay_std"),
+        (NoiseModel, "quantization_step"), (MessageSchedule, "period"),
+    ], ids=lambda x: x if isinstance(x, str) else x.__name__)
+    def test_nan_rejected_naming_the_field(self, cls, name):
+        fixed = {"message_id": 0x185} if cls is MessageSchedule else {}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            cls(**fixed, **{name: math.nan})
 
     def test_trace_shape_mismatch(self):
         with pytest.raises(ValueError):

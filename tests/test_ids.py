@@ -27,8 +27,8 @@ from canskew.ids import (
     IdsConfig,
     Variant,
     _branch,
-    _stages,
-    arrival_columns,
+    _cusum_streams,
+    _step,
     arrival_stage,
     batch_arrivals,
     cusum_stage,
@@ -60,6 +60,11 @@ class TestConfig:
             IdsConfig(variant=Variant.SOTA, detection_threshold=0.0)
         with pytest.raises(ValueError):
             IdsConfig(variant=Variant.SOTA, sensitivity=-1.0)
+
+    @pytest.mark.parametrize("name", ["rls_lambda", "update_threshold", "detection_threshold", "sensitivity"])
+    def test_nan_rejected_naming_the_field(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            IdsConfig(variant=Variant.SOTA, **{name: math.nan})
 
     def test_variant_coerced_from_string(self):
         assert IdsConfig(variant="ntp").variant is Variant.NTP
@@ -438,11 +443,11 @@ def assert_streams_match_run_ids(config, warmup, base_arrivals, trial_base, arri
                                  horizon):
     """Stream (trial, grid point) of the attack phase behaves as run_ids over
     its base's warmup arrivals followed by its own, bit for bit: after every
-    attack batch, the stage columns of the branched state (arrival_columns
-    and stages 2 to 4 over a (1, S, N) block, as _attack_phase runs them)
-    equal that batch's row of the report; after the last one, the carried
-    state equals the report's final state; _attack_phase keeps the same
-    survivors; and the bases are left unchanged."""
+    attack batch, the rows that _step returns for the branched state, given
+    what _attack_phase forms (the whole batch for SOTA, its last arrival for
+    NTP), equal that batch's row of the report; after the last one, the
+    carried state equals the report's final state; _attack_phase keeps the
+    same survivors; and the bases are left unchanged."""
     n = config.batch_size
     bases = [run_on(a, config, warmup).final_state for a in base_arrivals]
     before = copy.deepcopy(bases)
@@ -452,10 +457,10 @@ def assert_streams_match_run_ids(config, warmup, base_arrivals, trial_base, arri
                for t, a in zip(trial, arrivals)]
     streams = _branch(bases, trial_base[trial], horizon)
     for k in range(horizon):
-        o_avg, o_acc, t = arrival_columns(streams, arrivals[None, :, k * n:(k + 1) * n])
+        first = (k + 1) * n - 1 if config.variant is Variant.NTP else k * n
         row = warmup + k  # attack batch k is batch warmup + 1 + k
-        for name, column in zip(REPORT_COLUMNS, (o_avg, o_acc, t, *_stages(streams, o_acc, t, 0))):
-            assert np.array_equal(column[0], [getattr(r, name)[row] for r in reports], equal_nan=True), (name, k)
+        for name, column in zip(REPORT_COLUMNS, _step(streams, arrivals[:, first:(k + 1) * n])):
+            assert np.array_equal(column, [getattr(r, name)[row] for r in reports], equal_nan=True), (name, k)
     for path, names in STATE_FIELDS.items():
         for name in names:
             want = [state_field(r.final_state, path, name) for r in reports]
@@ -533,17 +538,47 @@ class TestIdsStreams:
                 errors.append(mid)
                 singles.append(single)
         streams = _branch(bases, np.arange(len(bases)), 1)
-        cusum_stage(streams.cusum, streams._bootstrap_errors, [errors], 0, config)
+        _cusum_streams(streams.cusum, streams._bootstrap_errors, np.array(errors), config)
         assert streams.cusum.mu_cusum.tolist() == [c.mu_cusum for c in singles]
         assert streams.cusum.sigma_cusum.tolist() == [c.sigma_cusum for c in singles]
+
+    def test_ntp_reads_only_each_batchs_last_arrival(self):
+        config = make_config(Variant.NTP)
+        n, warmup, horizon = config.batch_size, 60, 20
+        bases = [warm_state(config, warmup, seed=1)]
+        arrivals0 = np.array([cloak_arrivals(config, warmup, horizon, seed) for seed in range(2, 6)])
+        blind = np.full_like(arrivals0, np.nan)
+        blind[:, n - 1::n] = arrivals0[:, n - 1::n]
+        shift_units = _grid_shift_units(AttackSpec(delta_t0=0.0, attacker_clock=STREAM_ATTACKER), "delta_t",
+                                        horizon * n)
+        grid = np.arange(-6, 7) * 1e-6
+        counts = _attack_phase(bases, np.zeros(4, dtype=int), arrivals0, shift_units, grid, 0.0, horizon)
+        assert 0 < counts.sum() < 4 * len(grid)
+        assert _attack_phase(bases, np.zeros(4, dtype=int), blind, shift_units, grid, 0.0, horizon).tolist() \
+            == counts.tolist()
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("bad, message", [(-1e6, "elapsed time must be > 0"),
+                                              (np.nan, "identification errors must be finite")])
+    def test_attack_phase_checks_every_batch(self, variant, bad, message):
+        # trial 1's second attack batch ends before the warmup's origin, or at no time
+        config = make_config(variant)
+        n, warmup, horizon = config.batch_size, 60, 4
+        bases = [warm_state(config, warmup, seed=1)]
+        arrivals0 = np.array([cloak_arrivals(config, warmup, horizon, seed) for seed in (2, 3)])
+        shift_units = np.ones(horizon * n)
+        grid = np.zeros(3)
+        assert _attack_phase(bases, np.zeros(2, dtype=int), arrivals0, shift_units, grid, 0.0, horizon).sum() == 6
+        arrivals0[1, 2 * n - 1] = bad
+        with pytest.raises(ValueError, match=message):
+            _attack_phase(bases, np.zeros(2, dtype=int), arrivals0, shift_units, grid, 0.0, horizon)
 
     def test_bases_left_unchanged(self):
         config = make_config(Variant.NTP)
         base = warm_state(config, 60, seed=1)
         before = copy.deepcopy(base)
         streams = _branch([base], np.zeros(3, dtype=int), 1)
-        _, o_acc, t = arrival_columns(streams, np.tile(cloak_arrivals(config, 60, 1, seed=2), (1, 3, 1)))
-        _stages(streams, o_acc, t, 0)
+        _step(streams, np.tile(cloak_arrivals(config, 60, 1, seed=2), (3, 1)))
         assert base == before
 
     def test_rejects_mismatched_bases(self):
@@ -562,6 +597,10 @@ class TestIdsStreams:
             _branch([base], np.zeros(2, dtype=int), REFERENCE_CAP + 1)
 
     def test_rejects_wrong_batch_shape(self):
-        streams = _branch([warm_state(make_config(Variant.NTP), 60, seed=1)], np.zeros(2, dtype=int), 1)
-        with pytest.raises(ValueError):
-            arrival_columns(streams, np.zeros((1, 3, 20)))
+        # NTP may be given just the last arrivals, SOTA reads them all
+        for variant in Variant:
+            streams = _branch([warm_state(make_config(variant), 60, seed=1)], np.zeros(2, dtype=int), 1)
+            bad = [(3, 20), (2, 19), (2, 2), (1, 2, 20), (2,)] + ([(2, 1)] if variant is Variant.SOTA else [])
+            for shape in bad:
+                with pytest.raises(ValueError, match="expected a batch of 20 arrivals per stream"):
+                    _step(streams, np.ones(shape))
