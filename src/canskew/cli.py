@@ -8,6 +8,7 @@ configuration to stderr so runs can be reproduced and audited.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -330,7 +331,10 @@ def _cmd_consistency(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree of every subcommand, built once per process:
+    parsing and ``_resolve`` only read it."""
     parser = argparse.ArgumentParser(prog="canskew", allow_abbrev=False,
                                      description="Clock-skew IDS and cloaking-attack toolkit for periodic CAN traffic")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

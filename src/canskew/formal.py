@@ -65,10 +65,16 @@ class Snapshot:
     start_batch: int = 1      # m
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("snapshot requires sigma > 0")
-        if self.sigma_cusum <= 0.0:
-            raise ValueError("snapshot requires sigma_cusum > 0")
+        # scalars only: the reference errors are read as they are used.
+        # Written so that NaN fails each check
+        if not (self.period is None or self.period > 0.0):
+            raise ValueError(f"snapshot requires period > 0 or none, got {self.period}")
+        for name in ("sigma", "sigma_cusum"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"snapshot requires a finite {name} > 0, got {getattr(self, name)}")
+        for name in ("mu", "mu_cusum", "prev_batch_mean", "o_acc", "t", "skew", "ot_sum", "tt_sum"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"snapshot requires a finite {name}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,17 @@ at a time (``_step``). Both call the same per-batch helpers for each
 recurrence: the offsets, the RLS update, the CUSUM limits and the reference
 set's add, evict, mean and sigma, on Python floats in the loops and on (S,)
 arrays in the step.
+
+The one-stream CUSUM (``cusum_stage``) also has an exact block path. While
+the reference set is ready and both limits are 0.0, it assumes that each of
+the next errors joins the references and leaves both limits at 0.0, and
+computes the block with the same helpers on arrays whose entry p is the
+reference set after p of its errors. Those sets' sums are running sums
+(np.cumsum adds in order; a full set's evictions are added negations, as
+a - b is a + (-b) in IEEE 754), and every other value is the loop's
+operation on the same operands, so the prefix up to the first error that
+breaks the assumption is bit-identical to the loop's; that error goes
+through the per-batch body.
 """
 from __future__ import annotations
 
@@ -38,6 +49,10 @@ __all__ = [
 RLS_INITIAL_P = 1e6  # large prior variance: first update snaps to the data
 CUSUM_BOOTSTRAP_BATCHES = 50
 REFERENCE_CAP = 10_000
+CUSUM_BLOCK = 1024  # errors that cusum_stage's block path takes at once
+# per-batch stretch after a block that ends early: doubles with each such
+# block in a row, back to none after a block that ends at its size
+_BACKOFF_FIRST, _BACKOFF_CAP = 16, 4096
 # floor for sigma_cusum: sub-picosecond spread means a noiseless trace, where
 # the only variation is float rounding and must not be amplified into alarms
 _SIGMA_FLOOR = 1e-12
@@ -184,17 +199,27 @@ class DetectionReport:
 
     def to_csv(self):
         """One row per batch; floats as %.12g, a NaN e_n as an empty cell."""
-        cols = [c.tolist() for c in (self.batch, self.o_avg, self.o_acc, self.t, self.skew, self.e, self.e_n,
-                                     self.l_plus, self.l_minus, self.alarm.astype(int))]
-        rows = list(map(_ROW.__mod__, zip(*cols)))
-        for k in np.flatnonzero(np.isnan(self.e_n)).tolist():
-            rows[k] = _ROW_NO_E_N % tuple(c[k] for c in cols[:6] + cols[7:])
-        return "\n".join([",".join(self.CSV_COLUMNS), *rows, ""])
+        floats = (self.o_avg, self.o_acc, self.t, self.skew, self.e)
+        no_e_n = np.isnan(self.e_n)
+        # both limits +0.0 ("%.12g" % 0.0 is "0"; a -0.0 prints "-0") and no alarm
+        quiet = ~no_e_n & ~self.alarm
+        for limit in (self.l_plus, self.l_minus):
+            quiet &= (limit == 0.0) & ~np.signbit(limit)
+        rows = np.empty(len(self), dtype=object)
+        for row, mask, columns in (
+                (_ROW, ~(no_e_n | quiet), (*floats, self.e_n, self.l_plus, self.l_minus, self.alarm.astype(int))),
+                (_ROW_QUIET, quiet, (*floats, self.e_n)),
+                (_ROW_NO_E_N, no_e_n, (*floats, self.l_plus, self.l_minus, self.alarm.astype(int)))):
+            if mask.any():
+                rows[mask] = list(map(row.__mod__, zip(*(c[mask].tolist() for c in (self.batch, *columns)))))
+        return "\n".join([",".join(self.CSV_COLUMNS), *rows.tolist(), ""])
 
 
-# DetectionReport rows: batch, five floats, e_n, two floats, alarm
+# DetectionReport rows: batch, five floats, e_n, two floats, alarm; with no
+# e_n; with both limits 0 and no alarm
 _ROW = "%d" + ",%.12g" * 8 + ",%d"
 _ROW_NO_E_N = "%d" + ",%.12g" * 5 + "," + ",%.12g" * 2 + ",%d"
+_ROW_QUIET = "%d" + ",%.12g" * 6 + ",0,0,0"
 
 
 def _max(a, b):
@@ -268,7 +293,9 @@ def _add_references(refs, evicted, count, ref_sum, ref_sumsq, new, keep, ops):
     set where its mask holds, evicting the oldest reference, ``refs[evicted]``,
     of a full set first; ``keep`` appends an added error to ``refs`` (None for
     branched streams, see CusumState). Returns the new evicted index, count
-    and sums, and the set's mu_cusum and sigma_cusum."""
+    and sums, and the set's mu_cusum and sigma_cusum; with no pairs, those of
+    the set as given (``_cusum_block`` passes the sums of every prefix of a
+    block as arrays)."""
     mx, pw, sqrt, any_ = ops
     for add, err in new:
         full = add & (count == REFERENCE_CAP)
@@ -379,6 +406,18 @@ def cusum_stage(cusum, bootstrap, errors, armed_from, config):
     NaN. Errors from index ``armed_from`` on are armed: their batch alarms
     when a limit exceeds the detection threshold. Returns the columns e_n,
     L+, L- and alarm.
+
+    While the reference set is ready and both limits are 0.0, errors go to
+    ``_cusum_block`` up to CUSUM_BLOCK at a time. It takes the longest
+    prefix of a block in which every error joins the references and leaves
+    both limits at 0.0, computed with the floating-point operations of the
+    per-batch body below in the same order, so both paths give the same
+    bits. The error that ends a block, and every error while the references
+    bootstrap or a limit is nonzero, take the per-batch body. After a block
+    that ends early the body runs on for a stretch that doubles with each
+    such block in a row (_BACKOFF_FIRST up to _BACKOFF_CAP errors) and is
+    reset by a block that does not, so a column where every block ends at
+    once tries few of them.
     """
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 1:
@@ -386,31 +425,116 @@ def cusum_stage(cusum, bootstrap, errors, armed_from, config):
     if not np.isfinite(errors).all():  # keeps the masked reference sums below exact
         raise ValueError("identification errors must be finite")
     kappa, gamma, big_gamma = config.sensitivity, config.update_threshold, config.detection_threshold
+    cap, block = REFERENCE_CAP, CUSUM_BLOCK
     c = cusum
     mu, sigma, l_plus, l_minus = c.mu_cusum, c.sigma_cusum, c.l_plus, c.l_minus
     refs, evicted, count, ref_sum, ref_sumsq = c.errors, c.evicted, c.count, c.ref_sum, c.ref_sumsq
     ready, keep = c.ready, c.errors.append
-    e_n_col, l_plus_col, l_minus_col, alarm_col = [], [], [], []
-    for k, e in enumerate(errors.tolist()):
-        if ready:
-            e_n, l_plus, l_minus, alarm = _limits(e, mu, sigma, l_plus, l_minus, kappa, big_gamma, k >= armed_from,
-                                                  _max)
-            new = ((abs(e_n) < gamma, e),)
-        else:
-            e_n, alarm = math.nan, False
-            new = _held_back(bootstrap, e, k >= armed_from)
-            ready = bool(new)
-        if new:
-            evicted, count, ref_sum, ref_sumsq, mu, sigma = _add_references(refs, evicted, count, ref_sum, ref_sumsq,
-                                                                            new, keep, _FLOAT_OPS)
-        e_n_col.append(e_n)
-        l_plus_col.append(l_plus)
-        l_minus_col.append(l_minus)
-        alarm_col.append(alarm)
+    values = errors.tolist()
+    n = len(values)
+    e_n_col, l_plus_col, l_minus_col, alarm_col = np.empty(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
+    k = backoff = 0
+    while k < n:
+        if block and ready and not (l_plus or l_minus):
+            # a block stops where the set fills: before it, no error evicts; after, every one does
+            m = min(block, n - k, cap - count if count < cap else cap)
+            taken, e_n, moved = _cusum_block(errors[k:k + m], refs, evicted, count, ref_sum, ref_sumsq, config)
+            if taken:
+                e_n_col[k:k + taken] = e_n
+                evicted, count, ref_sum, ref_sumsq, mu, sigma = moved
+                l_plus = l_minus = 0.0
+                k += taken
+            if taken == m:
+                backoff = 0
+                continue
+            backoff = min(2 * backoff, _BACKOFF_CAP) or _BACKOFF_FIRST
+        # the per-batch body: the error that ended a block and ``backoff``
+        # more, then on to the next error that could start a block
+        start, stop = k, k + backoff if block else n
+        e_n_run, l_plus_run, l_minus_run, alarm_run = [], [], [], []
+        for k in range(start, n):
+            e = values[k]
+            if ready:
+                e_n, l_plus, l_minus, alarm = _limits(e, mu, sigma, l_plus, l_minus, kappa, big_gamma,
+                                                      k >= armed_from, _max)
+                joined = abs(e_n) < gamma
+                new = ((joined, e),)
+            else:
+                e_n, alarm = math.nan, False
+                new = _held_back(bootstrap, e, k >= armed_from)
+                joined = ready = bool(new)
+            if new:
+                evicted, count, ref_sum, ref_sumsq, mu, sigma = _add_references(refs, evicted, count, ref_sum,
+                                                                                ref_sumsq, new, keep, _FLOAT_OPS)
+            e_n_run.append(e_n)
+            l_plus_run.append(l_plus)
+            l_minus_run.append(l_minus)
+            alarm_run.append(alarm)
+            # as a block assumes of each of its errors: joined, both limits 0.0
+            if k >= stop and joined and not (l_plus or l_minus):
+                break
+        k += 1
+        e_n_col[start:k], l_plus_col[start:k], l_minus_col[start:k], alarm_col[start:k] = (
+            e_n_run, l_plus_run, l_minus_run, alarm_run)
     c.mu_cusum, c.sigma_cusum, c.l_plus, c.l_minus = mu, sigma, l_plus, l_minus
     c.evicted, c.count, c.ref_sum, c.ref_sumsq = evicted, count, ref_sum, ref_sumsq
-    return (np.array(e_n_col, dtype=np.float64), np.array(l_plus_col, dtype=np.float64),
-            np.array(l_minus_col, dtype=np.float64), np.array(alarm_col, dtype=bool))
+    return e_n_col, l_plus_col, l_minus_col, alarm_col
+
+
+def _cusum_block(errors, refs, evicted, count, ref_sum, ref_sumsq, config):
+    """The block path of ``cusum_stage``: the next ``errors`` of a stream
+    whose reference set (``refs`` from index ``evicted``, ``count`` errors
+    with the given sums) is ready and either stays short of REFERENCE_CAP or
+    is full throughout, and whose limits are both 0.0.
+
+    Assumes that every error joins the references and leaves both limits at
+    0.0, and repeats the per-batch arithmetic on arrays whose entry p is
+    the reference set after the first p errors:
+    - its sums are running sums from the carried ones, which add in the
+      loop's order (np.cumsum is sequential). A full set evicts its oldest
+      reference before each add, as an added negation: a - b is a + (-b);
+    - its mean and sigma come from ``_add_references`` given no errors
+      (entry 0's are the carried ones, which came from the same sums);
+    - error p's e_n and limits come from ``_limits`` on entry p, from limits
+      of 0.0.
+    Returns how many leading errors the assumption holds for, their e_n,
+    and the evicted index, count, sums, mean and sigma after them; the
+    taken errors are appended to ``refs``. It takes none where a carried sum
+    is not finite or an operation overflows or is invalid: the per-batch
+    body's NaN, which ``_max`` turns into 0.0, would be NaN here."""
+    if not (math.isfinite(ref_sum) and math.isfinite(ref_sumsq)):
+        return 0, None, None
+    m = len(errors)
+    full = count == REFERENCE_CAP
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            if full:
+                old = np.array(refs[evicted:evicted + m])
+                steps = np.empty(2 * m + 1)
+                steps[0], steps[2::2] = ref_sum, errors
+                np.negative(old, out=steps[1::2])
+                sums = np.cumsum(steps)[::2]
+                steps[0], steps[2::2] = ref_sumsq, errors * errors
+                np.negative(old * old, out=steps[1::2])
+                sumsq = np.cumsum(steps)[::2]
+                counts = count
+            else:
+                sums = np.cumsum(np.concatenate(([ref_sum], errors)))
+                sumsq = np.cumsum(np.concatenate(([ref_sumsq], errors * errors)))
+                counts = np.arange(count, count + m + 1)
+            mus, sigmas = _add_references(None, None, counts, sums, sumsq, (), None, _ARRAY_OPS)[4:]
+            e_n, l_plus, l_minus, _ = _limits(errors, mus[:-1], sigmas[:-1], 0.0, 0.0, config.sensitivity,
+                                              config.detection_threshold, False, np.maximum)
+        except FloatingPointError:
+            return 0, None, None
+    ends = ~(np.abs(e_n) < config.update_threshold) | (np.maximum(l_plus, l_minus) > 0.0)
+    taken = int(ends.argmax()) if ends.any() else m
+    if not taken:
+        return 0, None, None
+    refs.extend(errors[:taken].tolist())
+    moved = (evicted + taken * full, count + taken * (not full), float(sums[taken]), float(sumsq[taken]),
+             float(mus[taken]), float(sigmas[taken]))
+    return taken, e_n[:taken], moved
 
 
 def detect(batches, config, warmup_batches, period=None):

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, config files, seeds, exit codes."""
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from canskew import formal, traceio
-from canskew.cli import _parse_grid, main
+from canskew.cli import _parse_grid, build_parser, main
 from canskew.curves import SuccessCurve
 from canskew.traceio import LogFormat, parse_log
 
@@ -48,6 +49,23 @@ class TestPlumbing:
         code, _, err = run_cli(["generate", "--count", "10", "--seed", "1", "--out", str(out)], capsys)
         assert code == 0
         assert "seed=777" in err
+
+    def test_one_parser_serves_every_call(self, capsys, tmp_path):
+        # the parser is built once per process; a config file's values go to
+        # that call's namespace only
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("format=csv\nseed=5\njitter_std=1e-3\n")
+        calls = [["generate", "--count", "5", "--config", str(cfg)], ["generate", "--count", "5"],
+                 ["correlate", "--batches", "30"]]
+        cached = [run_cli(argv, capsys) for argv in calls]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run_cli(argv, capsys))
+        assert cached == fresh and build_parser() is build_parser()
+        (_, with_config, err_config), (_, without, err_plain), _ = cached
+        assert with_config.startswith("timestamp,can_id,data\n") and "seed=5 " in err_config
+        assert without.startswith("(") and "seed=5 " not in err_plain and err_plain != err_config
 
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "gen.cfg"
@@ -174,6 +192,16 @@ class TestBadInput:
 
 
 @pytest.fixture(scope="module")
+def sota_snapshot(tmp_path_factory):
+    path = tmp_path_factory.mktemp("snap")
+    trace, snap = path / "trace.log", path / "snap.csv"
+    assert main(["generate", "--count", "4020", "--seed", "3", "--out", str(trace)]) == 0
+    assert main(["detect", "--input", str(trace), "--variant", "sota", "--warmup", "150",
+                 "--snapshot-out", str(snap), "--out", str(path / "r.csv")]) == 0
+    return snap
+
+
+@pytest.fixture(scope="module")
 def snapshot(tmp_path_factory):
     path = tmp_path_factory.mktemp("snap")
     trace, snap = path / "trace.log", path / "snap.csv"
@@ -219,6 +247,21 @@ class TestNanConfig:
         code, _, err = run_cli(["sweep", "--variant", "sota", "--trials", "2", "--warmup", "60", "--horizon", "2",
                                 "--grid=-4:4:100e-6", flag, "nan", "--out", str(out)], capsys)
         assert code == 1 and f"{name} must be" in err and "nan" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["ntp", "sota"])
+    @pytest.mark.parametrize("name", ["sigma", "sigma_cusum", "mu_cusum", "mu", "prev_batch_mean", "o_acc", "t",
+                                      "skew", "ot_sum", "tt_sum", "period"])
+    def test_predict_names_a_nan_snapshot_field(self, capsys, tmp_path, snapshot, sota_snapshot, model, name):
+        lines = (snapshot if model == "ntp" else sota_snapshot).read_text().splitlines(keepends=True)
+        edited = [f"{name},nan\n" if line.startswith(f"{name},") else line for line in lines]
+        assert edited != lines
+        bad = tmp_path / "snap.csv"
+        bad.write_text("".join(edited))
+        out = tmp_path / "curve.csv"
+        code, _, err = run_cli(["predict", "--model", model, "--snapshot", str(bad), "--grid=-1:1:1e-7",
+                                "--horizon", "3", "--out", str(out)], capsys)
+        assert code == 1 and re.search(rf"^error: snapshot requires (a finite )?{name}\b.*, got nan$", err, re.M)
         assert not out.exists()
 
     def test_predict_refuses_a_nan_config(self, capsys, tmp_path, snapshot):

@@ -138,6 +138,19 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             manual_snapshot(sigma_cusum=0.0)
 
+    @pytest.mark.parametrize("name, value", [
+        *((name, value) for name in ("sigma", "sigma_cusum") for value in (math.nan, math.inf, -1.0)),
+        *((name, value) for name in ("mu", "mu_cusum", "prev_batch_mean", "o_acc", "t", "skew", "ot_sum", "tt_sum")
+          for value in (math.nan, math.inf, -math.inf)),
+        ("period", math.nan), ("period", 0.0), ("period", -0.1),
+    ])
+    def test_refuses_a_bad_scalar_naming_it(self, name, value):
+        with pytest.raises(ValueError, match=rf"^snapshot requires (a finite )?{name}\b.*, got {value}$"):
+            manual_snapshot(**{name: value})
+
+    def test_sota_snapshot_may_have_no_period(self):
+        assert manual_snapshot(period=None).period is None
+
     def test_snapshot_reproduces_state_fields(self, warm_states):
         state = warm_states[Variant.NTP]
         snap = take_snapshot(None, state, state.batch_index + 1)

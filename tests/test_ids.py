@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canskew import ids
 from canskew.attacks import AttackSpec, attack_arrivals, compute_delta_t0
 from canskew.clock import (
     ClockSpec,
@@ -24,6 +25,7 @@ from canskew.ids import (
     CUSUM_BOOTSTRAP_BATCHES,
     REFERENCE_CAP,
     CusumState,
+    DetectionReport,
     IdsConfig,
     Variant,
     _branch,
@@ -236,6 +238,161 @@ class TestCusum:
         assert len(cusum.reference_errors) == before
 
 
+def cusum_run(errors, armed_from, config, splits=(), block=None):
+    """``cusum_stage`` over ``errors`` from a fresh state, called once per
+    piece of the column cut at ``splits`` with the state carried over; with
+    ``block=0`` every error takes the per-batch body. Returns the columns,
+    the state and the held-back errors."""
+    cusum, held, parts = CusumState(), [], []
+    bounds = [0, *splits, len(errors)]
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(ids, "CUSUM_BLOCK", block)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            parts.append(cusum_stage(cusum, held, errors[a:b], armed_from - a, config))
+    return [np.concatenate(column) for column in zip(*parts)], cusum, held
+
+
+def assert_same_cusum(got, want):
+    """Columns, state fields (value and type), references and held-back
+    errors equal bit for bit."""
+    for name, a, b in zip(("e_n", "l_plus", "l_minus", "alarm"), got[0], want[0]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("mu_cusum", "sigma_cusum", "l_plus", "l_minus", "evicted", "count", "ref_sum", "ref_sumsq"):
+        a, b = getattr(got[1], name), getattr(want[1], name)
+        assert type(a) is type(b) and repr(a) == repr(b), name
+    assert got[1].errors == want[1].errors and all(type(e) is float for e in got[1].errors)
+    assert got[2] == want[2]
+
+
+@st.composite
+def cusum_cases(draw):
+    """A column of identification errors with what breaks a block: held-back
+    errors and any arming point, scattered outliers past gamma, a stretch
+    shifted by 5.5 to 20 reference sigmas (gamma <= |e_n| < kappa, or
+    alarms), ties from quantization, and sometimes more errors than the
+    reference cap, which is then small or the real one."""
+    cap = draw(st.sampled_from([REFERENCE_CAP, 3, 37]))
+    n = cap + draw(st.integers(51, 300)) if draw(st.booleans()) else draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-7, 3))
+    errors = rng.normal(0.0, scale, n)
+    outliers = rng.random(n) < draw(st.sampled_from([0.0, 0.002, 0.05, 0.3]))
+    errors[outliers] += scale * rng.choice([-1.0, 1.0], outliers.sum()) * rng.uniform(4.0, 12.0, outliers.sum())
+    start = draw(st.integers(0, n))
+    stop = draw(st.integers(start, n))
+    errors[start:stop] += scale * draw(st.sampled_from([5.5, -6.0, 10.0, -20.0]))
+    quantum = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    if quantum:
+        errors = np.round(errors / (quantum * scale)) * (quantum * scale)
+    config = make_config(Variant.NTP, sensitivity=draw(st.sampled_from([0.0, 2.0, 8.0])),
+                         update_threshold=draw(st.sampled_from([1.0, 4.0, 10.0])),
+                         detection_threshold=draw(st.sampled_from([0.5, 5.0, 50.0])))
+    splits = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    return cap, errors, draw(st.integers(0, n + 5)), config, splits
+
+
+def count_cusum_paths(monkeypatch):
+    """Count the block attempts and the per-batch bodies of ``cusum_stage``
+    from here on."""
+    calls = {"blocks": 0, "bodies": 0}
+    block, limits, held_back = ids._cusum_block, ids._limits, ids._held_back
+
+    def counted_block(*args):
+        calls["blocks"] += 1
+        return block(*args)
+
+    def counted_limits(e, *args):
+        calls["bodies"] += isinstance(e, float)
+        return limits(e, *args)
+
+    def counted_held_back(*args):
+        calls["bodies"] += 1
+        return held_back(*args)
+
+    monkeypatch.setattr(ids, "_cusum_block", counted_block)
+    monkeypatch.setattr(ids, "_limits", counted_limits)
+    monkeypatch.setattr(ids, "_held_back", counted_held_back)
+    return calls
+
+
+class TestCusumBlockPath:
+    @settings(max_examples=80, deadline=None)
+    @given(case=cusum_cases())
+    def test_block_path_matches_per_batch_body(self, case):
+        cap, errors, armed_from, config, splits = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ids, "REFERENCE_CAP", cap)
+            want = cusum_run(errors, armed_from, config, block=0)
+            assert_same_cusum(cusum_run(errors, armed_from, config, splits), want)
+            assert_same_cusum(cusum_run(errors, armed_from, config, splits, block=5), want)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_detect_on_a_full_fifo_matches_per_batch_body(self, variant):
+        # 10 100 batches: the reference set fills, and blocks run full and evicting
+        config = make_config(variant)
+        arrivals = warm_arrivals(config, REFERENCE_CAP + 100, seed=5)
+        report = run_on(arrivals, config, 1000)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ids, "CUSUM_BLOCK", 0)
+            want = run_on(arrivals, config, 1000)
+        for name in REPORT_COLUMNS:
+            got, expected = getattr(report, name), getattr(want, name)
+            assert got.tobytes() == expected.tobytes(), name
+        same_state = report.final_state == want.final_state  # compared outside the assert: no diff of 10 000 refs
+        assert same_state
+        assert report.final_state.cusum.count == REFERENCE_CAP and report.final_state.cusum.evicted > 50
+
+    def test_overflowing_or_nan_sums_are_left_to_the_per_batch_body(self):
+        # squares past the float range make the sums of squares inf, then NaN
+        # once an inf square is evicted; the means stay in range
+        errors = np.concatenate([[2e154, -2e154, 1e154, -1e154, 2e154, 1.0, -0.5, 0.25, 3.0, -2e154, 1.5],
+                                 np.random.default_rng(0).normal(0.0, 1.0, 200)])
+        # thresholds past every e_n: the limits stay 0 and every error joins
+        config = make_config(Variant.NTP, update_threshold=1e300, sensitivity=1e300)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ids, "REFERENCE_CAP", 3)
+            want = cusum_run(errors, 0, config, block=0)
+            assert np.isnan(want[1].ref_sumsq)
+            assert_same_cusum(cusum_run(errors, 0, config), want)
+
+
+class TestCusumBlockCost:
+    """The block path must carry the column: an equality test would still
+    pass if it were turned off."""
+
+    def test_clean_column_takes_the_body_only_to_bootstrap(self, monkeypatch):
+        errors = np.clip(np.random.default_rng(1).normal(0.0, 1e-5, 2000), -3e-5, 3e-5)
+        calls = count_cusum_paths(monkeypatch)
+        cusum_stage(CusumState(), [], errors, 1000, make_config(Variant.NTP))
+        assert calls["bodies"] <= CUSUM_BOOTSTRAP_BATCHES + 2 and calls["blocks"] <= 3, calls
+
+    def test_sparse_outliers_cost_one_short_stretch_each(self, monkeypatch):
+        # after a block that runs to its end, the next early end starts the backoff over
+        errors = np.clip(np.random.default_rng(2).normal(0.0, 1e-5, 12_000), -3e-5, 3e-5)
+        errors[1500::1500] = 1e-4
+        calls = count_cusum_paths(monkeypatch)
+        cusum_stage(CusumState(), [], errors, 1000, make_config(Variant.NTP))
+        assert calls["bodies"] <= CUSUM_BOOTSTRAP_BATCHES + 7 * (ids._BACKOFF_FIRST + 2), calls
+
+    @pytest.mark.parametrize("every", [1, 2], ids=["every-error", "every-other-error"])
+    def test_column_where_every_block_ends_at_once(self, monkeypatch, every):
+        # errors 5.5 sigmas off (gamma 4, kappa 8) join no reference and leave the limits at 0
+        k = 10_000
+        rng = np.random.default_rng(3)
+        errors = np.concatenate([rng.normal(0.0, 1e-5, 60), rng.normal(0.0, 1e-5, k)])
+        errors[60::every] = 5.5e-5 + rng.normal(0.0, 1e-9, len(errors[60::every]))
+        calls = count_cusum_paths(monkeypatch)
+        cusum_stage(CusumState(), [], errors, 1000, make_config(Variant.NTP))
+        assert calls["blocks"] <= math.log2(k), calls
+
+    def test_kappa_zero_column(self, monkeypatch):
+        errors = np.random.default_rng(4).normal(0.0, 1e-5, 10_000)
+        calls = count_cusum_paths(monkeypatch)
+        cusum_stage(CusumState(), [], errors, 1000, make_config(Variant.NTP, sensitivity=0.0))
+        assert calls["blocks"] <= math.log2(len(errors)), calls
+
+
 class TestRunIds:
     def test_noiseless_trace_no_alarm(self):
         trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(skew=ppm(100)), NoiseModel(), 2020, seed=0)
@@ -360,6 +517,28 @@ class TestRunIds:
             "-28.7883753211,0,97.9486529354,1\n"
         ),
     }
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.floats(min_value=-1e300, max_value=1e300),
+        st.one_of(st.just(math.nan), st.floats(allow_nan=False, allow_infinity=False)),
+        st.sampled_from([0.0, -0.0, 5e-324, 1.0, 123.456789012345]),
+        st.sampled_from([0.0, -0.0, 2.5]),
+        st.booleans()), max_size=40))
+    def test_csv_rows_as_formatted_one_by_one(self, rows):
+        # every row as the full template, or without e_n where it is NaN,
+        # whatever template the report picks for it
+        value, e_n, l_plus, l_minus, alarm = (np.array(c) for c in zip(*rows)) if rows else [np.zeros(0)] * 5
+        floats = [value * scale for scale in (1.0, -2.0, 3.0, 1e-9, 7.0)]
+        report = DetectionReport(*floats, e_n, l_plus, l_minus, alarm.astype(bool), None, None)
+        want = ["batch,o_avg,o_acc,t,skew,e,e_n,l_plus,l_minus,alarm"]
+        for k, row in enumerate(zip(*(c.tolist() for c in floats), e_n.tolist(), l_plus.tolist(), l_minus.tolist(),
+                                    alarm.astype(int).tolist()), start=1):
+            if math.isnan(row[5]):
+                want.append(ids._ROW_NO_E_N % (k, *row[:5], *row[6:]))
+            else:
+                want.append(ids._ROW % (k, *row))
+        assert report.to_csv() == "\n".join(want + [""])
 
     @pytest.mark.parametrize("variant, first_alarm", [(Variant.SOTA, 6), (Variant.NTP, 9)])
     def test_pinned_csv(self, variant, first_alarm):
