@@ -10,32 +10,31 @@ slices of whole lines of at most SLICE_BYTES (characters, for a ``str``,
 which is encoded one slice at a time). A slice's temporary arrays are all
 that exist beside the output arrays, which the slices fill in place, so the
 memory follows the parsed records rather than the log text. A log already in
-time order is not sorted again. Each slice takes one of three paths:
+time order is not sorted again. Each slice takes one of two paths:
 
-- The uniform pass takes a slice whose lines have one length, each ended by
-  LF, and one layout: every line holds each field in the columns where its
-  first line does. Every slice of a log ``write_trace`` wrote is one, unless
-  its seconds or ids differ in digit count. The slice is a (lines, width)
-  view; each run of like columns is checked at once, by the byte classes
-  the general pass uses, and each numeral is decoded column by column.
-- The general pass takes the other slices of ASCII lines: field boundaries
-  come from ``np.flatnonzero`` and ``searchsorted``, and each numeral's
-  digits are gathered place by place.
-- Texts under 4096 characters (bytes), and slices neither pass takes, are
+- The row pass takes a slice of ASCII lines in which all lines of one length
+  share one layout: each holds every field in the columns where the first
+  line of its length does, and ends in LF or CRLF as that line does (a final
+  line without a line break is given an LF). A slice of one line length is
+  read as a (lines, width) view: every slice of a log ``write_trace`` wrote,
+  unless its seconds or ids change digit count within it. Any other slice is
+  grouped by line length, each group gathered as (lines, width) rows and its
+  values put back in text order. Each run of like columns is checked at
+  once by byte class, and each numeral is decoded column by column, by
+  Horner's rule in exact int64 arithmetic.
+- Texts under 4096 characters (bytes), and slices the row pass refuses, are
   parsed line by line (candump by one regex ``findall``, CSV by
   ``csv.reader``); only this path raises ParseError. It takes slices with a
-  bad line, a byte outside ASCII or a line break other than LF and CRLF;
-  candump slices with a seconds field over 18 digits; and CSV slices with a
-  quote, a blank-only line, a time not written digits.digits below 2**53
-  units of its last digit, or an id without 0x. A byte that is not UTF-8 is
-  a ParseError naming its line.
+  bad line, a blank line, a byte outside ASCII or a line break other than LF
+  and CRLF; lines of one length in two layouts; candump slices with a
+  seconds field over 18 digits; and CSV slices with a quote, a time not
+  written digits.digits below 2**53 units of its last digit, or an id
+  without 0x. A byte that is not UTF-8 is a ParseError naming its line.
 
-Both array passes decode numerals by Horner's rule in exact int64
-arithmetic. A candump time is ``sec + micros / 1e6``; a CSV time is its
-digits as one integer below 2**53 over a power of ten, so it rounds as
-``float`` rounds the text. ``write_trace`` formats CHUNK_LINES lines at a
-time, each chunk one (lines, width) array of digits and punctuation, decoded
-once.
+A candump time is ``sec + micros / 1e6``; a CSV time is its digits as one
+integer below 2**53 over a power of ten, so it rounds as ``float`` rounds
+the text. ``write_trace`` formats CHUNK_LINES lines at a time, each chunk
+one (lines, width) array of digits and punctuation, decoded once.
 """
 from __future__ import annotations
 
@@ -46,6 +45,7 @@ import re
 from itertools import groupby, repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .clock import MAX_CAN_ID, Trace
 
@@ -65,7 +65,7 @@ _CANDUMP_RE = re.compile(
 # what float and int read in a numeral beyond ASCII digits: "_" between
 # digits and Unicode digits, which a log's CSV fields may not hold
 _NOT_ASCII_NUMERAL = re.compile(r"_|(?![0-9])\d")
-# the start of a CSV record _csv_chunk takes: digits.digits,0xhex, then
+# the start of a CSV record the row pass takes: digits.digits,0xhex, then
 # "," or the end of the line
 _CSV_RECORD_RE = re.compile(r"([0-9]+)\.([0-9]+),0[xX]([0-9A-Fa-f]{1,8})(,|$)")
 _MICROS_SCALE = 10 ** np.arange(6, -1, -1, dtype=np.int64)  # indexed by digit count
@@ -74,16 +74,15 @@ _MAX_NS = 2.0**63  # nanosecond counts below this fit an int64
 
 # Byte classes. Blanks are what [^\S\n] matches in ASCII once splitlines has
 # cut the text; the other ASCII whitespace breaks lines there, so it is
-# foreign to the array pass, as every byte outside ASCII is.
-_DIGIT, _HEX_LETTER, _OTHER, _BLANK, _BREAK, _FOREIGN = range(6)
+# foreign to a record's columns, as every byte outside ASCII is.
+_DIGIT, _HEX_LETTER, _OTHER, _BLANK, _FOREIGN = range(5)
 _CLASS = np.full(256, _OTHER, dtype=np.uint8)
 _CLASS[list(b"0123456789")] = _DIGIT
 _CLASS[list(b"abcdefABCDEF")] = _HEX_LETTER
 _CLASS[list(b" \t\x1f")] = _BLANK
-_CLASS[list(b"\n\r")] = _BREAK
-_CLASS[list(b"\x0b\x0c\x1c\x1d\x1e")] = _FOREIGN
+_CLASS[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = _FOREIGN
 _CLASS[128:] = _FOREIGN
-# the classes a column of a uniform slice may hold, by its letter in _fits:
+# the classes a column of a slice's rows may hold, by its letter in _fits:
 # hex digit, token byte, blank, a byte after a CSV record's id
 _KINDS = {"h": (_DIGIT, _HEX_LETTER), "t": (_DIGIT, _OTHER), "s": (_BLANK, _BLANK), "r": (_DIGIT, _BLANK)}
 _DIGIT_VALUE = np.zeros(256, dtype=np.uint8)
@@ -192,18 +191,6 @@ def _horner(places, base, n):
     return value
 
 
-def _numbers(chunk, end, count, base):
-    """Values of the numerals of ``count`` digits in ``base`` that end just
-    before the indices ``end`` of the chunk."""
-    least = int(count.min(initial=0))
-
-    def place(k):  # a shorter numeral's places before its first digit are 0
-        digits = _DIGIT_VALUE.take(chunk.take(end - k, mode="clip"))
-        return digits if k <= least else np.where(count >= k, digits, 0)
-
-    return _horner(map(place, range(int(count.max(initial=0)), 0, -1)), base, len(end))
-
-
 def _fits(cols, template):
     """Whether every line of a slice, given as the columns ``cols`` of its
     (lines, width) view, has line 0's layout ``template``, one letter per
@@ -273,8 +260,9 @@ def _candump_rows(rows):
 def _csv_rows(rows):
     """(times, ids) of a CSV slice whose record lines, all of one length, are
     the rows of ``rows``, or None unless every line has line 0's layout: a
-    record ``_csv_chunk`` takes whose fields lie in the columns of line 0's,
-    with a time of at most 2**53 units and an id in range."""
+    record ``digits.digits,0xhex`` ended by "," or the line, with no quote
+    after the id, whose fields lie in the columns of line 0's, with a time of
+    at most 2**53 units and an id in range."""
     end = _record_end(rows)
     m = _CSV_RECORD_RE.match(rows[0, :end].tobytes().decode("ascii"))
     if m is None or len(m[1]) + len(m[2]) > 18:
@@ -289,77 +277,6 @@ def _csv_rows(rows):
     if units.max() > 2**53 or ids.max() > MAX_CAN_ID:
         return None
     return units / _POWERS[10][len(m[2])], ids.astype(np.uint32)
-
-
-def _candump_chunk(chunk, cls, newlines):
-    """(times, ids) of a candump chunk, or None when it has a line that is
-    no record, a seconds field over 18 digits or an id out of range. A record
-    is three tokens, runs of non-blank bytes, on one line, the first at its
-    start: ``(sec.micros)``, the interface, ``id#payload``."""
-    token = cls <= _OTHER
-    edges = np.flatnonzero(np.diff(token, prepend=False))
-    starts, ends = edges[0::2], edges[1::2]
-    per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
-    if not ((per_line == 0) | (per_line == 3)).all():
-        return None
-    first, first_end, third, third_end = starts[0::3], ends[0::3], starts[2::3], ends[2::3]
-    ok = cls[first - 1] == _BREAK  # at index 0, -1 reads the break past the end
-    # (digits.digits): the first token's non-digits are "(", "." and ")"
-    nondigit = np.flatnonzero(cls != _DIGIT)
-    k = np.searchsorted(nondigit, first)
-    dot, close = nondigit.take(k + 1, mode="clip"), nondigit.take(k + 2, mode="clip")
-    sec_digits, micro_digits = dot - first - 1, close - dot - 1
-    ok &= ((chunk[first] == ord("(")) & (chunk.take(dot, mode="clip") == ord("."))
-           & (close == first_end - 1) & (chunk.take(close, mode="clip") == ord(")"))
-           & (sec_digits >= 1) & (sec_digits <= 18) & (micro_digits >= 1) & (micro_digits <= 6))
-    # hex#hex: the third token's one non-hex byte is "#"
-    nonhex = np.flatnonzero(cls >= _OTHER)
-    k = np.searchsorted(nonhex, third)
-    hash_at = nonhex[k]
-    id_digits = hash_at - third
-    ok &= ((chunk.take(hash_at, mode="clip") == ord("#")) & (nonhex.take(k + 1, mode="clip") == third_end)
-           & (id_digits >= 1) & (id_digits <= 8))
-    if not ok.all():
-        return None
-    ids = _numbers(chunk, hash_at, id_digits, 16)
-    if ids.max(initial=0) > MAX_CAN_ID:
-        return None
-    us = _numbers(chunk, close, micro_digits, 10) * _MICROS_SCALE[micro_digits]
-    return _numbers(chunk, dot, sec_digits, 10).astype(np.float64) + us / 1e6, ids.astype(np.uint32)
-
-
-def _csv_chunk(chunk, cls, newlines):
-    """(times, ids) of CSV record lines in a chunk, or None when a line is
-    neither empty nor digits.digits,0xhex[,...] with the id in range and the
-    time below 2**53 units of its last digit (an exact integer over an exact
-    power of ten, which one division rounds as ``float`` rounds the text)."""
-    if (chunk == ord('"')).any():
-        return None
-    starts = np.concatenate(([0], newlines + 1))
-    kind = cls[starts]  # a start past the end reads the line break there
-    if not ((kind == _DIGIT) | (kind == _BREAK)).all():
-        return None
-    starts = starts[kind == _DIGIT]
-    nondigit = np.flatnonzero(cls != _DIGIT)
-    k = np.searchsorted(nondigit, starts)
-    dot, comma = nondigit[k], nondigit.take(k + 1, mode="clip")
-    int_digits, frac_digits = dot - starts, comma - dot - 1
-    x = comma + 2
-    nonhex = np.flatnonzero(cls >= _OTHER)
-    id_end = nonhex.take(np.searchsorted(nonhex, x) + 1, mode="clip")
-    id_digits = id_end - x - 1
-    ok = ((chunk.take(dot, mode="clip") == ord(".")) & (chunk.take(comma, mode="clip") == ord(","))
-          & (frac_digits >= 1) & (int_digits + frac_digits <= 18)
-          & (chunk.take(comma + 1, mode="clip") == ord("0")) & ((chunk.take(x, mode="clip") | 0x20) == ord("x"))
-          & (id_digits >= 1) & (id_digits <= 8)
-          & ((chunk.take(id_end, mode="clip") == ord(",")) | (cls.take(id_end, mode="clip") == _BREAK)))
-    if not ok.all():
-        return None
-    units = _numbers(chunk, dot, int_digits, 10) * _POWERS[10][frac_digits] + _numbers(chunk, comma, frac_digits, 10)
-    ids = _numbers(chunk, id_end, id_digits, 16)
-    if units.max(initial=0) > 2**53 or ids.max(initial=0) > MAX_CAN_ID:
-        return None
-    return units / _POWERS[10][frac_digits], ids.astype(np.uint32)
 
 
 def _decode(piece, before, line_parser=None):
@@ -377,40 +294,48 @@ def _decode(piece, before, line_parser=None):
         raise ParseError(before + len(lines), f"not UTF-8: {exc.reason} {piece[exc.start]:#04x}") from None
 
 
-def _array_pass(piece, row_parser, slice_parser):
-    """(times, ids, LF count) of a slice by the array passes, or None when
-    the slice holds a byte outside ASCII or a line break other than LF and
-    CRLF, or neither pass takes it. A slice of lines of one length, each
-    ended by LF, is a (lines, width) view that ``row_parser`` takes when its
-    lines share one layout; any other goes to ``slice_parser`` over its
-    bytes and their classes."""
+def _array_pass(piece, row_parser):
+    """(times, ids, line count) of a slice by the row pass, or None when the
+    slice holds a byte outside ASCII or ``row_parser`` refuses a group of
+    its lines. A final line without LF is given one. A slice is first read
+    as a (lines, width) view, width its first line's length; unless the
+    row parser takes that, its lines are grouped by length, each group
+    gathered as (lines, width) rows, and the values put back in text
+    order."""
     if not piece.isascii():
         return None
     raw = piece.encode("ascii") if isinstance(piece, str) else piece
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
     data = np.frombuffer(raw, dtype=np.uint8)
     width = raw.find(b"\n") + 1
-    if width and not len(raw) % width:
+    if not len(raw) % width:
         rows = data.reshape(-1, width)
         if (rows[:, -1] == ord("\n")).all():
             part = row_parser(rows)
             if part is not None:
                 return (*part, len(rows))
-    cls = _CLASS.take(np.append(data, ord("\n")))  # a line break past the end ends every token
-    if cls.max() == _FOREIGN or not (data.take(np.flatnonzero(data == 13) + 1, mode="clip") == 10).all():
-        return None
-    newlines = np.flatnonzero(data == 10)
-    part = slice_parser(data, cls, newlines)
-    return None if part is None else (*part, len(newlines))
+    ends = np.flatnonzero(data == ord("\n"))
+    lengths = np.diff(ends, prepend=-1)
+    order = np.argsort(lengths)
+    times, ids = np.empty(len(ends)), np.empty(len(ends), dtype=np.uint32)
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        width = int(lengths[group[0]])
+        part = row_parser(sliding_window_view(data, width)[ends[group] - (width - 1)])
+        if part is None:
+            return None
+        times[group], ids[group] = part
+    return times, ids, len(ends)
 
 
 def _parse_slices(text, pos, before, parsers):
     """(times, ids) in text order of the records of ``text`` from index
     ``pos`` on, which follow ``before`` lines. Slices of whole lines, of at
-    most SLICE_BYTES unless one line is longer, are parsed by the array
-    passes where they take them, else by the line parser over their lines,
-    and fill the output arrays in place. ``parsers`` are the format's row,
-    slice and line parsers."""
-    row_parser, slice_parser, line_parser = parsers
+    most SLICE_BYTES unless one line is longer, are parsed by the row pass
+    where it takes them, else by the line parser over their lines, and fill
+    the output arrays in place. ``parsers`` are the format's row and line
+    parsers."""
+    row_parser, line_parser = parsers
     newline = "\n" if isinstance(text, str) else b"\n"
     size = text.count(newline, pos) + 1  # lines, unless some break at other than LF
     times, ids = np.empty(size), np.empty(size, dtype=np.uint32)
@@ -420,7 +345,7 @@ def _parse_slices(text, pos, before, parsers):
         cut = len(text) if short else (text.rfind(newline, pos, pos + SLICE_BYTES) + 1
                                        or text.find(newline, pos + SLICE_BYTES) + 1 or len(text))
         piece = text[pos:cut]
-        part = None if short else _array_pass(piece, row_parser, slice_parser)
+        part = None if short else _array_pass(piece, row_parser)
         if part is None:
             lines = _decode(piece, before, line_parser).splitlines()
             part = (*line_parser(lines, before), len(lines))
@@ -444,7 +369,7 @@ def _parse_csv(text):
                 header = line.splitlines()[0]
                 if [c.strip().lower() for c in next(csv.reader([header]))[:3]] != _CSV_HEADER:
                     raise ParseError(number, f"expected header 'timestamp,can_id,data', got {header!r}")
-                return _parse_slices(text, pos, number, (_csv_rows, _csv_chunk, _csv_lines))
+                return _parse_slices(text, pos, number, (_csv_rows, _csv_lines))
     raise ValueError("empty input")
 
 
@@ -453,7 +378,7 @@ def parse_log(text, fmt):
     timestamp (stable for ties). ``fmt`` is a LogFormat or its value."""
     fmt = LogFormat(fmt)
     if fmt is LogFormat.CANDUMP:
-        times, ids = _parse_slices(text, 0, 0, (_candump_rows, _candump_chunk, _candump_lines))
+        times, ids = _parse_slices(text, 0, 0, (_candump_rows, _candump_lines))
     else:
         times, ids = _parse_csv(text)
     if not len(times):  # a CSV text without records still has its header

@@ -189,15 +189,16 @@ def refuse(lines, before):
 
 
 class TestArrayPass:
-    """The array pass takes every record form the regex grammar allows, and
-    the CSV form canskew writes, without the line-by-line path. The values
-    it gives are checked against that path elsewhere."""
+    """A log of every record form the regex grammar allows parses as the
+    line-by-line path parses it, and the forms canskew writes never reach
+    that path."""
 
-    def test_candump_grammar(self, long_candump, monkeypatch):
+    def test_candump_grammar(self, long_candump):
         lines, text = long_candump
-        monkeypatch.setattr(traceio, "_candump_lines", refuse)
         for joined in (text, "\n".join(lines)):
-            assert len(parse_log(joined, LogFormat.CANDUMP)) == sum(1 for line in lines if line.strip())
+            want = line_by_line(joined, LogFormat.CANDUMP)
+            assert len(np.frombuffer(want[0])) == sum(1 for line in lines if line.strip())
+            assert outcome(joined, LogFormat.CANDUMP) == want
 
     @pytest.mark.parametrize("fmt", list(LogFormat))
     def test_written_form(self, fmt, monkeypatch):
@@ -434,14 +435,14 @@ def uniform_texts(draw, layout):
 
 
 def refuse_slice(*args):
-    raise AssertionError("a uniform slice reached the general pass")
+    raise AssertionError("a slice of lines the row pass takes reached the line parser")
 
 
 class TestUniformSlices:
     """Slices of lines of one length and layout parse as (lines, width)
     views: to the line parser's times and ids, or to its error at its line.
-    Slices of lines within the array passes' limits never reach the general
-    pass or the line parser."""
+    Slices of lines within the row pass's limits never reach the line
+    parser."""
 
     @staticmethod
     def check(text, fmt, clean, slice_bytes):
@@ -449,7 +450,7 @@ class TestUniformSlices:
         assert by_arrays(text, fmt, slice_bytes) == want
         if clean:
             with pytest.MonkeyPatch.context() as patch:
-                for name in ("_candump_chunk", "_csv_chunk", "_candump_lines", "_csv_lines"):
+                for name in ("_candump_lines", "_csv_lines"):
                     patch.setattr(traceio, name, refuse_slice)
                 assert by_arrays(text, fmt, slice_bytes) == by_arrays(text.encode(), fmt, slice_bytes) == want
 
@@ -475,26 +476,134 @@ class TestUniformSlices:
         self.check("timestamp,can_id,data\n" + text, LogFormat.CSV, clean, slice_bytes)
 
     @pytest.mark.parametrize("fmt", list(LogFormat))
-    def test_written_log_takes_the_general_pass_only_across_a_digit_boundary(self, fmt, monkeypatch):
+    def test_written_log_groups_at_digit_boundary(self, fmt, monkeypatch):
         # 1 ms apart from 1 s on: the seconds gain a digit at 10 s, 9 000
         # lines in, within the second of several slices
         trace = synthesize_trace(MessageSchedule(0x185, 0.001, start_time=1.0), ClockSpec(), NoiseModel(),
                                  3 * CHUNK_LINES, seed=4)
         text = write_trace(trace, fmt)
         assert len(text) > 3 * SLICE_BYTES
-        general = traceio._candump_chunk if fmt is LogFormat.CANDUMP else traceio._csv_chunk
-        widths = []
-
-        def counted(chunk, cls, newlines):
-            widths.append({len(line) for line in chunk.tobytes().splitlines()})
-            return general(chunk, cls, newlines)
-
-        monkeypatch.setattr(traceio, general.__name__, counted)
         want = line_by_line(text, fmt)
+        rows, lines = ("_candump_rows", "_candump_lines") if fmt is LogFormat.CANDUMP else ("_csv_rows", "_csv_lines")
+        row_parser, array_pass, slices = getattr(traceio, rows), traceio._array_pass, []
+
+        def counted_slice(piece, parser):
+            slices.append([])
+            return array_pass(piece, parser)
+
+        def counted_rows(group):
+            slices[-1].append(group.shape[1])
+            return row_parser(group)
+
+        monkeypatch.setattr(traceio, "_array_pass", counted_slice)
+        monkeypatch.setattr(traceio, rows, counted_rows)
+        monkeypatch.setattr(traceio, lines, refuse_slice)
         for data in (text, text.encode()):
-            widths.clear()
+            slices.clear()
             assert outcome(data, fmt) == want
-            assert len(widths) == 1 and len(widths[0]) == 2, widths
+            grouped = [widths for widths in slices if len(widths) > 1]
+            # one slice straddles 10 s: two groups, one per seconds width
+            assert len(slices) > 3 and len(grouped) == 1 and len(set(grouped[0])) == len(grouped[0]) == 2, slices
+
+
+@st.composite
+def grouped_texts(draw, fmt):
+    """Written-form candump or CSV lines that differ in length: 1-4 second
+    digits, 3- or 8-digit ids and 0-8 payload bytes, at times of few values,
+    so that they tie. Lines of one length share one layout (a line whose
+    length another layout took first is left out), and all end in LF or all
+    in CRLF, the last maybe without its LF."""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    layouts, lines = {}, []
+    for _ in range(draw(st.integers(1, 60))):
+        sec, micros = draw(st.sampled_from([0, 7, 10, 99, 100, 2048])), draw(st.sampled_from([0, 5, 999_999]))
+        id_digits = draw(st.sampled_from([3, 8]))
+        can_id = draw(st.integers(0, 0xFFF if id_digits == 3 else MAX_CAN_ID))
+        payload = draw(st.binary(max_size=8)).hex().upper()
+        line = (f"({sec}.{micros:06d}) can0 {can_id:0{id_digits}X}#{payload}" if fmt is LogFormat.CANDUMP
+                else f"{sec}.{micros:06d},0x{can_id:0{id_digits}X},{payload}")
+        layout = (len(str(sec)), id_digits, len(payload))
+        if layouts.setdefault(len(line), layout) == layout:
+            lines.append(line + end)
+    text = "".join(lines)
+    return text if draw(st.booleans()) else text[:-1]
+
+
+def mixed_candump(count, seed, payloads, weights, long_ids):
+    """A written-form candump log of ``count`` frames 1 ms apart from 100 s
+    on: ids of 3 hex digits, or of 8 for a ``long_ids`` share, and payload
+    byte counts drawn from ``payloads`` with ``weights``."""
+    rng = np.random.default_rng(seed)
+    us = (100_000_000 + 1000 * np.arange(count)).tolist()
+    long = (rng.random(count) < long_ids).tolist()
+    ids = np.where(long, rng.integers(0x800, MAX_CAN_ID + 1, count), rng.integers(0, 0x800, count)).tolist()
+    sizes = rng.choice(payloads, count, p=weights).tolist()
+    data = rng.integers(0, 256, (count, 8), dtype=np.uint8)
+    return "".join(f"({t // 10**6}.{t % 10**6:06d}) can0 {i:0{8 if wide else 3}X}#{bytes(d[:n]).hex().upper()}\n"
+                   for t, i, wide, n, d in zip(us, ids, long, sizes, data))
+
+
+# 6 line lengths per slice (70 % of frames with 8 payload bytes, the rest 2
+# and 4-7), and 18 (30 % 8-digit ids, 0-8 payload bytes alike)
+MIXED_LOGS = {6: ([8, 2, 4, 5, 6, 7], [0.7] + [0.06] * 5, 0.0), 18: (list(range(9)), [1 / 9] * 9, 0.3)}
+
+
+def line_parser_name(fmt):
+    return "_candump_lines" if fmt is LogFormat.CANDUMP else "_csv_lines"
+
+
+class TestGroupedRows:
+    """A slice whose lines differ in length, each length in one layout, is
+    parsed by the row pass one length group at a time, as ``str`` and as
+    ``bytes`` at any slice size: to the line parser's times and ids, tied
+    times in text order, and never by the line parser. A slice with a blank
+    line goes to the line parser whole."""
+
+    @staticmethod
+    def check(text, fmt, slice_bytes):
+        want = line_by_line(text, fmt)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(traceio, line_parser_name(fmt), refuse_slice)
+            assert by_arrays(text, fmt, slice_bytes) == by_arrays(text.encode(), fmt, slice_bytes) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=grouped_texts(LogFormat.CANDUMP), slice_bytes=st.sampled_from([40, 100, 400, SLICE_BYTES]))
+    @example(text="(7.000000) can0 185#\n(7.000000) can0 1FFFFFFF#AB\n(7.000000) can0 186#\n(7.000000) can0 1#0",
+             slice_bytes=SLICE_BYTES)
+    def test_candump(self, text, slice_bytes):
+        self.check(text, LogFormat.CANDUMP, slice_bytes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=grouped_texts(LogFormat.CSV), slice_bytes=st.sampled_from([40, 100, 400, SLICE_BYTES]))
+    @example(text="7.0,0x185,\r\n7.0,0x1FFFFFFF,AB\r\n7.0,0x186,\r\n7.0,0x1,0\r", slice_bytes=SLICE_BYTES)
+    # as rows of the first line's 32 bytes, every row ends in LF
+    @example(text="0.000000,0x000,0000000000000000\n" + "0.000000,0x000,\n" * 4, slice_bytes=SLICE_BYTES)
+    def test_csv(self, text, slice_bytes):
+        self.check("timestamp,can_id,data\n" + text, LogFormat.CSV, slice_bytes)
+
+    @pytest.mark.parametrize("lengths", sorted(MIXED_LOGS))
+    def test_mixed_payloads_and_id_widths(self, lengths):
+        text = mixed_candump(20_000, lengths, *MIXED_LOGS[lengths])
+        assert len({len(line) for line in text[:SLICE_BYTES].splitlines()[:-1]}) == lengths
+        self.check(text, LogFormat.CANDUMP, SLICE_BYTES)
+
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    @pytest.mark.parametrize("blank", ["\n", "\r\n", " \t\n"])
+    def test_a_blank_line_sends_its_slice_to_the_line_parser(self, fmt, blank, monkeypatch):
+        records = (["(7.000000) can0 185#\n", "(10.000000) can0 1FFFFFFF#AB\n", "(2.500000) can0 1#\n"]
+                   if fmt is LogFormat.CANDUMP else ["7.000000,0x185,\n", "10.000000,0x1FFFFFFF,AB\n", "2.500000,0x1,\n"])
+        body = [*records[:2], blank, records[2]]
+        text = ("" if fmt is LogFormat.CANDUMP else "timestamp,can_id,data\n") + "".join(body)
+        line_parser, calls = getattr(traceio, line_parser_name(fmt)), []
+
+        def counted(lines, before):
+            calls.append(len(lines))
+            return line_parser(lines, before)
+
+        want = line_by_line(text, fmt)
+        monkeypatch.setattr(traceio, line_parser_name(fmt), counted)
+        assert by_arrays(text, fmt, SLICE_BYTES) == by_arrays(text.encode(), fmt, SLICE_BYTES) == want
+        assert calls == [len(body)] * 2
 
 
 class TestBytesAndSlices:
@@ -771,17 +880,20 @@ class TestMemoryBudget:
     """Peak traced allocations on a 200 000-line log, against bounds that
     follow from the design. ``parse_log`` holds its output (8 + 4 bytes per
     record), a byte per record to test time order, and the temporaries of
-    one slice at a time: 8-byte indices of a slice's field edges and digits,
-    15 to 19 bytes per byte of the slice, bounded here by 24. The log text is
-    the caller's. ``fill_missing`` holds either the id's arrivals, their
-    gaps and a mask (17 bytes per record of the id) or its output and one
-    mask (13 bytes per record), bounded here by 20. ``write_trace`` holds the
-    chunk strings and their join, two bytes per character of the text, and
-    the temporaries of one chunk of CHUNK_LINES records (its 8-byte time,
-    second, micro and id arrays and its (lines, width) character arrays and
-    masks), bounded here by 400 bytes per record of the chunk. Parsing the
-    whole text at once took over 100 bytes per record here, and repairing by
-    a merge 48."""
+    one slice at a time: its bytes (and its text, for a ``str``), its lines
+    of one length gathered as rows and their columns, and 8-byte arrays per
+    line (line ends, lengths and order where lines differ in length, and
+    numeral values), 4.5 to 6.4 bytes per byte of the slice, bounded here by
+    8; the first parse in a process reads as the later ones, so none is run
+    first. The log text is the caller's. ``fill_missing`` holds either the
+    id's arrivals, their gaps and a mask (17 bytes per record of the id) or
+    its output and one mask (13 bytes per record), bounded here by 20.
+    ``write_trace`` holds the chunk strings and their join, two bytes per
+    character of the text, and the temporaries of one chunk of CHUNK_LINES
+    records (its 8-byte time, second, micro and id arrays and its (lines,
+    width) character arrays and masks), bounded here by 400 bytes per record
+    of the chunk. Parsing the whole text at once took over 100 bytes per
+    record here, and repairing by a merge 48."""
 
     RECORDS = 200_000
 
@@ -809,7 +921,7 @@ class TestMemoryBudget:
         text = text.encode() if as_bytes else text
         restored, peak = self.peak(parse_log, text, fmt)
         assert len(restored) == len(trace) >= self.RECORDS
-        assert peak <= 13 * len(trace) + 24 * traceio.SLICE_BYTES, peak
+        assert peak <= 13 * len(trace) + 8 * traceio.SLICE_BYTES, peak
 
     @pytest.mark.parametrize("fmt", list(LogFormat))
     def test_write_trace(self, trace, fmt):
