@@ -12,6 +12,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -61,7 +62,13 @@ def _parse_grid(text):
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that keeps its actions by dest, so config file keys
-    can be matched to their options."""
+    can be matched to their options, and that gives an option the negative
+    number that follows it.
+
+    argparse reads a token such as ``-1e-6`` or ``-50:50:1e-6`` as an option
+    string. Here a token that starts with ``-`` and then a digit or ``.``,
+    after an option that takes a value, is that option's value; no option
+    string looks like that."""
 
     def __init__(self, *args, **kwargs):
         self.actions_by_dest = {}
@@ -73,6 +80,17 @@ class _Parser(argparse.ArgumentParser):
         action = super().add_argument(*args, **kwargs)
         self.actions_by_dest[action.dest] = action
         return action
+
+    def parse_known_args(self, args, namespace=None):
+        takes_value = {option for action in self.actions_by_dest.values() if action.nargs != 0
+                       for option in action.option_strings}
+        joined = []
+        for token in args:
+            if joined and joined[-1] in takes_value and re.match(r"-[0-9.]", token):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
 
 
 def _resolve(args, argv):
@@ -298,6 +316,8 @@ def _cmd_msi(args):
 
 
 def _cmd_correlate(args):
+    if not args.arb_exp_scale >= 0.0:
+        raise ValueError(f"--arb-exp-scale must be >= 0, got {args.arb_exp_scale}")
     arb = None
     if args.arb_exp_scale > 0.0:
         scale = args.arb_exp_scale
@@ -438,12 +458,6 @@ def main(argv=None):
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # let `--grid -50:50:1e-6` through argparse's option detection
-    argv = list(argv)
-    for i, token in enumerate(argv[:-1]):
-        if token == "--grid" and argv[i + 1].startswith("-"):
-            argv[i : i + 2] = [f"--grid={argv[i + 1]}"]
-            break
     args = parser.parse_args(argv)
     try:
         _resolve(args, argv)

@@ -38,7 +38,6 @@ __all__ = [
     "CusumState",
     "IdsState",
     "DetectionReport",
-    "arrival_columns",
     "arrival_stage",
     "rls_stage",
     "cusum_stage",
@@ -90,8 +89,9 @@ class IdsConfig:
 class RlsState:
     skew: float = 0.0
     gain_denominator: float = RLS_INITIAL_P  # inverse-covariance scalar P
-    # lambda-weighted sums of O_acc * t and t * t; the NTP forecast starts
-    # from them. None where nothing reads them (branched streams)
+    # lambda-weighted sums of O_acc * t and t * t, kept by rls_stage; the
+    # NTP forecast starts from them. None in branched streams (_branch),
+    # which _step advances without them
     ot_sum: float | None = 0.0
     tt_sum: float | None = 0.0
 
@@ -314,34 +314,14 @@ def _add_references(refs, evicted, count, ref_sum, ref_sumsq, new, keep, ops):
     return evicted, count, ref_sum, ref_sumsq, mu, sqrt(mx(0.0, (ref_sumsq - count * pw(mu, 2)) / (count - 1)))
 
 
-def arrival_columns(state, batches):
-    """Stage 1's columns for the (K, N) array of batches that follow
-    ``state``: o_avg, O_acc and t. Advances the state's arrival fields past
-    them. The SOTA offsets are row means over one (K, N-1) block, and O_acc
-    is a running total from the state's.
-    """
-    a = np.asarray(batches, dtype=np.float64)
-    n = state.config.batch_size
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError(f"expected batches of {n} arrivals, got shape {a.shape}")
-    last = np.concatenate(([state.prev_last_arrival], a[:, -1]))
-    # mu of each batch, from the gap between batch-last arrivals, after the carried one
-    means = np.concatenate(([state.prev_batch_mean], (last[1:] - last[:-1]) / n))
-    o_avg, increments = _offsets(state.config, state.period, a, means[:-1], means[1:])
-    # added in batch order, as np.cumsum adds a column
-    o_acc = list(accumulate(increments.tolist(), initial=state.o_acc))
-    state.batch_index += len(a)
-    state.prev_batch_mean, state.prev_last_arrival, state.o_acc = float(means[-1]), float(last[-1]), o_acc[-1]
-    return o_avg, np.array(o_acc[1:], dtype=np.float64), last[1:] - state.t_origin
-
-
 def arrival_stage(batches, config, period=None):
     """Stage 1 of the detector pass: everything that depends only on the
     arrivals, for a (K+1, N) array whose row 0 is the initialization batch.
 
     Returns the state after batch K with its arrival fields set (RLS and
     CUSUM still at their priors) and the columns o_avg, O_acc and t of
-    batches 1..K (see ``arrival_columns``).
+    batches 1..K. The SOTA offsets are row means over one (K, N-1) block,
+    and O_acc is a running total.
     """
     a = np.asarray(batches, dtype=np.float64)
     n = config.batch_size
@@ -355,27 +335,35 @@ def arrival_stage(batches, config, period=None):
     head, rows = gaps[: n - 1], gaps[n - 1:].reshape(-1, n)
     ia_sum = np.cumsum(np.append(np.sum(head), np.sum(rows, axis=1)))[-1]
     ia_sumsq = np.cumsum(np.append(np.sum(np.square(head)), np.sum(np.square(rows), axis=1)))[-1]
+    last = a[:, -1]
+    # mu of each batch: batch 0's from its own span, then from the gap
+    # between batch-last arrivals
+    means = np.concatenate((((a[0, -1] - a[0, 0]) / (n - 1),), (last[1:] - last[:-1]) / n))
+    o_avg, increments = _offsets(config, period, a[1:], means[:-1], means[1:])
+    # added in batch order, as np.cumsum adds a column
+    o_acc = list(accumulate(increments.tolist(), initial=0.0))
     state = IdsState(
         config=config,
         period=period,
-        prev_batch_mean=float((a[0, -1] - a[0, 0]) / (n - 1)),
-        prev_last_arrival=float(a[0, -1]),
+        batch_index=len(a) - 1,
+        prev_batch_mean=float(means[-1]),
+        prev_last_arrival=float(last[-1]),
         t_origin=float(a[0, -1]),
+        o_acc=o_acc[-1],
         _ia_count=len(gaps),
         _ia_sum=float(ia_sum),
         _ia_sumsq=float(ia_sumsq),
     )
-    return (state, *arrival_columns(state, a[1:]))
+    return state, o_avg, np.array(o_acc[1:], dtype=np.float64), last[1:] - a[0, -1]
 
 
 def rls_stage(t, o_acc, lam, rls=None):
     """Stage 2: the scalar exponentially weighted RLS fit of O_acc = S * t
     over the columns ``t`` and ``o_acc``, batch by batch from ``rls`` (by
     default the prior: skew 0, P = RLS_INITIAL_P), which also keeps the
-    lambda-weighted sums of O_acc * t and t * t unless ``rls`` holds None
-    for them. It reads no CUSUM state. Returns the K+1 skews (entry k is the
-    estimate after batch k, entry 0 the starting one) and the final
-    ``RlsState``."""
+    lambda-weighted sums of O_acc * t and t * t. It reads no CUSUM state.
+    Returns the K+1 skews (entry k is the estimate after batch k, entry 0
+    the starting one) and the final ``RlsState``."""
     t = np.asarray(t, dtype=np.float64)
     o_acc = np.asarray(o_acc, dtype=np.float64)
     if t.shape != o_acc.shape:
@@ -387,12 +375,11 @@ def rls_stage(t, o_acc, lam, rls=None):
     rls = rls or RlsState()
     skew, p, ot, tt = rls.skew, rls.gain_denominator, rls.ot_sum, rls.tt_sum
     skews = [skew]
-    put, sums = skews.append, ot is not None
+    put = skews.append
     for t_k, y in zip(t.tolist(), o_acc.tolist()):
         skew, p = _rls_update(skew, p, t_k, y, lam)
-        if sums:
-            ot = lam * ot + y * t_k
-            tt = lam * tt + t_k * t_k
+        ot = lam * ot + y * t_k
+        tt = lam * tt + t_k * t_k
         put(skew)
     return np.array(skews), RlsState(skew=skew, gain_denominator=p, ot_sum=ot, tt_sum=tt)
 

@@ -467,8 +467,8 @@ def fill_missing(trace, message_id, period):
     never moved. A trace with no gap to fill is returned as it is; else the
     result equals ``Trace.merge`` of the trace and the arrivals, each
     inserted into the stably sorted trace after the originals it ties with."""
-    if period <= 0.0:
-        raise ValueError("period must be > 0")
+    if not period > 0.0:
+        raise ValueError(f"period must be > 0, got {period}")
     # the id's arrivals and their gaps are gone before the output is built
     fills = _fill_times(trace.arrivals(message_id), period)
     if not len(fills):

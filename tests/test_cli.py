@@ -142,12 +142,80 @@ class TestPlumbing:
         assert "unknown config key 'inputs'" in err
 
 
+class TestNegativeValues:
+    """A token of '-' and then a digit or '.' after an option that takes a
+    value is that option's value."""
+
+    @pytest.mark.parametrize("flag, value", [("--delta-t", "-1e-6"), ("--skew-ppm", "-1e2"),
+                                             ("--mistiming", "-.5e-3")])
+    def test_spaced_value_parses_as_the_joined_form(self, flag, value):
+        parser = build_parser()
+        spaced = parser.parse_args(["sweep", flag, value])
+        assert spaced == parser.parse_args(["sweep", f"{flag}={value}"])
+        assert getattr(spaced, flag[2:].replace("-", "_")) == float(value)
+
+    def test_spaced_delta_t_runs(self, capsys, tmp_path):
+        out, runs = tmp_path / "curve.csv", []
+        for flags in (["--delta-t", "-1e-6"], ["--delta-t=-1e-6"]):
+            code, _, err = run_cli(["sweep", *flags, "--warmup", "5", "--trials", "2", "--horizon", "2",
+                                    "--grid", "-1:1:1e-6", "--out", str(out)], capsys)
+            runs.append((code, err, out.read_text()))
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
+    @pytest.mark.parametrize("command", ["sweep", "predict"])
+    def test_grid_given_once_or_twice(self, command):
+        parser = build_parser()
+        required = ["--model", "ntp", "--snapshot", "s.csv"] if command == "predict" else []
+        assert parser.parse_args([command, *required, "--grid", "-50:50:1e-6"]).grid == "-50:50:1e-6"
+        twice = parser.parse_args([command, *required, "--grid", "-50:50:1e-6", "--grid", "-.5:5:1e-6"])
+        assert twice.grid == "-.5:5:1e-6"
+
+    def test_spaced_negative_flag_beats_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("skew_ppm=300\ncount=20\nformat=csv\n")
+        outs = [tmp_path / f"{i}.csv" for i in range(3)]
+        for out, argv in zip(outs, [["--skew-ppm", "-1e2", "--config", str(cfg)],
+                                    ["--skew-ppm=-1e2", "--count", "20", "--format", "csv"], ["--config", str(cfg)]]):
+            assert run_cli(["generate", *argv, "--out", str(out)], capsys)[0] == 0
+        spaced, joined, from_file = (out.read_text() for out in outs)
+        assert spaced == joined != from_file
+
+    @pytest.mark.parametrize("argv", [["correlate", "--independent", "-1e2"], ["correlate", "--independent", "-1"],
+                                      ["detect", "--input", "t.log", "--fill-missing", "-1e2"]])
+    def test_flag_without_value_takes_no_negative_number(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
+    def test_generate_digest_is_pinned(self, capsys, monkeypatch):
+        # the spelling perfbench's log pipeline passes; the digest is the
+        # one this argv printed before the rule
+        monkeypatch.delenv("CANSKEW_SEED", raising=False)
+        code, _, err = run_cli(["generate", "--skew-ppm", "-40.0", "--count", "10"], capsys)
+        assert code == 0
+        assert "config_digest=8c6a36618d8cc0cb9becbba4ce14ad4f993c2f0a19e6dc494a88896a3d61b53a" in err
+
+
 class TestBadInput:
     @pytest.fixture
     def trace(self, capsys, tmp_path):
         path = tmp_path / "trace.log"
         assert run_cli(["generate", "--count", "400", "--out", str(path)], capsys)[0] == 0
         return path
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "-1e-3"])
+    def test_bad_arbitration_scale_exits_1(self, capsys, tmp_path, value):
+        code, _, err = run_cli(["correlate", "--batches", "30", "--arb-exp-scale", value,
+                                "--out", str(tmp_path / "pair.csv")], capsys)
+        assert code == 1 and f"--arb-exp-scale must be >= 0, got {float(value)}" in err
+        assert not (tmp_path / "pair.csv").exists()
+
+    def test_nan_fill_period_exits_1(self, capsys, tmp_path, trace):
+        code, _, err = run_cli(["detect", "--input", str(trace), "--warmup", "5", "--variant", "sota",
+                                "--fill-missing", "--period", "nan", "--out", str(tmp_path / "r.csv")], capsys)
+        assert code == 1 and "period must be > 0, got nan" in err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_negative_warmup_exits_1(self, capsys, tmp_path, trace):
         code, _, err = run_cli(["detect", "--input", str(trace), "--warmup", "-5",

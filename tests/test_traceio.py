@@ -845,8 +845,9 @@ class TestFillMissing:
 
     def test_period_validation(self):
         trace = Trace.from_records([(0.0, 1), (0.1, 1)])
-        with pytest.raises(ValueError):
-            fill_missing(trace, 1, 0.0)
+        for period in (0.0, np.nan):
+            with pytest.raises(ValueError, match="period must be > 0"):
+                fill_missing(trace, 1, period)
 
     @staticmethod
     def merged(trace, message_id, period):
