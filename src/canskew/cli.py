@@ -316,15 +316,12 @@ def _cmd_msi(args):
 
 
 def _cmd_correlate(args):
-    if not args.arb_exp_scale >= 0.0:
-        raise ValueError(f"--arb-exp-scale must be >= 0, got {args.arb_exp_scale}")
-    arb = None
-    if args.arb_exp_scale > 0.0:
-        scale = args.arb_exp_scale
-
-        def arb(rng, size):
-            return rng.exponential(scale, size)
-
+    scale = args.arb_exp_scale
+    if not scale >= 0.0:
+        raise ValueError(f"--arb-exp-scale must be >= 0, got {scale}")
+    if scale == math.inf:
+        raise ValueError("--arb-exp-scale must be finite, got inf")
+    arb = (lambda rng, size: rng.exponential(scale, size)) if scale > 0.0 else None
     scenario = correlation.CorrelationScenario(
         id_v=args.id_v, id_w=args.id_w,
         transmission_duration=args.transmission_duration,

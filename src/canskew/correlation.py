@@ -47,12 +47,12 @@ class CorrelationScenario:
     period: float = 0.1
 
     def __post_init__(self):
-        if self.transmission_duration <= 0.0:
-            raise ValueError("transmission_duration must be > 0")
+        # written so that NaN fails each check
+        for name in ("transmission_duration", "period"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.period <= 0.0:
-            raise ValueError("period must be > 0")
         if self.id_v == self.id_w:
             raise ValueError("sibling ids must differ")
 

@@ -3,10 +3,10 @@
 The SOTA detector gets a closed-form Gaussian bound on the first-batch
 normalized error plus a linear decay rate; the NTP detector gets a
 deterministic state forecast feeding a backward recursion over the joint
-CUSUM control-limit state. An NTP curve takes one forecast pass and one
-recursion for its whole delta-T grid: both step the horizon's batches once,
-over every grid point together, and each point comes out exactly as it
-would alone.
+CUSUM control-limit state. Each model takes a curve's whole delta-T grid in
+one array pass, and each point comes out exactly as it would alone: the
+closed form on (G,) arrays, the forecast and the recursion stepping the
+horizon's batches once over every grid point together.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SuccessCurve
-from .ids import IdsConfig, Variant, rls_stage
+from .ids import _ARRAY_OPS, _SIGMA_FLOOR, REFERENCE_CAP, IdsConfig, Variant, _add_references, rls_stage
 
 __all__ = [
     "Snapshot",
@@ -38,11 +38,14 @@ __all__ = [
 ]
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # per entry: numpy has no erfc, and only the recursion loads scipy
+
+
 def gaussian_cdf(x, mean=0.0, std=1.0):
-    """Normal CDF via the complementary error function (abs. error < 1e-12)."""
+    """Normal CDF, entry by entry, via the complementary error function (abs. error < 1e-12)."""
     if std <= 0.0:
-        return 0.0 if x < mean else (0.5 if x == mean else 1.0)
-    return 0.5 * math.erfc((mean - x) / (std * math.sqrt(2.0)))
+        return np.where(x < mean, 0.0, np.where(x == mean, 0.5, 1.0))[()]
+    return 0.5 * np.float64(_erfc((mean - x) / (std * math.sqrt(2.0))))
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,8 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class SotaPrediction:
+    """The SOTA model at a delta-T, or (all fields but sigma_e) at each of a grid."""
+
     mu_e: float
     sigma_e: float
     tau: float
@@ -164,15 +169,14 @@ def take_snapshot(report, state, m):
 
 def sota_initial_error(snapshot, delta_t):
     """Mean and std of the unnormalized identification error in the first
-    attack batch (SOTA)."""
+    attack batch (SOTA), at a delta-T or at each of a grid (one std)."""
     n = snapshot.config.batch_size
     s = snapshot.skew
-    shifted = snapshot.mu + delta_t
-    t_m0 = shifted  # modeled gap into the first attack batch
+    shifted = snapshot.mu + delta_t  # also the modeled gap into the first attack batch
     mu_e = (
         snapshot.o_acc
-        + 0.5 * n * abs(shifted - snapshot.prev_batch_mean)
-        - s * (snapshot.t + t_m0 + (n - 1) * shifted)
+        + 0.5 * n * np.abs(shifted - snapshot.prev_batch_mean)
+        - s * (snapshot.t + shifted + (n - 1) * shifted)
     )
     var_e = 0.5 * ((n - 2.0 * s) / (n - 1.0) + 2.0 * s * s - 2.0 * s) * snapshot.sigma**2
     return mu_e, math.sqrt(var_e)
@@ -182,7 +186,7 @@ def sota_tau(snapshot, delta_t):
     """Per-batch decay rate of the normalized error after the attack (SOTA)."""
     n = snapshot.config.batch_size
     shifted = snapshot.mu + delta_t
-    return abs(
+    return np.abs(
         (snapshot.sigma * math.sqrt(n / (math.pi * (n - 1))) - snapshot.skew * n * shifted)
         / snapshot.sigma_cusum
     )
@@ -199,22 +203,17 @@ def lplus_max(e_n0, tau, kappa):
 
 
 def sota_success_prob(snapshot, delta_t):
-    """Closed-form cloaking success probability against the SOTA detector."""
-    cfg = snapshot.config
+    """Closed-form cloaking success probability against the SOTA detector,
+    at a delta-T or, in one array pass, at each delta-T of a grid."""
     mu_e, sigma_e = sota_initial_error(snapshot, delta_t)
     tau = sota_tau(snapshot, delta_t)
-    kappa = cfg.sensitivity
-    big_gamma = cfg.detection_threshold
-    if tau > 0.0:
-        hi = (-tau + math.sqrt(tau * tau + 8.0 * tau * big_gamma)) / 2.0 + kappa
-    else:
-        # non-decaying sub-kappa errors never charge the limits
-        hi = kappa
-    lo = -hi
+    kappa, big_gamma = snapshot.config.sensitivity, snapshot.config.detection_threshold
+    # non-decaying sub-kappa errors never charge the limits: hi = kappa
+    hi = np.where(tau > 0.0, (-tau + np.sqrt(tau * tau + 8.0 * tau * big_gamma)) / 2.0, 0.0) + kappa
     mean = (mu_e - snapshot.mu_cusum) / snapshot.sigma_cusum
     std = sigma_e / snapshot.sigma_cusum
-    p = gaussian_cdf(hi, mean, std) - gaussian_cdf(lo, mean, std)
-    return SotaPrediction(mu_e=mu_e, sigma_e=sigma_e, tau=tau, p_success=min(max(p, 0.0), 1.0))
+    p = gaussian_cdf(hi, mean, std) - gaussian_cdf(-hi, mean, std)
+    return SotaPrediction(mu_e=mu_e, sigma_e=sigma_e, tau=tau, p_success=np.clip(p, 0.0, 1.0))
 
 
 def ntp_forecast(snapshot, delta_t_grid, horizon):
@@ -224,9 +223,11 @@ def ntp_forecast(snapshot, delta_t_grid, horizon):
     Noise terms are taken at their means, the RLS output is approximated by
     the lambda-weighted least-squares slope, which starts from the
     snapshot's sums over batches 1..m-1 and takes in each forecast batch,
-    and the CUSUM reference statistics are advanced by their own update rule.
-    The horizon's batches are stepped once over (G,) arrays, and each row
-    comes out exactly as a one-point grid gives it.
+    and each forecast error joins the CUSUM references by the detector's
+    rules (``ids._limits``' e_n, the strict gate, ``ids._add_references``),
+    except that sigma is kept while the set holds under two. The batches are
+    stepped once over (G,) arrays, and each row comes out exactly as a
+    one-point grid gives it.
     """
     delta_t = np.asarray(delta_t_grid, dtype=np.float64)
     if delta_t.ndim != 1:
@@ -236,52 +237,50 @@ def ntp_forecast(snapshot, delta_t_grid, horizon):
     if not snapshot.tt_sum > 0.0:
         raise ValueError("NTP forecast requires the pre-attack least-squares sums ot_sum and tt_sum "
                          f"(tt_sum must be > 0, got {snapshot.tt_sum})")
+    if horizon > REFERENCE_CAP:  # the set would evict forecast errors, which it does not keep
+        raise ValueError(f"NTP forecast takes at most {REFERENCE_CAP} batches, got {horizon}")
     cfg = snapshot.config
-    n = cfg.batch_size
-    lam = cfg.rls_lambda
+    n, lam = cfg.batch_size, cfg.rls_lambda
     shifted = snapshot.mu + delta_t
     drift = (snapshot.period - snapshot.mu) - delta_t  # per-period offset O, less delta-T
     sigma_eta = snapshot.sigma / math.sqrt(2.0)
-
-    ref = snapshot.reference_errors
     size = delta_t.shape
-    ref_n = np.full(size, len(ref))
-    ref_sum = np.full(size, float(sum(ref)))
-    ref_sumsq = np.full(size, float(sum(e * e for e in ref)))
-    a_sum = np.full(size, snapshot.ot_sum)
-    b_sum = np.full(size, snapshot.tt_sum)
-    skew_prev = a_sum / b_sum
-    mu_c = np.full(size, snapshot.mu_cusum)
-    sigma_c = np.full(size, snapshot.sigma_cusum)
-
-    cols = {name: np.empty(size + (horizon,)) for name in _FORECAST_COLUMNS}
-    # rows that do not update compute values they then discard, and a delta-T
-    # large enough to overflow gives non-finite densities the recursion refuses
+    skew_hat, mu_hat, sigma_hat, e_n_mean = (np.empty(size + (horizon,)) for _ in range(4))
+    # a set of under two references divides by zero for a sigma it discards, and a
+    # delta-T large enough to overflow gives non-finite densities the recursion refuses
     with np.errstate(all="ignore"):
-        for j in range(1, horizon + 1):
-            t_hat = snapshot.t + j * n * shifted
-            o_hat = snapshot.o_acc + j * n * drift
-            e_hat = o_hat - skew_prev * t_hat
-            mean_en = (e_hat - mu_c) / sigma_c
-            std_en = np.abs(1.0 + skew_prev) * sigma_eta / sigma_c
-            for name, value in (("t_hat", t_hat), ("o_acc_hat", o_hat), ("e_hat", e_hat),
-                                ("mu_cusum_hat", mu_c), ("sigma_cusum_hat", sigma_c),
-                                ("e_n_mean", mean_en), ("e_n_std", std_en)):
-                cols[name][..., j - 1] = value
-            update = np.abs(mean_en) <= cfg.update_threshold
-            ref_n = ref_n + update
-            ref_sum = np.where(update, ref_sum + e_hat, ref_sum)
-            ref_sumsq = np.where(update, ref_sumsq + e_hat * e_hat, ref_sumsq)
-            mu_c = np.where(update, ref_sum / ref_n, mu_c)
-            var = np.maximum(0.0, (ref_sumsq - ref_n * mu_c * mu_c) / (ref_n - 1))
-            # same floor as the detector
-            sigma_c = np.where(update & (ref_n >= 2), np.maximum(np.sqrt(var), 1e-12), sigma_c)
-            a_sum = lam * a_sum + o_hat * t_hat
-            b_sum = lam * b_sum + t_hat * t_hat
-            skew_prev = a_sum / b_sum
-            cols["skew_hat"][..., j - 1] = skew_prev
+        # t and O_acc of batches j = 1..H: t + j N (mu + delta-T) and O_acc + j N O
+        steps = np.arange(1, horizon + 1) * n
+        t_hat = snapshot.t + np.multiply.outer(shifted, steps)
+        o_hat = snapshot.o_acc + np.multiply.outer(drift, steps)
+        # the least-squares slope after each batch; batch j's error takes the one before it
+        ot, tt = o_hat * t_hat, t_hat * t_hat
+        a_sum, b_sum = np.full(size, snapshot.ot_sum), np.full(size, snapshot.tt_sum)
+        for j in range(horizon):
+            a_sum = lam * a_sum + ot[:, j]
+            b_sum = lam * b_sum + tt[:, j]
+            skew_hat[:, j] = a_sum / b_sum
+        skew_prev = np.column_stack((np.full(size, snapshot.ot_sum / snapshot.tt_sum), skew_hat[:, :-1]))
+        e_hat = o_hat - skew_prev * t_hat
+
+        # the references, batch by batch; float counts, as in the detector's branched streams
+        ref = snapshot.reference_errors
+        refs, evicted = np.array(ref, dtype=np.float64), np.zeros(size, dtype=np.intp)
+        ref_n, ref_sum, ref_sumsq = (np.full(size, float(v)) for v in (len(ref), sum(ref), sum(e * e for e in ref)))
+        mu_c, sigma_c = np.full(size, snapshot.mu_cusum), np.full(size, snapshot.sigma_cusum)
+        for j in range(horizon):
+            mu_hat[:, j], sigma_hat[:, j] = mu_c, sigma_c
+            e_n = e_n_mean[:, j] = (e_hat[:, j] - mu_c) / np.maximum(sigma_c, _SIGMA_FLOOR)
+            update = np.abs(e_n) < cfg.update_threshold
+            evicted, ref_n, ref_sum, ref_sumsq, mu, sigma = _add_references(
+                refs, evicted, ref_n, ref_sum, ref_sumsq, ((update, e_hat[:, j]),), None, _ARRAY_OPS)
+            mu_c = np.where(update, mu, mu_c)
+            sigma_c = np.where(update & (ref_n >= 2), sigma, sigma_c)
+        e_n_std = np.abs(1.0 + skew_prev) * sigma_eta / np.maximum(sigma_hat, _SIGMA_FLOOR)
     m = snapshot.start_batch
-    return NtpForecast(delta_t=delta_t, batches=np.arange(m, m + horizon), **cols)
+    return NtpForecast(delta_t=delta_t, batches=np.arange(m, m + horizon), t_hat=t_hat, o_acc_hat=o_hat,
+                       skew_hat=skew_hat, e_hat=e_hat, mu_cusum_hat=mu_hat, sigma_cusum_hat=sigma_hat,
+                       e_n_mean=e_n_mean, e_n_std=e_n_std)
 
 
 def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
@@ -400,7 +399,7 @@ def success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
     if snapshot.config.variant is not Variant.SOTA:
         return ntp_success_curve(snapshot, delta_t_grid, horizon, recursion_cfg)[0]
     grid = _curve_grid(delta_t_grid)
-    p = np.array([sota_success_prob(snapshot, dt).p_success for dt in grid])
+    p = sota_success_prob(snapshot, grid).p_success
     return SuccessCurve(grid=grid, p_success=p, trials=0, horizon=horizon, source="PREDICTED")
 
 

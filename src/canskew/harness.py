@@ -69,12 +69,11 @@ class ExperimentConfig:
             raise ValueError("warmup_batches must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        grid = self.grid
-        if grid is None:
-            raise ValueError("grid must be provided")
-        grid = np.asarray(grid, dtype=np.float64)
+        grid = np.asarray(self.grid, dtype=np.float64)  # None gives a 0-d NaN
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("grid must be a non-empty 1-d array")
+        if np.count_nonzero(np.isfinite(grid)) != grid.size:
+            raise ValueError(f"grid must be finite, got {grid[~np.isfinite(grid)][0]}")
         object.__setattr__(self, "grid", grid)
 
 

@@ -62,6 +62,10 @@ class Variant(str, Enum):
     NTP = "ntp"
 
 
+# Variant(value) as a dict lookup, a tenth of the Enum call's cost; a Variant hashes as its value
+_VARIANTS = {variant.value: variant for variant in Variant}
+
+
 @dataclass(frozen=True)
 class IdsConfig:
     variant: Variant
@@ -72,7 +76,7 @@ class IdsConfig:
     sensitivity: float = 8.0          # kappa
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
+        object.__setattr__(self, "variant", _VARIANTS.get(self.variant) or Variant(self.variant))
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if not 0.0 < self.rls_lambda <= 1.0:
@@ -295,7 +299,7 @@ def _add_references(refs, evicted, count, ref_sum, ref_sumsq, new, keep, ops):
     branched streams, see CusumState). Returns the new evicted index, count
     and sums, and the set's mu_cusum and sigma_cusum; with no pairs, those of
     the set as given (``_cusum_block`` passes the sums of every prefix of a
-    block as arrays)."""
+    block as arrays). ``formal.ntp_forecast`` adds its errors with it too."""
     mx, pw, sqrt, any_ = ops
     for add, err in new:
         full = add & (count == REFERENCE_CAP)
@@ -357,13 +361,13 @@ def arrival_stage(batches, config, period=None):
     return state, o_avg, np.array(o_acc[1:], dtype=np.float64), last[1:] - a[0, -1]
 
 
-def rls_stage(t, o_acc, lam, rls=None):
+def rls_stage(t, o_acc, lam):
     """Stage 2: the scalar exponentially weighted RLS fit of O_acc = S * t
-    over the columns ``t`` and ``o_acc``, batch by batch from ``rls`` (by
-    default the prior: skew 0, P = RLS_INITIAL_P), which also keeps the
-    lambda-weighted sums of O_acc * t and t * t. It reads no CUSUM state.
-    Returns the K+1 skews (entry k is the estimate after batch k, entry 0
-    the starting one) and the final ``RlsState``."""
+    over the columns ``t`` and ``o_acc``, batch by batch from the prior
+    (skew 0, P = RLS_INITIAL_P), which also keeps the lambda-weighted sums
+    of O_acc * t and t * t. It reads no CUSUM state. Returns the K+1 skews
+    (entry k is the estimate after batch k, entry 0 the prior's) and the
+    final ``RlsState``."""
     t = np.asarray(t, dtype=np.float64)
     o_acc = np.asarray(o_acc, dtype=np.float64)
     if t.shape != o_acc.shape:
@@ -372,8 +376,7 @@ def rls_stage(t, o_acc, lam, rls=None):
         raise ValueError(f"expected columns of t and O_acc, got shape {t.shape}")
     if (t <= 0.0).any():
         raise ValueError("elapsed time must be > 0")
-    rls = rls or RlsState()
-    skew, p, ot, tt = rls.skew, rls.gain_denominator, rls.ot_sum, rls.tt_sum
+    skew, p, ot, tt = 0.0, RLS_INITIAL_P, 0.0, 0.0
     skews = [skew]
     put = skews.append
     for t_k, y in zip(t.tolist(), o_acc.tolist()):
@@ -531,7 +534,7 @@ def detect(batches, config, warmup_batches, period=None):
     if warmup_batches < 0:
         raise ValueError(f"warmup_batches must be >= 0, got {warmup_batches}")
     state, o_avg, o_acc, t = arrival_stage(batches, config, period)
-    skews, state.rls = rls_stage(t, o_acc, config.rls_lambda, state.rls)
+    skews, state.rls = rls_stage(t, o_acc, config.rls_lambda)
     # stage 3: e = O_acc - S[k-1] * t, with S[k-1] the skew held before batch k
     e = o_acc - skews[:-1] * t
     e_n, l_plus, l_minus, alarm = cusum_stage(state.cusum, state._bootstrap_errors, e, warmup_batches, config)

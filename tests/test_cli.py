@@ -211,6 +211,21 @@ class TestBadInput:
         assert code == 1 and f"--arb-exp-scale must be >= 0, got {float(value)}" in err
         assert not (tmp_path / "pair.csv").exists()
 
+    def test_infinite_arbitration_scale_exits_1(self, capsys, tmp_path):
+        code, _, err = run_cli(["correlate", "--batches", "30", "--arb-exp-scale", "inf",
+                                "--out", str(tmp_path / "pair.csv")], capsys)
+        assert code == 1 and "--arb-exp-scale must be finite, got inf" in err
+        assert not (tmp_path / "pair.csv").exists()
+
+    @pytest.mark.parametrize("flag, field", [("--transmission-duration", "transmission_duration"),
+                                             ("--period", "period")])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1e-3"])
+    def test_bad_correlate_scalar_exits_1_naming_its_field(self, capsys, tmp_path, flag, field, value):
+        code, _, err = run_cli(["correlate", "--batches", "30", flag, value, "--out", str(tmp_path / "pair.csv")],
+                               capsys)
+        assert code == 1 and f"{field} must be > 0, got {float(value)}" in err
+        assert not (tmp_path / "pair.csv").exists()
+
     def test_nan_fill_period_exits_1(self, capsys, tmp_path, trace):
         code, _, err = run_cli(["detect", "--input", str(trace), "--warmup", "5", "--variant", "sota",
                                 "--fill-missing", "--period", "nan", "--out", str(tmp_path / "r.csv")], capsys)

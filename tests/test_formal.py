@@ -79,6 +79,33 @@ OLD_FORMAT_FORECAST = {
     "e_n_std": [1.3217272905895858, 1.4274551786005771, 1.5219120686936483],
 }
 
+# The forecast from the 300-batch NTP warmup's snapshot (the ntp_snapshot
+# fixture) cut to its first 0 and 1 references, at delta-T 0 and 0.2 us over
+# 3 batches, as the forecast computed it with its own reference update, which
+# kept sigma while the set held fewer than 2 references. Rows are delta-T.
+FEW_REFERENCES_FORECAST = {
+    0: {
+        "mu_cusum_hat": [[1.6952815622167088e-05, 4.7126871587088726e-06, 4.734783410727944e-06],
+                         [1.6952815622167088e-05, 7.122874948958802e-07, -1.2451629100851402e-06]],
+        "sigma_cusum_hat": [[2.5538695448925588e-05, 2.5538695448925588e-05, 3.124881928295674e-08],
+                            [2.5538695448925588e-05, 2.5538695448925588e-05, 2.7682529103968666e-06]],
+        "e_n_mean": [[-0.4792777488551459, 0.0017304135258796936, 2.1065660474255723],
+                     [-0.6359184696708714, -0.15329290479192195, -2.10676463404191]],
+        "e_n_std": [[0.9586392955065475, 0.9586392955837801, 783.46630621713],
+                    [0.9586392955065475, 0.9586392955182207, 8.843988538883467]],
+    },
+    1: {
+        "mu_cusum_hat": [[1.6952815622167088e-05, 7.871635521093656e-05, 5.406319669487338e-05],
+                         [1.6952815622167088e-05, 7.671615537903007e-05, 5.007656581433132e-05]],
+        "sigma_cusum_hat": [[2.5538695448925588e-05, 0.00010465699102481692, 8.543932092215341e-05],
+                            [2.5538695448925588e-05, 0.00010748570075455548, 8.891339117295967e-05]],
+        "e_n_mean": [[-0.4792777488551459, -0.7066845207756051, -0.5765797884478341],
+                     [-0.6359184696708714, -0.7435293079271207, -0.642802904041138]],
+        "e_n_std": [[0.9586392955065475, 0.23392987678655217, 0.286547186389408],
+                    [0.9586392955065475, 0.22777352561079897, 0.2753510656753161]],
+    },
+}
+
 
 def manual_snapshot(variant=Variant.SOTA, **overrides):
     fields = dict(
@@ -427,6 +454,47 @@ class TestNtpForecast:
                          "sigma_cusum_hat", "e_n_mean", "e_n_std"):
                 assert getattr(forecast, name).shape == (len(grid), 30), name
                 assert np.array_equal(getattr(forecast, name)[g], getattr(single, name)[0]), name
+
+    def test_full_reference_set_evicts_oldest_first(self, ntp_snapshot):
+        # a full set of references whose 100 oldest sit 10 sigma above the
+        # rest, so that each eviction of one moves the mean by 1e-3 sigma.
+        # Bound, set before the run: mu_cusum_hat and sigma_cusum_hat within
+        # 1e-9 sigma of the mean and std of the last REFERENCE_CAP of the
+        # references and the admitted forecast errors (running sums over
+        # 10 000 values of ~1e-5 round off near 1e-16 of that)
+        rng = np.random.default_rng(8)
+        mu, sigma = ntp_snapshot.mu_cusum, ntp_snapshot.sigma_cusum
+        refs = rng.normal(mu, sigma, REFERENCE_CAP)
+        refs[:100] += 10.0 * sigma
+        snap = replace(ntp_snapshot, reference_errors=tuple(refs.tolist()), mu_cusum=float(np.mean(refs)),
+                       sigma_cusum=float(np.std(refs, ddof=1)))
+        grid, horizon = np.array([-2e-7, 0.0, 2e-7]), 30
+        fc = ntp_forecast(snap, grid, horizon)
+        admitted = 0
+        for g in range(len(grid)):
+            held, want = list(refs), (snap.mu_cusum, snap.sigma_cusum)
+            for j in range(horizon):
+                got = (fc.mu_cusum_hat[g, j], fc.sigma_cusum_hat[g, j])
+                assert got == pytest.approx(want, abs=1e-9 * sigma, rel=0), (g, j)
+                if abs(fc.e_n_mean[g, j]) < snap.config.update_threshold:
+                    held.append(fc.e_hat[g, j])
+                    admitted += 1
+                    last = np.array(held[-REFERENCE_CAP:])
+                    want = (last.mean(), last.std(ddof=1))
+                    # a set that kept every reference would be off by far more
+                    assert abs(np.mean(held) - want[0]) > 100 * 1e-9 * sigma
+        assert admitted >= horizon
+
+    def test_fewer_than_two_references_keep_sigma(self, ntp_snapshot):
+        for count, want in FEW_REFERENCES_FORECAST.items():
+            snap = replace(ntp_snapshot, reference_errors=ntp_snapshot.reference_errors[:count])
+            fc = ntp_forecast(snap, [0.0, 2e-7], 3)
+            for name, rows in want.items():
+                assert getattr(fc, name).tolist() == rows, (count, name)
+
+    def test_horizon_within_reference_cap(self, ntp_snapshot):
+        with pytest.raises(ValueError, match=f"at most {REFERENCE_CAP} batches"):
+            ntp_forecast(ntp_snapshot, [0.0], REFERENCE_CAP + 1)
 
     @pytest.mark.parametrize("delta_t", [0.0, [[0.0, 1e-7]]], ids=["scalar", "2-d"])
     def test_grid_must_be_1d(self, ntp_snapshot, delta_t):

@@ -37,6 +37,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(ids=make_config(Variant.NTP), grid=None)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected_naming_it(self, bad):
+        with pytest.raises(ValueError, match=f"^grid must be finite, got {bad}$"):
+            experiment(Variant.NTP, [0.0, bad, 1e-6])
+
     def test_default_grid_scales_with_period(self):
         g100 = default_grid(0.1)
         g10 = default_grid(0.01)

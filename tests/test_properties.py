@@ -1,5 +1,6 @@
 """Property-based tests of the module invariants."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,12 +20,16 @@ from canskew.correlation import pearson
 from canskew.curves import SuccessCurve
 from canskew.formal import (
     CusumRecursionConfig,
+    Snapshot,
     cusum_success_recursion,
     gaussian_cdf,
     lplus_max,
     ntp_forecast,
     snapshot_from_csv,
     snapshot_to_csv,
+    sota_initial_error,
+    sota_success_prob,
+    success_curve,
     take_snapshot,
 )
 from canskew.harness import epsilon_msi
@@ -144,6 +149,31 @@ def density_blocks(draw, kappa=8.0, big_gamma=5.0):
 
 
 class TestFormalInvariants:
+    @given(sigma=st.floats(min_value=1e-6, max_value=1e-3),
+           ratio=st.floats(min_value=0.2, max_value=5.0),
+           skew=st.floats(min_value=-1e-3, max_value=1e-3),
+           gap=st.floats(min_value=-12.0, max_value=12.0),
+           shift=st.floats(min_value=6.0, max_value=11.0),
+           sign=st.sampled_from((-1.0, 1.0)),
+           steps=st.lists(st.floats(min_value=-12.0, max_value=12.0), min_size=1, max_size=30))
+    @settings(max_examples=50, deadline=None)
+    def test_sota_grid_is_the_pointwise_scalars(self, sigma, ratio, skew, gap, shift, sign, steps):
+        # at delta-T 0 the first-batch error's mean lies 6 to 11 sigma_cusum
+        # from mu_cusum, near the bound hi >= kappa = 8, so the curve passes
+        # through 0 < p < 1; grid and batch-mean gap are in units of sigma / N
+        unit = sigma / 20
+        snap = Snapshot(config=make_config(Variant.SOTA), period=0.1, mu=0.1, sigma=sigma,
+                        prev_batch_mean=0.1 + gap * unit, o_acc=0.0, t=200.0, skew=skew, mu_cusum=0.0,
+                        sigma_cusum=ratio * sigma, reference_errors=())
+        snap = replace(snap, mu_cusum=float(sota_initial_error(snap, 0.0)[0]) - sign * shift * snap.sigma_cusum)
+        grid = np.sort(np.array(steps) * unit)
+        scalars = [sota_success_prob(snap, dt) for dt in grid.tolist()]
+        assert success_curve(snap, grid).p_success.tobytes() == np.array([p.p_success for p in scalars]).tobytes()
+        whole = sota_success_prob(snap, grid)
+        for name in ("mu_e", "tau"):
+            assert getattr(whole, name).tobytes() == np.array([getattr(p, name) for p in scalars]).tobytes(), name
+        assert {whole.sigma_e} == {p.sigma_e for p in scalars}
+
     @given(mean=st.floats(min_value=-20, max_value=20),
            std=st.floats(min_value=0.1, max_value=5.0),
            n=st.integers(min_value=1, max_value=10))

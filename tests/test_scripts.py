@@ -17,7 +17,10 @@ import canskew
 from canskew.attacks import AttackSpec, compute_delta_t0
 from canskew.cli import main as cli_main
 from canskew.clock import ClockSpec, MessageSchedule, NoiseModel, ppm, synthesize_trace
-from canskew.harness import ExperimentConfig, SyntheticSource, consistency_study, epsilon_msi, monte_carlo_ps
+from canskew.curves import SuccessCurve
+from canskew.formal import success_curve, take_snapshot
+from canskew.harness import (ExperimentConfig, SyntheticSource, ade, consistency_study, epsilon_msi, monte_carlo_ps,
+                             synthetic_warm_state)
 from canskew.ids import IdsConfig, Variant
 from canskew.traceio import parse_log
 
@@ -89,6 +92,30 @@ def test_package_exports_resolve():
     missing = [f"{module}.{attr}" for module, attr in exports
                if not hasattr(importlib.import_module(f"canskew.{module}"), attr) or not hasattr(canskew, attr)]
     assert missing == []
+
+
+def test_success_sweep_writes_curves_that_read_back(tmp_path, monkeypatch, capsys):
+    script = ROOT / "scripts" / "run_success_sweep.py"
+    monkeypatch.setattr(sys, "argv", [script.name, "--warmup", "60", "--trials", "5", "--horizon", "5",
+                                      "--out-dir", str(tmp_path)])
+    runpy.run_path(str(script), run_name="__main__")
+    printed = capsys.readouterr().out.splitlines()
+    # the script's scenario at these sizes: 100 vs 150 ppm clocks with 25 us jitter, 100 ms period
+    target = ClockSpec(skew=ppm(100.0), jitter_std=25e-6)
+    source = SyntheticSource(MessageSchedule(0x185, 0.1), target, NoiseModel())
+    for variant, grid, line in ((Variant.SOTA, np.arange(-40, 41) * 10e-6, 2),
+                                (Variant.NTP, np.arange(-30, 31) * 1e-7, 5)):
+        experimental, predicted = (SuccessCurve.from_csv((tmp_path / f"{variant.value}_{label}.csv").read_text())
+                                   for label in ("experimental", "predicted"))
+        for curve in (experimental, predicted):
+            assert np.allclose(curve.grid, grid, rtol=1e-11, atol=0.0)
+        assert (experimental.source, experimental.trials, experimental.horizon) == ("EXPERIMENTAL", 5, 5)
+        assert (predicted.source, predicted.trials, predicted.horizon) == ("PREDICTED", 0, 5)
+        cfg = ExperimentConfig(ids=IdsConfig(variant=variant), warmup_batches=60, trials=5, horizon=5,
+                               grid=grid, seed=0)
+        snapshot = take_snapshot(None, synthetic_warm_state(source, cfg), 61)
+        assert predicted.to_csv() == success_curve(snapshot, grid, horizon=5).to_csv()
+        assert printed[line].startswith(f"{variant.value}: ADE = {ade(predicted, experimental):.2f}%, ")
 
 
 def test_readme_has_two_recipes():
