@@ -129,11 +129,14 @@ def _announce(args):
 
 
 def _write_output(args, text):
+    """Write ``text``, a str or an iterable of str pieces written as they
+    come, to --out, else to stdout."""
+    pieces = (text,) if isinstance(text, str) else text
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _ids_config(args):
@@ -221,7 +224,7 @@ def _cmd_generate(args):
     from .clock import synthesize_trace
 
     trace = synthesize_trace(schedule, _target_clock(args), _target_noise(args), args.count, args.seed)
-    _write_output(args, traceio.write_trace(trace, traceio.LogFormat(args.format)))
+    _write_output(args, traceio.write_chunks(trace, args.format))
     return 0
 
 
@@ -252,7 +255,7 @@ def _cmd_attack(args):
     spec = _attack_spec(args, args.attack_batches)
     trace = attacks.cloaked_trace(spec, schedule, _target_clock(args), _target_noise(args),
                                   args.normal_count, args.batch_size, args.seed)
-    _write_output(args, traceio.write_trace(trace, traceio.LogFormat(args.format)))
+    _write_output(args, traceio.write_chunks(trace, args.format))
     return 0
 
 

@@ -132,13 +132,11 @@ class NtpForecast:
     def to_csv(self):
         """The forecast as one table: delta_t, batch, then the forecast
         columns, one row per (delta-T, batch)."""
+        from . import _digits  # its tables load on the first write, not with the package
         horizon = len(self.batches)
-        columns = [np.repeat(self.delta_t, horizon).tolist(), np.tile(self.batches, len(self.delta_t)).tolist(),
-                   *(getattr(self, name).ravel().tolist() for name in _FORECAST_COLUMNS)]
-        lines = [",".join(["delta_t", "batch", *_FORECAST_COLUMNS]) + "\n"]
-        lines.extend(f"{delta_t:.12g},{batch}," + ",".join(f"{value:.12g}" for value in values) + "\n"
-                     for delta_t, batch, *values in zip(*columns))
-        return "".join(lines)
+        columns = [np.repeat(self.delta_t, horizon), np.tile(self.batches, len(self.delta_t)),
+                   *(getattr(self, name).ravel() for name in _FORECAST_COLUMNS)]
+        return "".join([",".join(["delta_t", "batch", *_FORECAST_COLUMNS]) + "\n", *_digits.table(columns)])
 
 
 def take_snapshot(report, state, m):

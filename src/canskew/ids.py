@@ -203,27 +203,10 @@ class DetectionReport:
 
     def to_csv(self):
         """One row per batch; floats as %.12g, a NaN e_n as an empty cell."""
-        floats = (self.o_avg, self.o_acc, self.t, self.skew, self.e)
-        no_e_n = np.isnan(self.e_n)
-        # both limits +0.0 ("%.12g" % 0.0 is "0"; a -0.0 prints "-0") and no alarm
-        quiet = ~no_e_n & ~self.alarm
-        for limit in (self.l_plus, self.l_minus):
-            quiet &= (limit == 0.0) & ~np.signbit(limit)
-        rows = np.empty(len(self), dtype=object)
-        for row, mask, columns in (
-                (_ROW, ~(no_e_n | quiet), (*floats, self.e_n, self.l_plus, self.l_minus, self.alarm.astype(int))),
-                (_ROW_QUIET, quiet, (*floats, self.e_n)),
-                (_ROW_NO_E_N, no_e_n, (*floats, self.l_plus, self.l_minus, self.alarm.astype(int)))):
-            if mask.any():
-                rows[mask] = list(map(row.__mod__, zip(*(c[mask].tolist() for c in (self.batch, *columns)))))
-        return "\n".join([",".join(self.CSV_COLUMNS), *rows.tolist(), ""])
-
-
-# DetectionReport rows: batch, five floats, e_n, two floats, alarm; with no
-# e_n; with both limits 0 and no alarm
-_ROW = "%d" + ",%.12g" * 8 + ",%d"
-_ROW_NO_E_N = "%d" + ",%.12g" * 5 + "," + ",%.12g" * 2 + ",%d"
-_ROW_QUIET = "%d" + ",%.12g" * 6 + ",0,0,0"
+        from . import _digits  # its tables load on the first write, not with the package
+        columns = (self.batch, self.o_avg, self.o_acc, self.t, self.skew, self.e, self.e_n, self.l_plus,
+                   self.l_minus, self.alarm)
+        return "".join([",".join(self.CSV_COLUMNS) + "\n", *_digits.table(columns, empty_nan={6})])
 
 
 def _max(a, b):

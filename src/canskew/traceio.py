@@ -33,8 +33,16 @@ time order is not sorted again. Each slice takes one of two paths:
 
 A candump time is ``sec + micros / 1e6``; a CSV time is its digits as one
 integer below 2**53 over a power of ten, so it rounds as ``float`` rounds
-the text. ``write_trace`` formats CHUNK_LINES lines at a time, each chunk
-one (lines, width) array of digits and punctuation, decoded once.
+the text.
+
+``write_chunks`` yields a log CHUNK_LINES lines at a time, and
+``write_trace`` joins them. The lines of a chunk whose seconds and ids each
+have one digit count share one layout: they are one (lines, width) uint8
+array, its punctuation written once per column and its numerals from packed
+digit tables (``_digits``), decoded to text once. A chunk of several layouts
+is grouped by layout, as ``_array_pass`` groups lines by length when
+reading, and each group's rows are put in place. Times and ids that
+``parse_log`` would refuse are refused before any chunk is made.
 """
 from __future__ import annotations
 
@@ -49,7 +57,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .clock import MAX_CAN_ID, Trace
 
-__all__ = ["LogFormat", "ParseError", "parse_log", "write_trace", "fill_missing"]
+__all__ = ["LogFormat", "ParseError", "parse_log", "write_trace", "write_chunks", "fill_missing"]
 
 CHUNK_LINES = 8192  # lines per written chunk
 SLICE_BYTES = 1 << 17  # parse slice, unless one line is longer
@@ -87,9 +95,8 @@ _CLASS[128:] = _FOREIGN
 _KINDS = {"h": (_DIGIT, _HEX_LETTER), "t": (_DIGIT, _OTHER), "s": (_BLANK, _BLANK), "r": (_DIGIT, _BLANK)}
 _DIGIT_VALUE = np.zeros(256, dtype=np.uint8)
 _DIGIT_VALUE[list(b"0123456789abcdefABCDEF")] = [*range(16), *range(10, 16)]
-_NUMERALS = np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)
 # up to 10**18 as int64, and so as exact doubles (5**18 < 2**53)
-_POWERS = {10: 10 ** np.arange(19, dtype=np.int64), 16: 16 ** np.arange(16, dtype=np.int64)}
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 
 class LogFormat(enum.Enum):
@@ -272,11 +279,11 @@ def _csv_rows(rows):
     cols = rows.T.copy()
     if not _fits(cols, template) or (cols[m.end():end] == ord('"')).any():
         return None
-    units = _values(cols, m.span(1), 10) * _POWERS[10][len(m[2])] + _values(cols, m.span(2), 10)
+    units = _values(cols, m.span(1), 10) * _POWERS_OF_TEN[len(m[2])] + _values(cols, m.span(2), 10)
     ids = _values(cols, m.span(3), 16)
     if units.max() > 2**53 or ids.max() > MAX_CAN_ID:
         return None
-    return units / _POWERS[10][len(m[2])], ids.astype(np.uint32)
+    return units / _POWERS_OF_TEN[len(m[2])], ids.astype(np.uint32)
 
 
 def _decode(piece, before, line_parser=None):
@@ -396,32 +403,82 @@ def _time_ordered(times, ids):
     return times[order], ids[order]
 
 
-def _numerals(values, base, min_digits):
-    """ASCII numerals of non-negative ``values`` in ``base``, zero-padded to
-    ``min_digits``, as right-aligned rows of equal width, and the mask of the
-    bytes each numeral has."""
-    powers = _POWERS[base]
-    digits = np.maximum(np.searchsorted(powers[1:], values, side="right") + 1, min_digits)
-    width = int(digits.max())
-    chars = np.empty((len(values), width), dtype=np.uint8)
-    for column, power in enumerate(powers[width - 1::-1].tolist()):
-        chars[:, column] = _NUMERALS.take(values // power % base)  # scalar divisors divide fast
-    return chars, np.arange(width) >= width - digits[:, None]
-
-
-def _literal(piece, n):
-    chars = np.broadcast_to(np.frombuffer(piece, dtype=np.uint8), (n, len(piece)))
-    return chars, np.ones(chars.shape, dtype=bool)
-
-
-def _format_lines(sec, frac, ids, fmt):
-    n = len(sec)
+def _lines(sec, frac, ids, sec_digits, id_digits, fmt):
+    """The (lines, width) rows of records that share one layout: seconds of
+    ``sec_digits`` digits and ids of ``id_digits`` hex digits."""
+    from . import _digits  # its tables load on the first write, not with the package
     prefix, middle, suffix = _LAYOUTS[fmt]
-    columns = [_literal(prefix, n), _numerals(sec, 10, 1), _literal(b".", n), _numerals(frac, 10, 6),
-               _literal(middle, n), _numerals(ids, 16, 3), _literal(suffix, n)]
-    chars = np.hstack([chars for chars, _ in columns])
-    keep = np.hstack([keep for _, keep in columns])
-    return chars[keep].tobytes().decode("ascii")
+    point = len(prefix) + sec_digits
+    id_end = point + 7 + len(middle) + id_digits
+    rows = np.empty((len(sec), id_end + len(suffix)), dtype=np.uint8)
+    for start, literal in ((0, prefix), (point, b"."), (point + 7, middle), (id_end, suffix)):
+        if literal:
+            _digits.field(rows, start, len(literal))[:] = np.void(literal)
+    _digits.put(rows, point, sec, sec_digits, 10)
+    _digits.put(rows, point + 7, frac, 6, 10)
+    _digits.put(rows, id_end, ids, id_digits, 16)
+    return rows
+
+
+def _chunk_text(times, ids, fmt):
+    """The lines of one chunk of records. Where the seconds or ids differ in
+    digit count, the lines are grouped by layout, each group formatted as
+    rows and put in place, as ``_array_pass`` groups lines when reading."""
+    from . import _digits
+    ns = np.rint(times * 1e9)
+    sec, frac = np.divmod(ns.astype(np.int64) // 1000, 1_000_000)
+    ids = ids.astype(np.int64)
+    sec_digits = _digits.digit_counts(np.array([sec.min(), sec.max()]), 10, 1)
+    id_digits = _digits.digit_counts(np.array([ids.min(), ids.max()]), 16, 3)
+    if sec_digits[0] == sec_digits[1] and id_digits[0] == id_digits[1]:
+        return _lines(sec, frac, ids, int(sec_digits[0]), int(id_digits[0]), fmt).tobytes().decode("ascii")
+    sec_digits, id_digits = _digits.digit_counts(sec, 10, 1), _digits.digit_counts(ids, 16, 3)
+    ends = np.cumsum(sec_digits + id_digits + sum(map(len, _LAYOUTS[fmt])) + 7)
+    text = np.empty(int(ends[-1]), dtype=np.uint8)
+    layout = sec_digits * 16 + id_digits
+    order = np.argsort(layout, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(layout[order])) + 1):
+        rows = _lines(sec[group], frac[group], ids[group], int(sec_digits[group[0]]), int(id_digits[group[0]]), fmt)
+        width = rows.shape[1]
+        lines = sliding_window_view(text, width, writeable=True).view(f"V{width}")[:, 0]
+        lines[ends[group] - width] = rows.view(f"V{width}")[:, 0]
+    return text.tobytes().decode("ascii")
+
+
+def _check_writable(times, ids):
+    """Raise ValueError naming the first time below zero at nanosecond
+    resolution, not finite or from 2**63 ns on, else the first id above
+    MAX_CAN_ID: parse_log would refuse them."""
+    if not len(times):
+        return
+    ends = np.rint(np.array([times.min(), times.max()]) * 1e9)  # NaN if any time is
+    if not (ends[0] >= 0.0 and ends[1] < _MAX_NS):
+        ns = np.rint(times * 1e9)
+        first = np.flatnonzero(~((ns >= 0.0) & (ns < _MAX_NS)))[0]
+        t = float(times[first])
+        if ns[first] < 0.0:
+            raise ValueError(f"cannot write negative timestamp {t:.9f} s: logs hold only non-negative times")
+        raise ValueError(f"cannot write timestamp {t!r} s: logs hold finite times below 2**63 ns")
+    if ids.max() > MAX_CAN_ID:
+        can_id = int(ids[np.flatnonzero(ids > MAX_CAN_ID)[0]])
+        raise ValueError(f"cannot write CAN id {can_id:#x}: logs hold ids in [0, {MAX_CAN_ID:#x}]")
+
+
+def write_chunks(trace, fmt):
+    """Serialize a trace as ``write_trace`` does, as an iterator of text
+    chunks: the CSV header, then CHUNK_LINES lines at a time. The trace is
+    checked when this is called, before any chunk is made."""
+    fmt = LogFormat(fmt)
+    times, ids = np.asarray(trace.times, dtype=np.float64), np.asarray(trace.ids)
+    _check_writable(times, ids)
+    return _chunks(times, ids, fmt)
+
+
+def _chunks(times, ids, fmt):
+    if fmt is LogFormat.CSV:
+        yield ",".join(_CSV_HEADER) + "\n"
+    for start in range(0, len(times), CHUNK_LINES):
+        yield _chunk_text(times[start:start + CHUNK_LINES], ids[start:start + CHUNK_LINES], fmt)
 
 
 def write_trace(trace, fmt):
@@ -431,23 +488,10 @@ def write_trace(trace, fmt):
     microsecond resolution and 0.123456499999 s writes as 0.123456. A
     timestamp below zero at that resolution raises ValueError naming the
     first one, since parse_log rejects negative times; so does one that is
-    not finite or reaches 2**63 ns (about 292 years). ``fmt`` is a
-    LogFormat or its value. The trace is formatted CHUNK_LINES at a time."""
-    fmt = LogFormat(fmt)
-    times, ids = np.asarray(trace.times, dtype=np.float64), np.asarray(trace.ids)
-    out = [] if fmt is LogFormat.CANDUMP else [",".join(_CSV_HEADER) + "\n"]
-    for start in range(0, len(times), CHUNK_LINES):
-        chunk = times[start:start + CHUNK_LINES]
-        ns = np.rint(chunk * 1e9)
-        bad = np.flatnonzero(~((ns >= 0.0) & (ns < _MAX_NS)))
-        if len(bad):
-            t = float(chunk[bad[0]])
-            if ns[bad[0]] < 0.0:
-                raise ValueError(f"cannot write negative timestamp {t:.9f} s: logs hold only non-negative times")
-            raise ValueError(f"cannot write timestamp {t!r} s: logs hold finite times below 2**63 ns")
-        sec, frac = np.divmod(ns.astype(np.int64) // 1000, 1_000_000)
-        out.append(_format_lines(sec, frac, ids[start:start + CHUNK_LINES].astype(np.int64), fmt))
-    return "".join(out)
+    not finite or reaches 2**63 ns (about 292 years), and so does an id
+    above MAX_CAN_ID. ``fmt`` is a LogFormat or its value. The text is the
+    join of ``write_chunks``."""
+    return "".join(write_chunks(trace, fmt))
 
 
 def _fill_times(a, period):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canskew import ids
+from canskew import _digits, ids
 from canskew.attacks import AttackSpec, attack_arrivals, compute_delta_t0
 from canskew.clock import (
     ClockSpec,
@@ -38,6 +38,25 @@ from canskew.ids import (
     run_ids,
 )
 from conftest import make_config
+
+# DetectionReport rows: batch, five floats, e_n, two floats, alarm; with no
+# e_n
+_ROW = "%d" + ",%.12g" * 8 + ",%d"
+_ROW_NO_E_N = "%d" + ",%.12g" * 5 + "," + ",%.12g" * 2 + ",%d"
+
+
+def csv_one_by_one(report):
+    """``report.to_csv()`` formatted row by row: each row as the full
+    template, or without e_n where it is NaN."""
+    want = ["batch,o_avg,o_acc,t,skew,e,e_n,l_plus,l_minus,alarm"]
+    columns = (report.o_avg, report.o_acc, report.t, report.skew, report.e, report.e_n, report.l_plus,
+               report.l_minus, report.alarm.astype(int))
+    for k, row in enumerate(zip(*(c.tolist() for c in columns)), start=1):
+        if math.isnan(row[5]):
+            want.append(_ROW_NO_E_N % (k, *row[:5], *row[6:]))
+        else:
+            want.append(_ROW % (k, *row))
+    return "\n".join(want + [""])
 
 
 def seeded_cusum(errors):
@@ -526,19 +545,22 @@ class TestRunIds:
         st.sampled_from([0.0, -0.0, 2.5]),
         st.booleans()), max_size=40))
     def test_csv_rows_as_formatted_one_by_one(self, rows):
-        # every row as the full template, or without e_n where it is NaN,
-        # whatever template the report picks for it
         value, e_n, l_plus, l_minus, alarm = (np.array(c) for c in zip(*rows)) if rows else [np.zeros(0)] * 5
         floats = [value * scale for scale in (1.0, -2.0, 3.0, 1e-9, 7.0)]
         report = DetectionReport(*floats, e_n, l_plus, l_minus, alarm.astype(bool), None, None)
-        want = ["batch,o_avg,o_acc,t,skew,e,e_n,l_plus,l_minus,alarm"]
-        for k, row in enumerate(zip(*(c.tolist() for c in floats), e_n.tolist(), l_plus.tolist(), l_minus.tolist(),
-                                    alarm.astype(int).tolist()), start=1):
-            if math.isnan(row[5]):
-                want.append(ids._ROW_NO_E_N % (k, *row[:5], *row[6:]))
-            else:
-                want.append(ids._ROW % (k, *row))
-        assert report.to_csv() == "\n".join(want + [""])
+        assert report.to_csv() == csv_one_by_one(report)
+
+    def test_csv_rows_across_chunks(self):
+        # bootstrap rows, quiet rows and alarms, over two chunks of rows
+        rng = np.random.default_rng(3)
+        n = _digits.CHUNK_ROWS + 37
+        floats = [rng.normal(size=n) * 10.0 ** rng.integers(-9, 4, n) for _ in range(5)]
+        e_n = rng.normal(size=n)
+        e_n[:60] = math.nan
+        l_plus, l_minus = (np.where(rng.random(n) < 0.6, 0.0, 8.0 * rng.random(n)) for _ in range(2))
+        report = DetectionReport(*floats, e_n, l_plus, l_minus, (l_plus > 5.0) | (l_minus > 5.0), None, None)
+        assert len(list(_digits.table([report.batch, *floats], ()))) == 2
+        assert report.to_csv() == csv_one_by_one(report)
 
     @pytest.mark.parametrize("variant, first_alarm", [(Variant.SOTA, 6), (Variant.NTP, 9)])
     def test_pinned_csv(self, variant, first_alarm):

@@ -686,6 +686,17 @@ class TestUndecodable:
             assert exc.value.line_number == index + 1 and "not UTF-8" in str(exc.value)
 
 
+def spec_text(times, ids, fmt):
+    """A log written record by record: each time rounded to nanoseconds, half
+    to even, then truncated to microseconds."""
+    lines = [] if fmt is LogFormat.CANDUMP else ["timestamp,can_id,data\n"]
+    for t, can_id in zip(times.tolist(), ids.tolist()):
+        sec, micros = divmod(round(t * 1e9) // 1000, 10**6)
+        lines.append(f"({sec}.{micros:06d}) can0 {can_id:03X}#\n" if fmt is LogFormat.CANDUMP
+                     else f"{sec}.{micros:06d},0x{can_id:03X},\n")
+    return "".join(lines)
+
+
 class TestWrite:
     def test_empty_trace(self):
         empty = Trace(times=np.array([]), ids=np.array([], dtype=np.uint32))
@@ -786,6 +797,27 @@ class TestWrite:
         expected_us = [round(t * 1e9) // 1000 for t, _ in records]
         assert np.round(restored.times * 1e6).astype(np.int64).tolist() == expected_us
         assert restored.ids.tolist() == [mid for _, mid in records]
+
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    def test_id_beyond_29_bits_refused(self, fmt):
+        # parse_log refuses it, so the writer does not write it
+        trace = Trace(times=np.array([1.0, 2.0, 3.0]), ids=np.array([0x185, 0x20000000, 0xFFFFFFFF], dtype=np.uint32))
+        with pytest.raises(ValueError, match="CAN id 0x20000000"):
+            write_trace(trace, fmt)
+        with pytest.raises(ParseError, match="CAN id 0x20000000"):
+            parse_log(spec_text(trace.times, trace.ids, fmt), fmt)
+
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    def test_lines_as_formatted_one_by_one(self, fmt):
+        # past one chunk; within the first, unsorted times whose seconds
+        # cross 9 -> 10, 99 -> 100 and 999 -> 1000, and ids of 1 to 8 hex
+        # digits, so that its lines take many layouts
+        rng = np.random.default_rng(11)
+        n = CHUNK_LINES + 3000
+        edges = np.array([9.9999995, 9.999999, 10.0, 99.9999996, 100.0, 999.999999, 999.9999996, 1000.0, 0.0, 5e-10])
+        times = np.where(rng.random(n) < 0.3, rng.choice(edges, n), rng.uniform(0.0, 1100.0, n))
+        ids = rng.integers(0, 16 ** rng.integers(1, 9, n)).clip(max=MAX_CAN_ID).astype(np.uint32)
+        assert write_trace(Trace(times=times, ids=ids), fmt) == spec_text(times, ids, fmt)
 
     def test_generate_refuses_negative_times(self, tmp_path, capsys):
         out = tmp_path / "t.log"
@@ -891,10 +923,15 @@ class TestMemoryBudget:
     its output and one mask (13 bytes per record), bounded here by 20.
     ``write_trace`` holds the chunk strings and their join, two bytes per
     character of the text, and the temporaries of one chunk of CHUNK_LINES
-    records (its 8-byte time, second, micro and id arrays and its (lines,
-    width) character arrays and masks), bounded here by 400 bytes per record
-    of the chunk. Parsing the whole text at once took over 100 bytes per
-    record here, and repairing by a merge 48."""
+    records (its 8-byte time, second, micro and id arrays, its (lines,
+    width) rows and their bytes, and where digit counts differ within the
+    chunk, the per-line counts, line ends and order), bounded here by 400
+    bytes per record of the chunk. ``canskew generate`` writes each chunk to
+    its file as it is made, so it holds no copy of the text: what
+    ``synthesize_trace`` holds at its peak, or the trace and one chunk's
+    temporaries, within the same 400 bytes per record of a chunk. Parsing
+    the whole text at once took over 100 bytes per record here, and
+    repairing by a merge 48."""
 
     RECORDS = 200_000
 
@@ -929,6 +966,15 @@ class TestMemoryBudget:
         text, peak = self.peak(write_trace, trace, fmt)
         assert len(text) > 15 * len(trace)
         assert peak <= 2 * len(text) + 400 * CHUNK_LINES, peak
+
+    def test_generate(self, tmp_path):
+        # generate's own settings, synthesized without writing
+        schedule, clock = MessageSchedule(0x185, 0.1, start_time=1.0), ClockSpec(skew=ppm(100), jitter_std=25e-6)
+        _, synthesis = self.peak(synthesize_trace, schedule, clock, NoiseModel(), self.RECORDS, 0)
+        out = tmp_path / "generated.log"
+        code, peak = self.peak(cli_main, ["generate", "--count", str(self.RECORDS), "--out", str(out)])
+        assert code == 0 and out.stat().st_size > 20 * self.RECORDS
+        assert peak <= synthesis + 400 * CHUNK_LINES, (peak, synthesis)
 
     def test_fill_missing(self, trace):
         repaired, peak = self.peak(fill_missing, trace, 0x185, 0.01)
