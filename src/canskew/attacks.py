@@ -19,6 +19,7 @@ __all__ = [
     "compute_delta_t0",
     "cloaked_trace",
     "attack_arrivals",
+    "attacker_period",
 ]
 
 
@@ -56,6 +57,16 @@ def compute_delta_t0(skew_a, skew_b, period):
     return (skew_a - skew_b) / (1.0 + skew_b) * period
 
 
+def attacker_period(period, delta_t0, delta_t):
+    """The attacker's nominal period T + delta_t0 + delta_t, refused unless
+    > 0: at a smaller delta-T the spoofed stream would run backwards in time."""
+    attack_period = period + delta_t0 + delta_t
+    if not attack_period > 0.0:
+        raise ValueError(f"delta_t = {delta_t} gives the attacker a period T + delta_t0 + delta_t = "
+                         f"{attack_period} s; it must be > 0")
+    return attack_period
+
+
 def attack_arrivals(spec, schedule, target_clock, target_delay_mean, normal_count, batch_size, rng):
     """Receiver-time arrivals of the spoofed stream following the normal part."""
     mu = receiver_period(schedule.period, target_clock.skew)
@@ -64,7 +75,7 @@ def attack_arrivals(spec, schedule, target_clock, target_delay_mean, normal_coun
     noise = spec.attacker_noise
     # center so the mean boundary gap is exactly mu + delta_t + mistiming
     base = anchor + mu + spec.delta_t + spec.mistiming - noise.delay_mean
-    mu_attack = (schedule.period + spec.delta_t0 + spec.delta_t) / (1.0 + spec.attacker_clock.skew)
+    mu_attack = attacker_period(schedule.period, spec.delta_t0, spec.delta_t) / (1.0 + spec.attacker_clock.skew)
     count = spec.attack_batches * batch_size
     j = np.arange(count, dtype=np.float64)
     nominal = base + j * mu_attack

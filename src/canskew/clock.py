@@ -5,6 +5,7 @@ dimensionless fractions: 100 ppm = 1.0e-4.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,8 @@ class MessageSchedule:
     start_time: float = 0.0
 
     def __post_init__(self):
-        if not self.period > 0.0:  # NaN fails too
-            raise ValueError(f"period must be > 0, got {self.period}")
+        if not 0.0 < self.period < math.inf:  # NaN fails too
+            raise ValueError(f"period must be finite and > 0, got {self.period}")
         if not 0 <= self.message_id <= MAX_STD_CAN_ID:
             raise ValueError(f"message_id must be in [0, 0x7FF], got {self.message_id:#x}")
 

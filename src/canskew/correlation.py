@@ -48,9 +48,10 @@ class CorrelationScenario:
 
     def __post_init__(self):
         # written so that NaN fails each check
-        for name in ("transmission_duration", "period"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.transmission_duration > 0.0:
+            raise ValueError(f"transmission_duration must be > 0, got {self.transmission_duration}")
+        if not 0.0 < self.period < math.inf:
+            raise ValueError(f"period must be finite and > 0, got {self.period}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.id_v == self.id_w:

@@ -368,7 +368,10 @@ def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
     return float(p[0]) if single else p
 
 
-def _curve_grid(delta_t_grid):
+def _curve_grid(delta_t_grid, horizon):
+    """A predicted curve's grid, checked together with its horizon."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     grid = np.asarray(delta_t_grid, dtype=np.float64)
     if grid.ndim != 1:
         raise ValueError(f"delta_t_grid must be 1-d, got shape {grid.shape}")
@@ -383,7 +386,7 @@ def ntp_success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
     """The NTP model's predicted success curve over a delta-T grid, and the
     ``ntp_forecast`` it was computed from: one forecast pass and one
     recursion for the grid."""
-    grid = _curve_grid(delta_t_grid)
+    grid = _curve_grid(delta_t_grid, horizon)
     forecast = ntp_forecast(snapshot, grid, horizon)
     densities = np.stack([forecast.e_n_mean, forecast.e_n_std], axis=-1)
     p = cusum_success_recursion(densities, snapshot.config.detection_threshold, snapshot.config.sensitivity,
@@ -396,7 +399,7 @@ def success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
     model matching the snapshot's detector variant."""
     if snapshot.config.variant is not Variant.SOTA:
         return ntp_success_curve(snapshot, delta_t_grid, horizon, recursion_cfg)[0]
-    grid = _curve_grid(delta_t_grid)
+    grid = _curve_grid(delta_t_grid, horizon)
     p = sota_success_prob(snapshot, grid).p_success
     return SuccessCurve(grid=grid, p_success=p, trials=0, horizon=horizon, source="PREDICTED")
 

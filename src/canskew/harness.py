@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import AttackSpec, attack_arrivals
+from .attacks import AttackSpec, attack_arrivals, attacker_period
 from .clock import (
     ClockSpec,
     InsufficientDataError,
@@ -135,13 +135,15 @@ def monte_carlo_ps(source, attack, cfg, vary="delta_t", message_id=None, period=
         attacker_noise=dataclasses.replace(attack.attacker_noise, quantization_step=0.0),
     )
     if isinstance(source, SyntheticSource):
-        bases, trial_base, arrivals0 = _synthetic_trials(source, spec, cfg)
-    elif isinstance(source, Trace):
-        if message_id is None or period is None:
-            raise ValueError("replay mode requires message_id and period")
-        bases, trial_base, arrivals0 = _replay_trials(source, message_id, period, spec, cfg)
-    else:
+        period = source.schedule.period
+    elif not isinstance(source, Trace):
         raise TypeError(f"source must be SyntheticSource or Trace, got {type(source).__name__}")
+    elif message_id is None or period is None:
+        raise ValueError("replay mode requires message_id and period")
+    if vary == "delta_t":  # the grid's smallest delta-T gives the shortest attacker period
+        attacker_period(period, attack.delta_t0, cfg.grid.min())
+    bases, trial_base, arrivals0 = (_synthetic_trials(source, spec, cfg) if isinstance(source, SyntheticSource)
+                                    else _replay_trials(source, message_id, period, spec, cfg))
     shift_units = _grid_shift_units(attack, vary, cfg.horizon * cfg.ids.batch_size)
     successes = _attack_phase(bases, trial_base, arrivals0, shift_units, cfg.grid,
                               attack.attacker_noise.quantization_step, cfg.horizon)
@@ -222,11 +224,12 @@ def _attack_phase(bases, trial_base, arrivals0, shift_units, grid, qstep, horizo
     (horizon, trials) and (horizon, points) arrays of the last arrivals and
     their translations.
 
-    An alarmed stream leaves the live set at once, but the arrays shrink only
-    to the smallest power of two that holds the live streams: dropping
-    streams at every alarm gave the per-step arrays a new size almost every
-    step, and the heap fragmented (resident memory grew by about 3 MB per 100
-    sweeps and kept growing).
+    An alarmed stream leaves the live set at once; the arrays shrink to the
+    live streams when (stepped - live) * width >= live, where width, the
+    arrivals each stream's batch holds (N for SOTA, 1 for NTP), is about what
+    a dead stream wastes per step. Shrinking at every alarm fragmented the
+    heap (resident memory grew by about 3 MB per 100 sweeps); this rule keeps
+    it flat (37.1 MB after 100, 1 000 and 3 000 SOTA sweeps of 2 025 streams).
     """
     n = bases[0].config.batch_size
     points = len(grid)
@@ -249,16 +252,15 @@ def _attack_phase(bases, trial_base, arrivals0, shift_units, grid, qstep, horizo
             return rows
     alive = np.ones(len(trial), dtype=bool)
     for k in range(horizon):
-        alive &= ~_step(streams, quantize(batch(k, trial, point), qstep))[-1]
+        rows = quantize(batch(k, trial, point), qstep)
+        alive &= ~_step(streams, rows)[-1]
         live = int(np.count_nonzero(alive))
         if not live:
             break
-        size = 1 << (live - 1).bit_length()
-        if size < len(alive):
-            keep = alive.copy()
-            keep[np.flatnonzero(~alive)[: size - live]] = True
-            _keep(streams, keep)
-            trial, point, alive = trial[keep], point[keep], alive[keep]
+        if (len(alive) - live) * rows.shape[1] >= live:
+            kept = np.flatnonzero(alive)
+            _keep(streams, kept)
+            trial, point, alive = trial[kept], point[kept], alive[kept]
     return np.bincount(point[alive], minlength=points)
 
 

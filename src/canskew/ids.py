@@ -314,8 +314,8 @@ def arrival_stage(batches, config, period=None):
     n = config.batch_size
     if a.ndim != 2 or a.shape[1] != n or len(a) < 1:
         raise ValueError(f"expected an initialization batch plus batches of {n} arrivals, got shape {a.shape}")
-    if config.variant is Variant.NTP and (period is None or not period > 0.0):
-        raise ValueError(f"the NTP variant requires a nominal period > 0, got {period}")
+    if config.variant is Variant.NTP and (period is None or not 0.0 < period < math.inf):
+        raise ValueError(f"the NTP variant requires a finite nominal period > 0, got {period}")
     # inter-arrival sums: batch 0's N-1 gaps, then each batch's N gaps (the
     # first crosses the batch boundary), summed per batch, then in batch order
     gaps = np.diff(a.ravel())
@@ -566,14 +566,14 @@ def _branch(bases, base_index, horizon):
     )
 
 
-def _keep(state, keep):
-    """Drop every stream of a ``_branch`` state where ``keep`` is False."""
+def _keep(state, kept):
+    """Keep only the streams of a ``_branch`` state at the indices ``kept``."""
     refs = state.cusum.errors
     for part in (state, state.rls, state.cusum):
         for name, value in list(vars(part).items()):
             if isinstance(value, np.ndarray) and value is not refs:
-                setattr(part, name, value[keep])
-    state._bootstrap_errors[:] = [row[keep] for row in state._bootstrap_errors]
+                setattr(part, name, value.take(kept))
+    state._bootstrap_errors[:] = [row.take(kept) for row in state._bootstrap_errors]
 
 
 def _step(state, batch):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from canskew.attacks import AttackSpec, cloaked_trace, compute_delta_t0
+from canskew.attacks import AttackSpec, attack_arrivals, cloaked_trace, compute_delta_t0
 from canskew.clock import ClockSpec, MessageSchedule, NoiseModel, Trace, ppm, receiver_period
 from canskew.ids import Variant, run_ids
 from conftest import PERIOD, make_attack, make_config
@@ -69,6 +69,14 @@ class TestCloakedTrace:
         spec = make_attack(0.0, attacker_clock)
         with pytest.raises(ValueError):
             cloaked_trace(spec, schedule, target_clock, NoiseModel(), 100, 20, seed=0)
+
+    @pytest.mark.parametrize("delta_t", [-0.2, -PERIOD])
+    def test_non_positive_attacker_period_rejected_naming_delta_t(self, schedule, target_clock, attacker_clock,
+                                                                  delta_t):
+        # T + delta_t0 + delta_t <= 0 would make the spoofed times fall
+        spec = make_attack(0.0, attacker_clock, delta_t=delta_t)
+        with pytest.raises(ValueError, match=f"^delta_t = {delta_t} gives the attacker a period .* must be > 0$"):
+            attack_arrivals(spec, schedule, target_clock, 0.0, 2020, 20, np.random.default_rng(0))
 
     def test_matched_cloak_passes_ids(self, schedule, target_clock, matched_delta_t0, attacker_clock, noise):
         spec = make_attack(matched_delta_t0, attacker_clock, start_batch=201, attack_batches=60)

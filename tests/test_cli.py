@@ -223,14 +223,41 @@ class TestBadInput:
     def test_bad_correlate_scalar_exits_1_naming_its_field(self, capsys, tmp_path, flag, field, value):
         code, _, err = run_cli(["correlate", "--batches", "30", flag, value, "--out", str(tmp_path / "pair.csv")],
                                capsys)
-        assert code == 1 and f"{field} must be > 0, got {float(value)}" in err
+        rule = "must be finite and > 0" if field == "period" else "must be > 0"
+        assert code == 1 and f"{field} {rule}, got {float(value)}" in err
         assert not (tmp_path / "pair.csv").exists()
 
     def test_nan_fill_period_exits_1(self, capsys, tmp_path, trace):
         code, _, err = run_cli(["detect", "--input", str(trace), "--warmup", "5", "--variant", "sota",
                                 "--fill-missing", "--period", "nan", "--out", str(tmp_path / "r.csv")], capsys)
-        assert code == 1 and "period must be > 0, got nan" in err
+        assert code == 1 and "period must be finite and > 0, got nan" in err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("generate", [], "period must be finite and > 0, got inf"),
+        ("attack", [], "period must be finite and > 0, got inf"),
+        ("sweep", ["--warmup", "5", "--trials", "2", "--horizon", "2"], "period must be finite and > 0, got inf"),
+        ("correlate", ["--batches", "30"], "period must be finite and > 0, got inf"),
+        ("consistency", [], "the NTP variant requires a finite nominal period > 0, got inf"),
+        ("detect", ["--variant", "ntp"], "the NTP variant requires a finite nominal period > 0, got inf"),
+        ("detect", ["--variant", "sota", "--fill-missing"], "period must be finite and > 0, got inf"),
+    ], ids=["generate", "attack", "sweep", "correlate", "consistency", "detect-ntp", "detect-sota-fill"])
+    def test_infinite_period_exits_1(self, capsys, tmp_path, trace, command, flags, message):
+        inputs = {"detect": ["--input", str(trace), "--warmup", "5"], "consistency": [str(trace)]}
+        code, _, err = run_cli([command, *inputs.get(command, []), *flags, "--period", "inf",
+                                "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 1 and f"error: {message}\n" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("argv, delta_t", [
+        (["attack", "--delta-t", "-0.2"], -0.2),
+        (["sweep", "--grid", "-3:0:0.05", "--warmup", "5", "--trials", "2", "--horizon", "2"], -3 * 0.05),
+    ], ids=["attack", "sweep"])
+    def test_backwards_attacker_stream_exits_1(self, capsys, tmp_path, argv, delta_t):
+        # T = 0.1 s: a delta-T of -0.2 s or -0.15 s gives the attacker a negative period
+        code, _, err = run_cli([*argv, "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 1 and f"error: delta_t = {delta_t} gives the attacker a period" in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_negative_warmup_exits_1(self, capsys, tmp_path, trace):
         code, _, err = run_cli(["detect", "--input", str(trace), "--warmup", "-5",

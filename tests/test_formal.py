@@ -589,6 +589,16 @@ class TestSuccessCurve:
             success_curve(ntp_snapshot, np.array([1e-6, -1e-6]))
 
     @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected(self, sota_snapshot, ntp_snapshot, variant, horizon):
+        # a curve with horizon 0 would read as "not applicable", and compare would skip its horizon check
+        snap = sota_snapshot if variant is Variant.SOTA else ntp_snapshot
+        calls = [success_curve] + ([ntp_success_curve] if variant is Variant.NTP else [])
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^horizon must be >= 1, got {horizon}$"):
+                call(snap, np.array([0.0, 1e-7]), horizon=horizon)
+
+    @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("grid", [0.0, [[0.0, 1e-7], [2e-7, 3e-7]]], ids=["scalar", "2-d"])
     def test_grid_must_be_1d(self, sota_snapshot, ntp_snapshot, variant, grid):
         snap = sota_snapshot if variant is Variant.SOTA else ntp_snapshot

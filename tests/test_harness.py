@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from canskew import harness
 from canskew.clock import ClockSpec, InsufficientDataError, MessageSchedule, NoiseModel, ppm, synthesize_trace
 from canskew.curves import SuccessCurve
 from canskew.harness import (
@@ -104,6 +105,55 @@ class TestMonteCarlo:
         attack = make_attack(0.0, attacker_clock)
         with pytest.raises(ValueError):
             monte_carlo_ps(source, attack, experiment(Variant.NTP, [0.0]), vary="horizon")
+
+
+class TestCompaction:
+    """The attack phase steps the streams whose trials have not alarmed,
+    plus dead ones only while they cost less than the live: after each step
+    with ``live`` of ``stepped`` streams alive, on a batch of ``width``
+    arrivals per stream, it keeps exactly the live streams when
+    (stepped - live) * width >= live, and all of them otherwise."""
+
+    # under 50 warmup batches the streams start with bootstrap rows; so short
+    # a warmup needs lower (kappa, Gamma) for streams to alarm on these grids
+    @pytest.mark.parametrize("variant, grid, short_thresholds", [
+        (Variant.SOTA, np.arange(-40, 41) * 10e-6, (2.0, 2.0)),
+        (Variant.NTP, np.arange(-30, 31) * 1e-7, (1.0, 1.0))])
+    @pytest.mark.parametrize("seed, warmup", [(1, 200), (2, 200), (3, 20)])
+    def test_streams_compact_to_the_live_ones_by_the_rule(self, monkeypatch, source, attacker_clock,
+                                                         matched_delta_t0, variant, grid, short_thresholds, seed,
+                                                         warmup):
+        # bounds, exact: after a compaction the next step has exactly the
+        # live streams; where the next step has as many as this one, the
+        # rule's inequality was false
+        steps = []  # (streams, width, alarm) of each step
+        step = harness._step
+
+        def spy(state, batch):
+            rows = step(state, batch)
+            steps.append((len(batch), batch.shape[1], rows[-1].copy()))
+            return rows
+
+        monkeypatch.setattr(harness, "_step", spy)
+        attack = make_attack(matched_delta_t0, attacker_clock, start_batch=warmup + 1)
+        kappa, big_gamma = short_thresholds if warmup < 50 else (8.0, 5.0)
+        config = make_config(variant, sensitivity=kappa, detection_threshold=big_gamma)
+        curve = monte_carlo_ps(source, attack, ExperimentConfig(ids=config, warmup_batches=warmup, trials=6,
+                                                                horizon=30, grid=grid, seed=seed))
+        assert steps[0][0] == 6 * len(grid) and steps[0][1] == (20 if variant is Variant.SOTA else 1)
+        alive, kept, padded = np.ones(steps[0][0], dtype=bool), 0, 0
+        for (stepped, width, alarm), (next_stepped, _, _) in zip(steps, steps[1:]):
+            assert len(alive) == stepped
+            alive &= ~alarm
+            live = int(np.count_nonzero(alive))
+            if next_stepped == stepped:
+                assert (stepped - live) * width < live
+                padded += live < stepped
+            else:
+                assert next_stepped == live
+                alive, kept = np.ones(live, dtype=bool), kept + 1
+        assert kept and padded  # both branches of the rule ran
+        assert np.count_nonzero(alive & ~steps[-1][2]) == round(curve.p_success.sum() * 6)
 
 
 class TestEpsilonMsi:

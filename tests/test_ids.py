@@ -774,6 +774,27 @@ class TestIdsStreams:
         with pytest.raises(ValueError, match=message):
             _attack_phase(bases, np.zeros(2, dtype=int), arrivals0, shift_units, grid, 0.0, horizon)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_keep_takes_the_kept_streams_of_every_field(self, variant):
+        # under 50 warmup batches the bases still hold back their errors, so the streams have bootstrap rows
+        config = make_config(variant)
+        bases = [warm_state(config, 20, seed=s) for s in (1, 2)]
+        streams = _branch(bases, np.array([0, 1, 1, 0, 1, 0]), 5)
+        assert len(streams._bootstrap_errors) == 20
+        refs, want = streams.cusum.errors, copy.deepcopy(streams)
+        kept = np.array([0, 2, 3, 5])
+        mask = np.isin(np.arange(6), kept)
+        ids._keep(streams, kept)
+        for path, names in {**STATE_FIELDS, "cusum": STATE_FIELDS["cusum"] + ("evicted",)}.items():
+            for name in names:
+                value = state_field(want, path, name)
+                if isinstance(value, np.ndarray):
+                    value = value[mask]
+                assert np.array_equal(state_field(streams, path, name), value), (path, name)
+        assert all(np.array_equal(got, row[mask]) for got, row in zip(streams._bootstrap_errors,
+                                                                      want._bootstrap_errors, strict=True))
+        assert streams.cusum.errors is refs and np.array_equal(refs, want.cusum.errors)
+
     def test_bases_left_unchanged(self):
         config = make_config(Variant.NTP)
         base = warm_state(config, 60, seed=1)

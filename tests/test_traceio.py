@@ -877,8 +877,8 @@ class TestFillMissing:
 
     def test_period_validation(self):
         trace = Trace.from_records([(0.0, 1), (0.1, 1)])
-        for period in (0.0, np.nan):
-            with pytest.raises(ValueError, match="period must be > 0"):
+        for period in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^period must be finite and > 0, got {period}$"):
                 fill_missing(trace, 1, period)
 
     @staticmethod
