@@ -1,12 +1,13 @@
-"""ASCII numerals from packed digit tables, for the log and table writers.
+"""ASCII numerals from packed digit tables, for the log and table writers,
+and the hex float rows of snapshot files, written and read.
 
 A table holds every numeral of one width as one void item: ``_DEC[4]`` the
 numerals 0000-9999 as 4-byte items, ``_HEX[3]`` the numerals 000-FFF as
 3-byte items. A column of numerals is then one ``take`` from a table and one
 copy of whole items into a field of (rows, width) uint8 rows: ``put`` writes
 numerals of one digit count so, four decimal or three hex digits at a time.
-``traceio`` builds its fixed-layout log lines this way, and ``table`` the
-rows of the CSV tables.
+``traceio`` builds its fixed-layout log lines this way, ``table`` the rows
+of the CSV tables, and ``hex_floats`` the exponents of hex float tokens.
 
 ``table`` writes ``%d`` and ``%.12g`` cells byte for byte as Python's ``%``
 does. A ``%.12g`` cell of a finite nonzero x comes from its 12-digit
@@ -23,6 +24,18 @@ of ten, NaN and the infinities) is formatted by ``'%.12g' %``; zeros are
 its bytes under a keep mask looked up by the cell's layout. A chunk of rows
 is one (rows, width) array of slots, separators and ``%d`` fields, and a
 row's kept bytes are its text.
+
+A hex float token is ``±0x1.HHHHHHHHHHHHHp±EEEE``, 24 bytes: a double's sign,
+its leading bit (0 for zero and subnormals), the 13 hex digits of its 52
+mantissa bits and its binary exponent in four decimal digits (-1022 for zero
+and subnormals). It is exact, and ``float.fromhex`` reads it back to the same
+double. ``hex_floats`` writes a row of them from each double's bits: the
+mantissa from the bits' hex digits, the bytes around it from tables by the
+sign and exponent bits. ``parse_hex_floats`` reads a row as one (tokens, 25)
+uint8 array, each token with the space after it. Each byte is looked up in
+a table of its column, which checks its class and gives its value, and one
+matrix product sums each token's values to its sign, significand and
+exponent, integers that float64 holds exactly.
 """
 from __future__ import annotations
 
@@ -283,3 +296,102 @@ def table(columns, empty_nan=()):
                 chunk_text[row, slot + _LOOSE[:len(cell)]] = np.frombuffer(cell, dtype=np.uint8)
                 chunk_keep[row, slot + _LOOSE[:len(cell)]] = True
         yield chunk_text[chunk_keep].tobytes().decode("ascii")
+
+
+# A hex float token and the separator after it
+_HEX_TOKEN = b"+0x1.0000000000000p+0000 "
+HEX_WIDTH = len(_HEX_TOKEN)
+_MIN_EXPONENT, _MAX_EXPONENT = -1022, 1023
+
+
+def _token_ends():
+    """A token's first five bytes and its last seven with the separator, by
+    the top 12 bits of its double, the sign and the biased exponent; as void
+    items. The exponent 2047 of the infinities and NaN is never written."""
+    top = np.arange(4096)
+    biased = top & 0x7FF
+    heads = np.empty((4096, 5), dtype=np.uint8)
+    heads[:] = np.frombuffer(_HEX_TOKEN[:5], dtype=np.uint8)
+    heads[:, 0] = np.where(top >> 11, ord("-"), ord("+"))
+    heads[:, 3] = ord("0") + (biased > 0)
+    exponent = np.maximum(biased, 1) - 1023
+    tails = np.empty((4096, 7), dtype=np.uint8)
+    tails[:] = np.frombuffer(_HEX_TOKEN[18:], dtype=np.uint8)
+    tails[:, 1] = np.where(exponent < 0, ord("-"), ord("+"))
+    put(tails, 6, np.abs(exponent), 4, 10)
+    return heads.view("V5")[:, 0], tails.view("V7")[:, 0]
+
+
+_HEADS, _TAILS = _token_ends()
+
+
+def _token_values():
+    """Per column of a token with its separator, the value of each byte
+    that may stand there, NaN for the others: a digit's value, -1 for "-",
+    1 for "+" and the rest."""
+    allowed = [b"+-", b"0", b"x", b"01", b".", *[b"0123456789ABCDEFabcdef"] * 13, b"p", b"+-", *[b"0123456789"] * 4,
+               b" "]
+    values = np.full((HEX_WIDTH, 256), np.nan)
+    for column, chars in enumerate(allowed):
+        values[column, list(chars)] = [int(c, 16) if c in "0123456789ABCDEFabcdef" else -1 if c == "-" else 1
+                                       for c in chars.decode()]
+    return values.ravel()
+
+
+_HEX_VALUES = _token_values()
+_HEX_COLUMN_AT = (256 * np.arange(HEX_WIDTH)).astype(np.uint16)  # where column k's values start
+# Rows of weights on a token's column values: their sums are its sign, its
+# significand (leading bit and mantissa) as an integer, its exponent's sign
+# and its exponent's magnitude; exact in float64, being integers below 2**53
+_HEX_WEIGHTS = np.zeros((4, HEX_WIDTH))
+_HEX_WEIGHTS[0, 0] = 1.0
+_HEX_WEIGHTS[1, 3] = 2.0**52
+_HEX_WEIGHTS[1, 5:18] = 16.0 ** np.arange(12, -1, -1)
+_HEX_WEIGHTS[2, 19] = 1.0
+_HEX_WEIGHTS[3, 20:24] = 10.0 ** np.arange(3, -1, -1)
+
+
+def hex_floats(values):
+    """Finite ``values`` as a row of hex float tokens separated by spaces."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    finite = np.isfinite(x)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ValueError(f"value {index} is {float(x[index])!r}, not finite")
+    rows = np.empty((len(x), HEX_WIDTH), dtype=np.uint8)
+    # the 16 hex digits of each double's bits, two per big-endian byte, from
+    # column 2; the last 13 are the mantissa's, and the head overwrites the rest
+    field(rows, 2, 16)[:] = _HEX[2].take(x.astype(">f8").view(np.uint8)).view("V16")
+    top = (x.view(np.uint64) >> np.uint64(52)).astype(np.intp)
+    field(rows, 0, 5)[:] = _HEADS.take(top)
+    field(rows, 18, 7)[:] = _TAILS.take(top)
+    return rows.ravel()[:-1].tobytes().decode("ascii")
+
+
+def parse_hex_floats(text):
+    """The float64 array of a row that ``hex_floats`` writes; hex digits
+    may be either case. A token that is not of its form, or whose exponent
+    is outside -1022..1023, raises ValueError; so every value read is
+    finite."""
+    data = (text + " ").encode("utf-8") if text else b""
+    if len(data) % HEX_WIDTH:
+        raise ValueError(f"a row of {len(data) - 1} bytes is not tokens of {HEX_WIDTH - 1} bytes "
+                         "separated by spaces")
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, HEX_WIDTH)
+    values = _HEX_VALUES.take(rows + _HEX_COLUMN_AT)
+    bad = np.isnan(values)
+    if bad.any():
+        index = int(np.argmax(bad)) // HEX_WIDTH
+        raise ValueError(f"token {index} {_token(rows, index)!r} is not of the form ±0x1.HHHHHHHHHHHHHp±EEEE")
+    sign, significand, exponent_sign, magnitude = _HEX_WEIGHTS @ values.T
+    exponent = (exponent_sign * magnitude).astype(np.int64)
+    outside = (exponent < _MIN_EXPONENT) | (exponent > _MAX_EXPONENT)
+    if outside.any():
+        index = int(np.argmax(outside))
+        raise ValueError(f"token {index} {_token(rows, index)!r} has an exponent outside "
+                         f"{_MIN_EXPONENT}..{_MAX_EXPONENT}")
+    return np.ldexp(sign * significand, exponent - 52)
+
+
+def _token(rows, index):
+    return rows[index, :-1].tobytes().decode("utf-8", "replace")

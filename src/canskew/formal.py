@@ -70,8 +70,8 @@ class Snapshot:
     def __post_init__(self):
         # scalars only: the reference errors are read as they are used.
         # Written so that NaN fails each check
-        if not (self.period is None or self.period > 0.0):
-            raise ValueError(f"snapshot requires period > 0 or none, got {self.period}")
+        if not (self.period is None or 0.0 < self.period < math.inf):
+            raise ValueError(f"snapshot requires a finite period > 0 or none, got {self.period}")
         for name in ("sigma", "sigma_cusum"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"snapshot requires a finite {name} > 0, got {getattr(self, name)}")
@@ -412,8 +412,15 @@ _SCALAR_FIELDS = (
 
 
 def snapshot_to_csv(snapshot):
-    """Serialize a snapshot as key,value lines, the reference errors
-    space-separated. No key or value holds a comma, so none is quoted."""
+    """Serialize a snapshot as key,value lines: scalars as ``repr`` writes
+    them, the reference errors as hex float tokens separated by spaces
+    (``_digits.hex_floats``), which read back exactly. No key or value holds
+    a comma, so none is quoted."""
+    from . import _digits  # its tables load on the first write, not with the package
+    try:
+        references = _digits.hex_floats(snapshot.reference_errors)
+    except ValueError as exc:
+        raise ValueError(f"snapshot requires finite reference_errors: {exc}") from None
     cfg = snapshot.config
     rows = [("key", "value"), ("variant", cfg.variant.value), ("batch_size", cfg.batch_size)]
     rows += [(name, repr(getattr(cfg, name))) for name in _CONFIG_FLOATS]
@@ -421,7 +428,7 @@ def snapshot_to_csv(snapshot):
     rows += [(name, "" if getattr(snapshot, name) is None else repr(getattr(snapshot, name)))
              for name in _SCALAR_FIELDS]
     rows += [("ot_sum", repr(snapshot.ot_sum)), ("tt_sum", repr(snapshot.tt_sum)),
-             ("reference_errors", " ".join(map(repr, snapshot.reference_errors)))]
+             ("reference_errors", references)]
     return "".join(f"{key},{value}\n" for key, value in rows)
 
 
@@ -429,11 +436,29 @@ def _floats(text):
     return tuple(map(float, text.split()))
 
 
+def _reference_errors(text):
+    """The reference errors of a snapshot row: hex float tokens, or in older
+    files decimal ones; either way all finite."""
+    from . import _digits
+    try:
+        if text.startswith(("+0x", "-0x")):
+            return tuple(_digits.parse_hex_floats(text).tolist())
+        values = _floats(text)
+        finite = np.isfinite(values)
+        if not finite.all():
+            index = int(np.argmin(finite))
+            raise ValueError(f"value {index} is {values[index]!r}, not finite")
+        return values
+    except ValueError as exc:
+        raise ValueError(f"snapshot field reference_errors: {exc}") from None
+
+
 def snapshot_from_csv(text):
     """Parse what ``snapshot_to_csv`` writes. The lines are split at their
     first comma rather than read with the csv module, whose per-field size
-    limit a full 10 000-entry reference set exceeds. Older files carry each
-    batch's O_acc and t in place of the sums; the RLS stage folds them."""
+    limit a full 10 000-entry reference set exceeds. Older files write the
+    reference errors in decimal, and older still carry each batch's O_acc
+    and t in place of the sums; the RLS stage folds them."""
     lines = text.splitlines()
     if not lines or lines[0] != "key,value":
         raise ValueError("expected header 'key,value'")
@@ -452,7 +477,7 @@ def snapshot_from_csv(text):
         for name in _SCALAR_FIELDS:
             value = raw[name]
             kwargs[name] = None if value == "" else float(value)
-        kwargs["reference_errors"] = _floats(raw.get("reference_errors", ""))
+        kwargs["reference_errors"] = _reference_errors(raw.get("reference_errors", ""))
         if "tt_sum" in raw:
             kwargs["ot_sum"], kwargs["tt_sum"] = float(raw["ot_sum"]), float(raw["tt_sum"])
         else:

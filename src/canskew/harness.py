@@ -353,25 +353,13 @@ def consistency_study(traces, message_id, batch_sizes, config, period):
     if not batch_sizes:
         raise ValueError("batch_sizes must be non-empty")
     result = {}
+    arrivals = [trace.arrivals(message_id) for trace in traces]
     for variant in (Variant.SOTA, Variant.NTP):
-        cases = []
-        a = traces[0].arrivals(message_id)
-
-        skews = []
-        for n in batch_sizes:
-            cfg_n = dataclasses.replace(config, variant=variant, batch_size=n)
-            skews.append(_final_skew_ppm(a, cfg_n, period))
-        cases.append(ConsistencyCase("batch_size", tuple(skews), _sigma(skews)))
-
-        cfg_v = dataclasses.replace(config, variant=variant, batch_size=batch_sizes[0])
-        skews = []
-        for offset in range(1, cfg_v.batch_size):
-            skews.append(_final_skew_ppm(a[offset:], cfg_v, period))
-        cases.append(ConsistencyCase("start_offset", tuple(skews), _sigma(skews)))
-
-        skews = []
-        for trace in traces:
-            skews.append(_final_skew_ppm(trace.arrivals(message_id), cfg_v, period))
-        cases.append(ConsistencyCase("trace", tuple(skews), _sigma(skews)))
-        result[variant.value] = cases
+        configs = [dataclasses.replace(config, variant=variant, batch_size=n) for n in batch_sizes]
+        by_size = [_final_skew_ppm(arrivals[0], cfg, period) for cfg in configs]
+        by_offset = [_final_skew_ppm(arrivals[0][offset:], configs[0], period) for offset in range(1, batch_sizes[0])]
+        # the first trace at the first batch size is the batch-size case's first fit
+        by_trace = by_size[:1] + [_final_skew_ppm(other, configs[0], period) for other in arrivals[1:]]
+        result[variant.value] = [ConsistencyCase(name, tuple(skews), _sigma(skews)) for name, skews in
+                                 (("batch_size", by_size), ("start_offset", by_offset), ("trace", by_trace))]
     return ConsistencyResult(cases=result)

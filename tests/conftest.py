@@ -56,3 +56,20 @@ def make_config(variant, **overrides):
                     detection_threshold=5.0, sensitivity=8.0)
     defaults.update(overrides)
     return IdsConfig(**defaults)
+
+
+def bad_reference_rows(tokens):
+    """Snapshot reference rows that a reader refuses, by case, each made
+    from the hex ``tokens`` of a written row."""
+    decimal = [repr(float.fromhex(token)) for token in tokens]
+    return {
+        "bad-digit": " ".join([tokens[0][:6] + "G" + tokens[0][7:], *tokens[1:]]),
+        "wrong-width": " ".join([tokens[0][:-1], *tokens[1:]]),
+        "exponent-out-of-range": " ".join([tokens[0][:19] + "+1024", *tokens[1:]]),
+        "hex-then-decimal": " ".join([tokens[0], *decimal[1:]]),
+        "decimal-then-hex": " ".join([decimal[0], *tokens[1:]]),
+        "decimal-nan": " ".join(["nan", *decimal[1:]]),
+    }
+
+
+BAD_REFERENCE_ROWS = list(bad_reference_rows(["+0x1.0000000000000p+0000"] * 2))

@@ -9,6 +9,7 @@ from canskew import formal, traceio
 from canskew.cli import _parse_grid, build_parser, main
 from canskew.curves import SuccessCurve
 from canskew.traceio import LogFormat, parse_log
+from conftest import BAD_REFERENCE_ROWS, bad_reference_rows
 
 
 def run_cli(args, capsys):
@@ -249,6 +250,14 @@ class TestBadInput:
         assert code == 1 and f"error: {message}\n" in err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_infinite_period_snapshot_exits_1(self, capsys, tmp_path, trace):
+        # the SOTA detector reads no period, but its snapshot keeps one for the models
+        snap, out = tmp_path / "snap.csv", tmp_path / "out.csv"
+        code, _, err = run_cli(["detect", "--input", str(trace), "--warmup", "5", "--variant", "sota",
+                                "--period", "inf", "--snapshot-out", str(snap), "--out", str(out)], capsys)
+        assert code == 1 and "error: snapshot requires a finite period > 0 or none, got inf\n" in err
+        assert not snap.exists() and not out.exists()
+
     @pytest.mark.parametrize("argv, delta_t", [
         (["attack", "--delta-t", "-0.2"], -0.2),
         (["sweep", "--grid", "-3:0:0.05", "--warmup", "5", "--trials", "2", "--horizon", "2"], -3 * 0.05),
@@ -374,6 +383,16 @@ class TestNanConfig:
         assert code == 1 and re.search(rf"^error: snapshot requires (a finite )?{name}\b.*, got nan$", err, re.M)
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["ntp", "sota"])
+    def test_predict_refuses_an_infinite_period(self, capsys, tmp_path, snapshot, sota_snapshot, model):
+        text = (snapshot if model == "ntp" else sota_snapshot).read_text()
+        bad = tmp_path / "snap.csv"
+        bad.write_text(re.sub(r"^period,.*$", "period,inf", text, count=1, flags=re.M))
+        code, _, err = run_cli(["predict", "--model", model, "--snapshot", str(bad), "--grid=-1:1:1e-7",
+                                "--horizon", "3", "--out", str(tmp_path / "curve.csv")], capsys)
+        assert code == 1 and "error: snapshot requires a finite period > 0 or none, got inf\n" in err
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_predict_refuses_a_nan_config(self, capsys, tmp_path, snapshot):
         text = snapshot.read_text()
         assert "\nsensitivity,8.0\n" in text
@@ -384,6 +403,36 @@ class TestNanConfig:
                                 "--horizon", "3", "--out", str(out)], capsys)
         assert code == 1 and "sensitivity must be >= 0, got nan" in err
         assert not out.exists()
+
+
+class TestSnapshotReferences:
+    @pytest.mark.parametrize("case", BAD_REFERENCE_ROWS)
+    @pytest.mark.parametrize("model", ["ntp", "sota"])
+    def test_predict_refuses_a_bad_reference_row(self, capsys, tmp_path, snapshot, sota_snapshot, model, case):
+        text = (snapshot if model == "ntp" else sota_snapshot).read_text()
+        row = re.search(r"^reference_errors,(.*)$", text, re.M)[1]
+        assert row.startswith(("+0x", "-0x"))
+        bad = tmp_path / "snap.csv"
+        bad.write_text(text.replace(row, bad_reference_rows(row.split(" "))[case]))
+        out = tmp_path / "curve.csv"
+        code, _, err = run_cli(["predict", "--model", model, "--snapshot", str(bad), "--grid=-1:1:1e-7",
+                                "--horizon", "3", "--out", str(out)], capsys)
+        assert code == 1 and "error: snapshot field reference_errors: " in err
+        assert not out.exists()
+
+    def test_decimal_row_predicts_as_the_hex_row(self, capsys, tmp_path, snapshot):
+        # snapshot files written before the hex rows hold decimal tokens
+        text = snapshot.read_text()
+        row = re.search(r"^reference_errors,(.*)$", text, re.M)[1]
+        old = tmp_path / "old.csv"
+        old.write_text(text.replace(row, " ".join(repr(float.fromhex(token)) for token in row.split(" "))))
+        curves = []
+        for snap in (snapshot, old):
+            out = tmp_path / "curve.csv"
+            assert run_cli(["predict", "--model", "ntp", "--snapshot", str(snap), "--grid=-3:3:1e-7",
+                            "--horizon", "5", "--out", str(out)], capsys)[0] == 0
+            curves.append(out.read_text())
+        assert curves[0] == curves[1]
 
 
 class TestGridSize:

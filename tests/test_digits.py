@@ -1,4 +1,5 @@
-"""The packed-digit table writer: %d and %.12g cells as Python's % writes them."""
+"""The packed-digit table writer: %d and %.12g cells as Python's % writes them;
+and the hex float rows of snapshot files."""
 import math
 from fractions import Fraction
 
@@ -94,3 +95,55 @@ class TestTable:
         chunks = list(_digits.table(columns, {3}))
         assert len(chunks) == 3
         assert "".join(chunks) == one_by_one([np.arange(n), *floats, columns[-1].astype(np.int64)], {3})
+
+
+# zeros, the smallest subnormals, the smallest normals and the largest doubles
+HEX_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.5, 3.0]
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestHexFloats:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True), max_size=50))
+    @example(HEX_EDGES)
+    def test_round_trip(self, values):
+        row = _digits.hex_floats(values)
+        tokens = row.split(" ") if row else []
+        assert [len(token) for token in tokens] == [24] * len(values)
+        assert bits([float.fromhex(token) for token in tokens]) == bits(values)  # -0.0 is not 0.0
+        assert bits(_digits.parse_hex_floats(row)) == bits(values)
+
+    def test_token_layout(self):
+        assert _digits.hex_floats(HEX_EDGES[:5]) == ("+0x0.0000000000000p-1022 -0x0.0000000000000p-1022 "
+                                                     "+0x0.0000000000001p-1022 -0x0.0000000000001p-1022 "
+                                                     "+0x1.0000000000000p-1022")
+
+    def test_either_case_reads(self):
+        row = _digits.hex_floats([math.pi, -1e-5])
+        assert bits(_digits.parse_hex_floats(row.lower())) == bits([math.pi, -1e-5])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(ValueError, match=f"value 1 is {value!r}, not finite"):
+            _digits.hex_floats([1.0, value])
+
+    @pytest.mark.parametrize("row, message", [
+        ("+0x1.000000000000Gp+0000", r"token 0 .* is not of the form"),
+        ("+0x1.8000000000000p+0001 +0x2.0000000000000p+0000", r"token 1 .* is not of the form"),
+        ("+0x1.8000000000000p+0001 +0x1.8000000000000p 0001", r"token 1 .* is not of the form"),
+        ("+0x1.8000000000000p+0001,+0x1.8000000000000p+0001", r"token 0 .* is not of the form"),
+        ("+0x1.8000000000000p+001", "a row of 23 bytes"),
+        ("+0x1.8000000000000p+0001 1.5", "a row of 28 bytes"),
+        ("+0x1.8000000000000p+0001  ", "a row of 26 bytes"),
+        ("+0x1.0000000000000p+1024", r"token 0 .* has an exponent outside -1022..1023"),
+        ("+0x0.0000000000001p-1023", r"token 0 .* has an exponent outside -1022..1023"),
+        ("-0x1.0000000000000p+9999", r"token 0 .* has an exponent outside -1022..1023"),
+        ("+0x1.0000000000000p+0000 +0x1.00000000000\u00e9p+0000", r"token 1 .* is not of the form"),
+    ])
+    def test_malformed_rows_refused(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            _digits.parse_hex_floats(row)

@@ -28,7 +28,7 @@ from canskew.formal import (
 from canskew.clock import Trace
 from canskew.harness import ExperimentConfig, SyntheticSource, synthetic_warm_state
 from canskew.ids import REFERENCE_CAP, Variant, run_ids
-from conftest import MESSAGE_ID, PERIOD, make_config
+from conftest import BAD_REFERENCE_ROWS, MESSAGE_ID, PERIOD, bad_reference_rows, make_config
 
 # The acceptance NTP curve (61 points of 0.1 us, horizon 60, M = 100) from
 # the seed-0 warmup of 1000 batches, as the recursion computed it when it
@@ -211,6 +211,38 @@ class TestSnapshot:
         text = snapshot_to_csv(full)
         assert max(len(line) for line in text.splitlines()) > 131_072  # the csv module's field limit
         assert snapshot_from_csv(text) == full
+
+    def test_csv_writes_hex_references(self, ntp_snapshot):
+        row = re.search(r"^reference_errors,(.*)$", snapshot_to_csv(ntp_snapshot), re.M)[1]
+        tokens = row.split(" ")
+        assert len(tokens) == len(ntp_snapshot.reference_errors) > 0
+        assert tuple(map(float.fromhex, tokens)) == ntp_snapshot.reference_errors
+
+    def test_decimal_full_reference_row_reads_back(self, ntp_snapshot):
+        # snapshot files written before the hex rows hold decimal tokens
+        rng = np.random.default_rng(5)
+        full = replace(ntp_snapshot, reference_errors=tuple(rng.normal(0.0, 1e-4, REFERENCE_CAP).tolist()))
+        text = snapshot_to_csv(full)
+        row = re.search(r"^reference_errors,(.*)$", text, re.M)[1]
+        decimal = text.replace(row, " ".join(map(repr, full.reference_errors)))
+        assert decimal != text and snapshot_from_csv(decimal) == full
+
+    @pytest.mark.parametrize("case", BAD_REFERENCE_ROWS)
+    def test_bad_reference_row_names_the_field(self, ntp_snapshot, case):
+        text = snapshot_to_csv(ntp_snapshot)
+        row = re.search(r"^reference_errors,(.*)$", text, re.M)[1]
+        with pytest.raises(ValueError, match="^snapshot field reference_errors: "):
+            snapshot_from_csv(text.replace(row, bad_reference_rows(row.split(" "))[case]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_csv_refuses_a_non_finite_reference(self, ntp_snapshot, value):
+        snap = replace(ntp_snapshot, reference_errors=(1e-5, value))
+        with pytest.raises(ValueError, match=f"finite reference_errors: value 1 is {value!r}"):
+            snapshot_to_csv(snap)
+
+    def test_infinite_period_refused(self):
+        with pytest.raises(ValueError, match="finite period > 0 or none, got inf"):
+            manual_snapshot(period=math.inf)
 
     def test_csv_unknown_key_ignored(self, ntp_snapshot):
         # snapshot files of earlier versions carry an eta_last line, which no model reads

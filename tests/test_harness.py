@@ -311,6 +311,20 @@ class TestConsistency:
             report = run_ids(trace, MESSAGE_ID, make_config(variant), warmup_batches=1, period=PERIOD)
             assert result.cases[variant.value][2].skews_ppm == (report.final_state.rls.skew * 1e6,)
 
+    def test_each_fit_runs_once(self, schedule, monkeypatch):
+        # the first trace at the first batch size is fitted once, for the
+        # batch-size case and the trace case both
+        traces = [synthesize_trace(schedule, ClockSpec(skew=ppm(100), jitter_std=100e-6), NoiseModel(), 2000, seed=s)
+                  for s in (3, 4)]
+        fits, fit = [], harness._final_skew_ppm
+        monkeypatch.setattr(harness, "_final_skew_ppm", lambda *args: fits.append(args) or fit(*args))
+        result = consistency_study(traces, MESSAGE_ID, [20, 40], make_config(Variant.NTP), PERIOD)
+        assert len(fits) == len(Variant) * (2 + 19 + 1)
+        alone = consistency_study(traces[1], MESSAGE_ID, [20], make_config(Variant.NTP), PERIOD)
+        for variant in Variant:
+            batch_size, _, trace = result.cases[variant.value]
+            assert trace.skews_ppm == (batch_size.skews_ppm[0], alone.cases[variant.value][0].skews_ppm[0])
+
     def test_insufficient_trace(self, schedule):
         trace = synthesize_trace(schedule, ClockSpec(), NoiseModel(), 30, seed=0)
         with pytest.raises(InsufficientDataError):
