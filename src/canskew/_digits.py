@@ -39,6 +39,8 @@ exponent, integers that float64 holds exactly.
 """
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -108,36 +110,42 @@ _A, _POINT, _SUFFIX = 6, 18, 30
 G_WIDTH = len(_SLOT)
 
 
-def _point_items():
-    """"." and the last three digits of 0000-9999, as 4-byte items."""
-    items = np.empty((10, 1000, 4), dtype=np.uint8)
-    items[..., 0] = ord(".")
-    items[..., 1:] = _DEC[3].view(np.uint8).reshape(-1, 3)
-    return items.reshape(-1, 4).view("V4")[:, 0]
-
-
-# A and the point with B are six 4-byte items: three 4-digit numerals, then
-# the point with the first one's last three digits, and the other two again
-_SIGNIFICAND = np.concatenate([_DEC[4], _point_items()])
 # where a cell formatted by Python goes: A and B, which every chunk rewrites
 _LOOSE = np.r_[_A:_A + 12, _POINT + 1:_POINT + 12]
 _P10 = 10.0 ** np.arange(23)  # the powers of ten that are exact doubles
 # decimal exponents -340..340 index the exponent tables
 _EXP_MIN = -340
-_SUFFIXES = np.frombuffer(b"".join(b"e%+04d" % x if abs(x) > 99 else b"e%+03d0" % x
-                                   for x in range(_EXP_MIN, 1 - _EXP_MIN)), dtype="V5")
 # A layout is a form, a count of significant digits and a sign. Forms 0-15
 # are fixed notation with exponent -4 to 11, 16 and 17 exponent notation
 # with 2 and 3 exponent digits, 18 a zero, 19 an empty cell. Its key is
 # 24 * form + 2 * (digits - 1) + sign.
 _FORMS = 20
 _ZERO_KEY, _EMPTY_KEY = 24 * 18, 24 * 19
-_FORM_KEY = 24 * np.array([x + 4 if -4 <= x <= 11 else 16 if abs(x) < 100 else 17
-                           for x in range(_EXP_MIN, 1 - _EXP_MIN)])
-# 2 * (digits - 1) of a significand by its last four digits, if not all 0:
-# 2 * (11 - their trailing zeros)
-_DIGITS_KEY = 22 - 2 * sum(np.arange(10**4) % 10**k == 0 for k in (1, 2, 3))
-_DIGITS_KEY[0] = 0
+
+
+@cache
+def _g12_tables():
+    """The %.12g tables, built on the first ``g12`` call, not at import: a
+    process that writes no table, as one that only writes and reads hex
+    floats, needs none of them. Returns the significand items, exponent
+    suffixes and form keys by exponent, digit keys by a significand's last
+    four digits, and keep masks by layout key."""
+    # A and the point with B are six 4-byte items: three 4-digit numerals,
+    # then the point with the first one's last three digits, and the other
+    # two again
+    point_items = np.empty((10, 1000, 4), dtype=np.uint8)
+    point_items[..., 0] = ord(".")
+    point_items[..., 1:] = _DEC[3].view(np.uint8).reshape(-1, 3)
+    significand = np.concatenate([_DEC[4], point_items.reshape(-1, 4).view("V4")[:, 0]])
+    suffixes = np.frombuffer(b"".join(b"e%+04d" % x if abs(x) > 99 else b"e%+03d0" % x
+                                      for x in range(_EXP_MIN, 1 - _EXP_MIN)), dtype="V5")
+    form_key = 24 * np.array([x + 4 if -4 <= x <= 11 else 16 if abs(x) < 100 else 17
+                              for x in range(_EXP_MIN, 1 - _EXP_MIN)])
+    # 2 * (digits - 1) of a significand by its last four digits, if not all
+    # 0: 2 * (11 - their trailing zeros)
+    digits_key = 22 - 2 * sum(np.arange(10**4) % 10**k == 0 for k in (1, 2, 3))
+    digits_key[0] = 0
+    return significand, suffixes, form_key, digits_key, _keep_masks()
 
 
 def _keep_masks():
@@ -163,9 +171,6 @@ def _keep_masks():
     return masks.reshape(-1, G_WIDTH).view(f"V{G_WIDTH}")[:, 0]
 
 
-_KEEP = _keep_masks()
-
-
 def _scaled(a, s):
     """``a * 10**s`` rounded once, for |s| <= 22."""
     return np.where(s >= 0, a * _P10.take(s, mode="clip"), a / _P10.take(-s, mode="clip"))
@@ -177,6 +182,7 @@ def g12(x, rows, keep, start, stride, empty_nan):
     ``start + k * stride`` of each row, and hold _SLOT's bytes. A NaN in a
     column k with ``empty_nan[k]`` is an empty cell. Returns the flat
     indices into ``x`` of the values left to Python's formatting."""
+    significand_items, suffixes, form_key, digits_key, keep_masks = _g12_tables()
     n, count = x.shape
     x = x.ravel()
     a = np.abs(x)
@@ -209,17 +215,17 @@ def g12(x, rows, keep, start, stride, empty_nan):
     blocks[:, 0], blocks[:, 3] = top, top + 10**4
     blocks[:, 1] = blocks[:, 4] = high - top * 10**4
     blocks[:, 2] = blocks[:, 5] = low
-    field(rows, start + _A, 24, count, stride)[:] = _SIGNIFICAND.take(blocks).view("V24").reshape(n, count)
+    field(rows, start + _A, 24, count, stride)[:] = significand_items.take(blocks).view("V24").reshape(n, count)
     exponent = (11 - _EXP_MIN) - s
-    key = _FORM_KEY.take(exponent, mode="clip")
+    key = form_key.take(exponent, mode="clip")
     if key.max() >= 24 * 16:
-        field(rows, start + _SUFFIX, 5, count, stride)[:] = _SUFFIXES.take(exponent, mode="clip").reshape(n, count)
-    key += _DIGITS_KEY.take(low)
+        field(rows, start + _SUFFIX, 5, count, stride)[:] = suffixes.take(exponent, mode="clip").reshape(n, count)
+    key += digits_key.take(low)
     key += np.signbit(x)
     zeros = np.flatnonzero(low == 0)
     if len(zeros):  # the trailing zeros reach into the second or first block
         middle = blocks[zeros, 1]
-        key[zeros] += np.where(middle > 0, _DIGITS_KEY.take(middle) - 8, _DIGITS_KEY.take(top[zeros]) - 16)
+        key[zeros] += np.where(middle > 0, digits_key.take(middle) - 8, digits_key.take(top[zeros]) - 16)
     special = np.flatnonzero(special)
     if len(special):
         value = x[special]
@@ -227,7 +233,7 @@ def g12(x, rows, keep, start, stride, empty_nan):
         key[special[zero]] = _ZERO_KEY + np.signbit(value[zero])
         key[special[blank]] = _EMPTY_KEY
         python[special[zero | blank]] = False
-    field(keep, start, G_WIDTH, count, stride)[:] = _KEEP.take(key).reshape(n, count)
+    field(keep, start, G_WIDTH, count, stride)[:] = keep_masks.take(key).reshape(n, count)
     return np.flatnonzero(python)
 
 

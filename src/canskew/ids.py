@@ -215,15 +215,14 @@ def _max(a, b):
     return b if b > a else a
 
 
-# Where Python floats and (S,) arrays differ: max, pow, sqrt and any for
-# the one-stream loops and for the stream step. Builtin max and np.maximum
-# part only on NaN, which np.maximum propagates. Python's mu**2 goes through
-# libm pow, which rounds differently from mu * mu now and then; with nearly
-# equal references the variance cancels down to that last bit.
-# np.float_power matched ** on 3M values, where x * x differed on 2 594 and
-# np.power with an array exponent on 107 316.
-_FLOAT_OPS = (_max, pow, math.sqrt, bool)
-_ARRAY_OPS = (np.maximum, np.float_power, np.sqrt, np.ndarray.any)
+# Where Python floats and (S,) arrays differ: max, sqrt and any for the
+# one-stream loops and for the stream step. Builtin max and np.maximum part
+# only on NaN, which np.maximum propagates. Everything else is an IEEE 754
+# operation that both round alike: mu is squared as mu * mu, the correctly
+# rounded square, in both (libm pow, which rounds differently now and then,
+# is not used). The array any is one reduction, without ndarray.any's Python.
+_FLOAT_OPS = (_max, math.sqrt, bool)
+_ARRAY_OPS = (np.maximum, np.sqrt, np.logical_or.reduce)
 
 
 # The detector's per-batch arithmetic, once for both the one-stream loops
@@ -283,7 +282,7 @@ def _add_references(refs, evicted, count, ref_sum, ref_sumsq, new, keep, ops):
     and sums, and the set's mu_cusum and sigma_cusum; with no pairs, those of
     the set as given (``_cusum_block`` passes the sums of every prefix of a
     block as arrays). ``formal.ntp_forecast`` adds its errors with it too."""
-    mx, pw, sqrt, any_ = ops
+    mx, sqrt, any_ = ops
     for add, err in new:
         full = add & (count == REFERENCE_CAP)
         if any_(full):
@@ -291,14 +290,15 @@ def _add_references(refs, evicted, count, ref_sum, ref_sumsq, new, keep, ops):
             ref_sum = ref_sum - old * full
             ref_sumsq = ref_sumsq - old * old * full
             evicted = evicted + full
+            count = count - full  # counts are integers, exact in any order
         if keep and add:
             keep(err)
         err = err * add
         ref_sum = ref_sum + err
         ref_sumsq = ref_sumsq + err * err
-        count = count + add - full
+        count = count + add
     mu = ref_sum / count
-    return evicted, count, ref_sum, ref_sumsq, mu, sqrt(mx(0.0, (ref_sumsq - count * pw(mu, 2)) / (count - 1)))
+    return evicted, count, ref_sum, ref_sumsq, mu, sqrt(mx(0.0, (ref_sumsq - count * (mu * mu)) / (count - 1)))
 
 
 def arrival_stage(batches, config, period=None):
@@ -592,10 +592,11 @@ def _step(state, batch):
     o_avg, increment = _offsets(config, state.period, batch, state.prev_batch_mean, mean)
     o_acc = state.o_acc + increment
     t = last - state.t_origin
-    if (t <= 0.0).any():
+    # each guard one reduction; fmin skips NaN, and no stream reads as inf
+    if np.fmin.reduce(t, initial=np.inf) <= 0.0:
         raise ValueError("elapsed time must be > 0")
     skew, p = _rls_update(rls.skew, rls.gain_denominator, t, o_acc, config.rls_lambda)
-    if (p <= 0.0).any():
+    if np.fmin.reduce(p, initial=np.inf) <= 0.0:
         raise ValueError("gain_denominator must be > 0")
     e = o_acc - rls.skew * t
     state.batch_index += 1
@@ -609,10 +610,10 @@ def _cusum_streams(cusum, bootstrap, e, config):
     ``cusum`` (see CusumState), whose streams stand at one point of the
     reference bootstrap, which ``bootstrap`` holds as (S,) rows. Returns the
     rows e_n, L+, L- and alarm."""
-    if not np.isfinite(e).all():  # keeps the masked reference sums exact
+    if not np.logical_and.reduce(np.isfinite(e)):  # keeps the masked reference sums exact
         raise ValueError("identification errors must be finite")
     c = cusum
-    if c.ready.any():
+    if np.maximum.reduce(c.count, initial=0.0) >= 2:  # some stream's set is ready
         e_n, c.l_plus, c.l_minus, alarm = _limits(e, c.mu_cusum, c.sigma_cusum, c.l_plus, c.l_minus,
                                                   config.sensitivity, config.detection_threshold, True, np.maximum)
         new = ((np.abs(e_n) < config.update_threshold, e),)

@@ -341,11 +341,18 @@ def _parse_slices(text, pos, before, parsers):
     most SLICE_BYTES unless one line is longer, are parsed by the row pass
     where it takes them, else by the line parser over their lines, and fill
     the output arrays in place. ``parsers`` are the format's row and line
-    parsers."""
+    parsers.
+
+    The arrays are sized by the first slice and resized in place, by 33/32
+    to 2 times, by a slice that overflows them: for the records so far and,
+    in the rest, 1/32 more than as many per character as so far, or as the
+    last line gives if fewer (lines lengthen as logged seconds gain digits).
+    The end cuts them to the records read."""
     row_parser, line_parser = parsers
     newline = "\n" if isinstance(text, str) else b"\n"
-    size = text.count(newline, pos) + 1  # lines, unless some break at other than LF
-    times, ids = np.empty(size), np.empty(size, dtype=np.uint32)
+    start, end = pos, len(text)
+    last = end - 1 - max(text.rfind(newline, pos, end - 1), pos - 1)  # the last line's length
+    times, ids = np.empty(0), np.empty(0, dtype=np.uint32)
     n, short = 0, len(text) - pos < _ARRAY_MIN_CHARS
     while pos < len(text):
         # after the last LF within SLICE_BYTES, else after the next one
@@ -359,10 +366,18 @@ def _parse_slices(text, pos, before, parsers):
         part_times, part_ids, count = part
         k = len(part_times)
         if n + k > len(times):
-            times, ids = np.resize(times, 2 * (n + k)), np.resize(ids, 2 * (n + k))
+            size = n + k + int((end - cut) / max((cut - start) / (n + k), last) * 33 / 32)
+            if not len(times):
+                times, ids = np.empty(size), np.empty(size, dtype=np.uint32)
+            else:  # no view of them is held
+                size = max(min(max(size, len(times) * 33 // 32), 2 * len(times)), n + k)
+                times.resize(size, refcheck=False)
+                ids.resize(size, refcheck=False)
         times[n:n + k], ids[n:n + k] = part_times, part_ids
         n, pos, before = n + k, cut, before + count
-    return times[:n], ids[:n]
+    times.resize(n, refcheck=False)
+    ids.resize(n, refcheck=False)
+    return times, ids
 
 
 def _parse_csv(text):

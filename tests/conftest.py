@@ -1,4 +1,8 @@
-"""Shared fixtures: the synthetic baseline scenario used throughout."""
+"""Shared fixtures: the synthetic baseline scenario used throughout, and a
+per-test time limit."""
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,38 @@ PERIOD = 0.1
 TARGET_SKEW_PPM = 100.0
 ATTACKER_SKEW_PPM = 150.0
 JITTER_STD = 25e-6
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past ``test_time_limit``. Not an
+    Exception, so no handler in the test (hypothesis's included) takes it
+    for a failing example and runs the test again."""
+
+
+def pytest_addoption(parser):
+    parser.addini("test_time_limit", "seconds a test's call may run before it fails; 0 for no limit",
+                  default="60")
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Fail a test whose call runs past ``test_time_limit`` seconds, by
+    SIGALRM, so that a hung test fails under its own name and the next test
+    still runs."""
+    limit = float(item.config.getini("test_time_limit"))
+    if not limit > 0.0 or not hasattr(signal, "SIGALRM") or threading.current_thread() is not threading.main_thread():
+        return (yield)
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{item.nodeid} ran past test_time_limit ({limit:g} s)")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canskew import _digits, ids
@@ -718,30 +718,34 @@ class TestIdsStreams:
         assert_streams_match_run_ids(config, warmup, [base_arrivals], np.zeros(2, dtype=int), arrivals0, shift_units,
                                      grid, 0.0, horizon)
 
-    def test_reference_stats_round_like_one_stream(self):
-        # Python's mu**2 goes through libm pow, which rounds differently from
-        # mu * mu now and then; with nearly equal references the variance
-        # cancels down to that last bit. Find references and an error whose
-        # sigma differs between the two, then add the error on five streams.
+    @settings(max_examples=40, deadline=None)
+    # the first mid is one where libm pow(mu, 2) and mu * mu round apart
+    @example(mid=0.0006920814910479652, seed=12)
+    @given(mid=st.floats(1e-6, 1e-3), seed=st.integers(0, 2**32 - 1))
+    def test_reference_stats_round_like_one_stream(self, mid, seed):
+        # with nearly equal references the variance cancels down to the last
+        # bit of mu's square: two seed the references, then one stream per
+        # mid adds it, branched and alone, by the block path and by the
+        # per-batch body
         config = make_config(Variant.SOTA)
         warm = warm_state(config, 60, seed=1)
-        rng = np.random.default_rng(12)
-        bases, errors, singles = [], [], []
-        while len(bases) < 5:
-            mid = rng.uniform(1e-6, 1e-3)
+        mids = [mid, *np.random.default_rng(seed).uniform(1e-6, 1e-3, 4).tolist()]
+        bases, singles = [], {None: [], 0: []}
+        for m in mids:
             cusum = CusumState()
-            cusum_stage(cusum, [mid * (1 + 1e-9)], [mid * (1 - 1e-9)], 0, config)  # the two seed the references
-            single = copy.deepcopy(cusum)
-            cusum_stage(single, [], [mid], 0, config)
-            mu, n = single.mu_cusum, single.count
-            if math.sqrt(max(0.0, (single.ref_sumsq - n * (mu * mu)) / (n - 1))) != single.sigma_cusum:
-                bases.append(dataclasses.replace(warm, cusum=cusum))
-                errors.append(mid)
-                singles.append(single)
+            cusum_stage(cusum, [m * (1 + 1e-9)], [m * (1 - 1e-9)], 0, config)
+            bases.append(dataclasses.replace(warm, cusum=cusum))
+            for block, alone in singles.items():
+                alone.append(copy.deepcopy(cusum))
+                with pytest.MonkeyPatch.context() as patch:
+                    if block is not None:
+                        patch.setattr(ids, "CUSUM_BLOCK", block)
+                    cusum_stage(alone[-1], [], [m], 0, config)
         streams = _branch(bases, np.arange(len(bases)), 1)
-        _cusum_streams(streams.cusum, streams._bootstrap_errors, np.array(errors), config)
-        assert streams.cusum.mu_cusum.tolist() == [c.mu_cusum for c in singles]
-        assert streams.cusum.sigma_cusum.tolist() == [c.sigma_cusum for c in singles]
+        _cusum_streams(streams.cusum, streams._bootstrap_errors, np.array(mids), config)
+        for alone in singles.values():
+            assert streams.cusum.mu_cusum.tolist() == [c.mu_cusum for c in alone]
+            assert streams.cusum.sigma_cusum.tolist() == [c.sigma_cusum for c in alone]
 
     def test_ntp_reads_only_each_batchs_last_arrival(self):
         config = make_config(Variant.NTP)
@@ -794,6 +798,51 @@ class TestIdsStreams:
         assert all(np.array_equal(got, row[mask]) for got, row in zip(streams._bootstrap_errors,
                                                                       want._bootstrap_errors, strict=True))
         assert streams.cusum.errors is refs and np.array_equal(refs, want.cusum.errors)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("case, message", [
+        ("t <= 0", "elapsed time must be > 0"),
+        ("t <= 0 beside NaN", "elapsed time must be > 0"),
+        ("P <= 0", "gain_denominator must be > 0"),
+        ("P <= 0 beside NaN", "gain_denominator must be > 0"),
+        ("e not finite", "identification errors must be finite"),
+    ])
+    def test_step_guards(self, variant, case, message):
+        # stream 1 breaks a guard, stream 0 holds NaN where asked; a NaN
+        # arrival is a NaN t, which the elapsed-time guard passes
+        config = make_config(variant)
+        streams = _branch([warm_state(config, 60, seed=1)], np.zeros(3, dtype=int), 1)
+        batch = np.tile(cloak_arrivals(config, 60, 1, seed=2), (3, 1))
+        if case.startswith("t"):
+            batch[1, -1] = -1e6
+        elif case.startswith("P"):
+            streams.rls.gain_denominator[1] = 0.0
+        else:
+            batch[1, -1] = np.nan
+        if case.endswith("NaN"):
+            batch[0, -1] = np.nan
+            streams.rls.gain_denominator[0] = np.nan
+        with pytest.raises(ValueError, match=message):
+            _step(streams, batch)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("warmup", [20, 60])  # under 50 the bases still hold back their errors
+    def test_zero_streams_step_to_empty_rows(self, variant, warmup):
+        config = make_config(variant)
+        streams = _branch([warm_state(config, warmup, seed=1)], np.zeros(0, dtype=int), 1)
+        rows = _step(streams, np.empty((0, config.batch_size)))
+        assert [row.shape for row in rows] == [(0,)] * len(REPORT_COLUMNS)
+        assert rows[-1].dtype == bool
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("warmup", [0, 60])  # from 0, the set seeds at the second attack batch
+    def test_one_stream_steps_as_detect(self, variant, warmup):
+        config = make_config(variant)
+        horizon = 30
+        arrivals0 = np.array([cloak_arrivals(config, warmup, horizon, seed=4)])
+        shift_units = _grid_shift_units(AttackSpec(delta_t0=0.0), "delta_t", horizon * config.batch_size)
+        assert_streams_match_run_ids(config, warmup, [warm_arrivals(config, warmup, seed=3)], np.zeros(1, dtype=int),
+                                     arrivals0, shift_units, np.zeros(1), 0.0, horizon)
 
     def test_bases_left_unchanged(self):
         config = make_config(Variant.NTP)

@@ -651,6 +651,36 @@ class TestBytesAndSlices:
         assert outcome(text.encode() if as_bytes else text, LogFormat.CANDUMP) == want
 
 
+    @pytest.mark.parametrize("fmt", list(LogFormat))
+    @pytest.mark.parametrize("as_bytes", [False, True])
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_later_slices_of_shorter_lines(self, fmt, as_bytes, line_end):
+        # the first slice sizes the output for fewer records than follow it
+        text, times, ids = shortening_log(fmt, line_end)
+        per_line = [len(piece) / piece.count("\n") for piece in (text[:SLICE_BYTES], text[-SLICE_BYTES:])]
+        assert per_line[0] > 1.8 * per_line[1]
+        want = line_by_line(text, fmt)
+        assert want == (times.tobytes(), ids.astype(np.uint32).tobytes())
+        assert outcome(text.encode() if as_bytes else text, fmt) == want
+
+
+def shortening_log(fmt, line_end):
+    """A log in time order whose first two slices hold lines of 8-digit ids
+    and 8 payload bytes, and the rest, five times as many records, lines
+    of 3-digit ids and none: nearly twice as many records per character.
+    Returns its text and the records' times and ids."""
+    count = 6 * (2 * SLICE_BYTES // 40)
+    us = 100_000_000 + 1000 * np.arange(count)
+    long = np.arange(count) < count // 6
+    ids = np.where(long, 0x1ABCDEF0 + np.arange(count) % 7, 0x185)
+    lines = []
+    for t, i, wide in zip(us.tolist(), ids.tolist(), long.tolist()):
+        stamp, can_id, data = f"{t // 10**6}.{t % 10**6:06d}", f"{i:0{8 if wide else 3}X}", "0011223344556677" * wide
+        lines.append(f"({stamp}) can0 {can_id}#{data}" if fmt is LogFormat.CANDUMP else f"{stamp},0x{can_id},{data}")
+    header = "" if fmt is LogFormat.CANDUMP else "timestamp,can_id,data" + line_end
+    return header + line_end.join(lines) + line_end, us / 1e6, ids
+
+
 class TestUndecodable:
     """A byte that is not UTF-8 is a ParseError naming its line, unless a
     bad line comes before it."""
