@@ -68,8 +68,10 @@ class Snapshot:
     start_batch: int = 1      # m
 
     def __post_init__(self):
-        # scalars only: the reference errors are read as they are used.
-        # Written so that NaN fails each check
+        # scalars and the reference count only: the reference errors are
+        # read as they are used. Written so that NaN fails each check
+        if len(self.reference_errors) < 2:  # as arming the detector needs
+            raise ValueError(f"snapshot requires at least 2 reference errors, got {len(self.reference_errors)}")
         if not (self.period is None or 0.0 < self.period < math.inf):
             raise ValueError(f"snapshot requires a finite period > 0 or none, got {self.period}")
         for name in ("sigma", "sigma_cusum"):
@@ -222,10 +224,9 @@ def ntp_forecast(snapshot, delta_t_grid, horizon):
     the lambda-weighted least-squares slope, which starts from the
     snapshot's sums over batches 1..m-1 and takes in each forecast batch,
     and each forecast error joins the CUSUM references by the detector's
-    rules (``ids._limits``' e_n, the strict gate, ``ids._add_references``),
-    except that sigma is kept while the set holds under two. The batches are
-    stepped once over (G,) arrays, and each row comes out exactly as a
-    one-point grid gives it.
+    rules (``ids._limits``' e_n, the strict gate, ``ids._add_references``).
+    The batches are stepped once over (G,) arrays, and each row comes out
+    exactly as a one-point grid gives it.
     """
     delta_t = np.asarray(delta_t_grid, dtype=np.float64)
     if delta_t.ndim != 1:
@@ -244,8 +245,7 @@ def ntp_forecast(snapshot, delta_t_grid, horizon):
     sigma_eta = snapshot.sigma / math.sqrt(2.0)
     size = delta_t.shape
     skew_hat, mu_hat, sigma_hat, e_n_mean = (np.empty(size + (horizon,)) for _ in range(4))
-    # a set of under two references divides by zero for a sigma it discards, and a
-    # delta-T large enough to overflow gives non-finite densities the recursion refuses
+    # a delta-T large enough to overflow gives non-finite densities the recursion refuses
     with np.errstate(all="ignore"):
         # t and O_acc of batches j = 1..H: t + j N (mu + delta-T) and O_acc + j N O
         steps = np.arange(1, horizon + 1) * n
@@ -273,7 +273,7 @@ def ntp_forecast(snapshot, delta_t_grid, horizon):
             evicted, ref_n, ref_sum, ref_sumsq, mu, sigma = _add_references(
                 refs, evicted, ref_n, ref_sum, ref_sumsq, ((update, e_hat[:, j]),), None, _ARRAY_OPS)
             mu_c = np.where(update, mu, mu_c)
-            sigma_c = np.where(update & (ref_n >= 2), sigma, sigma_c)
+            sigma_c = np.where(update, sigma, sigma_c)
         e_n_std = np.abs(1.0 + skew_prev) * sigma_eta / np.maximum(sigma_hat, _SIGMA_FLOOR)
     m = snapshot.start_batch
     return NtpForecast(delta_t=delta_t, batches=np.arange(m, m + horizon), t_hat=t_hat, o_acc_hat=o_hat,

@@ -28,7 +28,7 @@ from .clock import (
     synthesize_trace,
 )
 from .curves import SuccessCurve
-from .ids import IdsConfig, Variant, _branch, _keep, _step, arrival_stage, detect, rls_stage
+from .ids import REFERENCE_CAP, IdsConfig, Variant, _branch, _keep, _step, arrival_stage, detect, rls_stage
 
 __all__ = [
     "SyntheticSource",
@@ -69,6 +69,9 @@ class ExperimentConfig:
             raise ValueError("warmup_batches must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.horizon > REFERENCE_CAP:  # checked here, before any trial's arrivals are drawn
+            raise ValueError(f"a horizon of {self.horizon} batches would outlive the warm references "
+                             f"(REFERENCE_CAP = {REFERENCE_CAP})")
         grid = np.asarray(self.grid, dtype=np.float64)  # None gives a 0-d NaN
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("grid must be a non-empty 1-d array")

@@ -9,8 +9,12 @@ recurrence: the offsets, the RLS update, the CUSUM limits and the reference
 set's add, evict, mean and sigma, on Python floats in the loops and on (S,)
 arrays in the step.
 
+Both paths follow one arming rule: the unarmed errors seed the CUSUM
+reference set, unscored, until CUSUM_BOOTSTRAP_BATCHES of them have joined
+it; every later error is scored against the set, and arming needs two.
+
 The one-stream CUSUM (``cusum_stage``) also has an exact block path. While
-the reference set is ready and both limits are 0.0, it assumes that each of
+errors are scored and both limits are 0.0, it assumes that each of
 the next errors joins the references and leaves both limits at 0.0, and
 computes the block with the same helpers on arrays whose entry p is the
 reference set after p of its errors. Those sets' sums are running sums
@@ -134,10 +138,6 @@ class CusumState:
         """The errors in the reference set, oldest first."""
         return self.errors[self.evicted:]
 
-    @property
-    def ready(self):
-        return self.count >= 2
-
 
 @dataclass
 class IdsState:
@@ -154,7 +154,6 @@ class IdsState:
     o_acc: float = 0.0
     rls: RlsState = field(default_factory=RlsState)
     cusum: CusumState = field(default_factory=CusumState)
-    _bootstrap_errors: list = field(default_factory=list)
     # inter-arrival sums, read by formal snapshots
     _ia_count: int = 0
     _ia_sum: float = 0.0
@@ -178,7 +177,7 @@ class DetectionReport:
     """Per-batch columns of one detector pass over batches 1..K (batch 0
     initializes the state), the first armed alarm, and the state after
     batch K. ``skew`` is the RLS estimate after each batch's update; ``e_n``
-    is NaN while the reference set is still bootstrapping."""
+    is NaN for the unarmed errors that seed the reference set."""
 
     o_avg: np.ndarray
     o_acc: np.ndarray
@@ -261,17 +260,10 @@ def _limits(e, mu, sigma, l_plus, l_minus, kappa, big_gamma, armed, mx):
     return e_n, l_plus, l_minus, armed and mx(l_plus, l_minus) > big_gamma
 
 
-def _held_back(bootstrap, e, armed):
-    """Hold ``e`` back while the reference set bootstraps. Returns the
-    (mask, error) pairs that seed the references, all held-back errors, once
-    there are CUSUM_BOOTSTRAP_BATCHES of them or, at an armed error, two
-    (short warmups must still get a usable sigma); else ()."""
-    bootstrap.append(e)
-    if len(bootstrap) >= CUSUM_BOOTSTRAP_BATCHES or (armed and len(bootstrap) >= 2):
-        new = [(True, err) for err in bootstrap]
-        bootstrap.clear()
-        return new
-    return ()
+def _unarmable(warmup, count):
+    """The refusal to arm a detector whose ``warmup`` batches left ``count``
+    (< 2) reference errors, which give no sigma to score against."""
+    return ValueError(f"a warmup of {warmup} batches leaves {count} CUSUM reference errors; arming needs at least 2")
 
 
 def _add_references(refs, evicted, count, ref_sum, ref_sumsq, new, keep, ops):
@@ -281,7 +273,9 @@ def _add_references(refs, evicted, count, ref_sum, ref_sumsq, new, keep, ops):
     branched streams, see CusumState). Returns the new evicted index, count
     and sums, and the set's mu_cusum and sigma_cusum; with no pairs, those of
     the set as given (``_cusum_block`` passes the sums of every prefix of a
-    block as arrays). ``formal.ntp_forecast`` adds its errors with it too."""
+    block as arrays). A set of one error, which a column cut after its first
+    unarmed error carries, has sigma 0.0. ``formal.ntp_forecast`` adds its
+    errors with it too."""
     mx, sqrt, any_ = ops
     for add, err in new:
         full = add & (count == REFERENCE_CAP)
@@ -298,7 +292,7 @@ def _add_references(refs, evicted, count, ref_sum, ref_sumsq, new, keep, ops):
         ref_sumsq = ref_sumsq + err * err
         count = count + add
     mu = ref_sum / count
-    return evicted, count, ref_sum, ref_sumsq, mu, sqrt(mx(0.0, (ref_sumsq - count * (mu * mu)) / (count - 1)))
+    return evicted, count, ref_sum, ref_sumsq, mu, sqrt(mx(0.0, (ref_sumsq - count * (mu * mu)) / mx(count - 1, 1)))
 
 
 def arrival_stage(batches, config, period=None):
@@ -370,27 +364,28 @@ def rls_stage(t, o_acc, lam):
     return np.array(skews), RlsState(skew=skew, gain_denominator=p, ot_sum=ot, tt_sum=tt)
 
 
-def cusum_stage(cusum, bootstrap, errors, armed_from, config):
+def cusum_stage(cusum, errors, armed_from, config):
     """Stage 4: the two-sided CUSUM over a column of identification errors,
-    in place on ``cusum`` and on ``bootstrap``, the errors held back while
-    the reference set has fewer than two entries.
+    in place on ``cusum``.
 
-    Held-back errors seed the references (see ``_held_back``); their e_n is
-    NaN. Errors from index ``armed_from`` on are armed: their batch alarms
-    when a limit exceeds the detection threshold. Returns the columns e_n,
-    L+, L- and alarm.
+    Errors from index ``armed_from`` on are armed. While the detector is
+    unarmed and fewer than CUSUM_BOOTSTRAP_BATCHES errors have joined its
+    reference set, each error joins the set unscored (e_n NaN). Every later
+    error is scored: it joins the set if |e_n| < gamma, and an armed one's
+    batch alarms when a limit exceeds the detection threshold. Arming a set
+    of fewer than two errors raises ValueError. Returns the columns e_n, L+,
+    L- and alarm.
 
-    While the reference set is ready and both limits are 0.0, errors go to
-    ``_cusum_block`` up to CUSUM_BLOCK at a time. It takes the longest
-    prefix of a block in which every error joins the references and leaves
-    both limits at 0.0, computed with the floating-point operations of the
-    per-batch body below in the same order, so both paths give the same
-    bits. The error that ends a block, and every error while the references
-    bootstrap or a limit is nonzero, take the per-batch body. After a block
-    that ends early the body runs on for a stretch that doubles with each
-    such block in a row (_BACKOFF_FIRST up to _BACKOFF_CAP errors) and is
-    reset by a block that does not, so a column where every block ends at
-    once tries few of them.
+    While both limits are 0.0, scored errors go to ``_cusum_block`` up to
+    CUSUM_BLOCK at a time. It takes the longest prefix of a block in which
+    every error joins the references and leaves both limits at 0.0,
+    computed with the floating-point operations of the per-batch body below
+    in the same order, so both paths give the same bits. The error that
+    ends a block, and every error while a limit is nonzero, take the
+    per-batch body. After a block that ends early the body runs on for a
+    stretch that doubles with each such block in a row (_BACKOFF_FIRST up to
+    _BACKOFF_CAP errors) and is reset by a block that does not, so a column
+    where every block ends at once tries few of them.
     """
     errors = np.asarray(errors, dtype=np.float64)
     if errors.ndim != 1:
@@ -402,13 +397,20 @@ def cusum_stage(cusum, bootstrap, errors, armed_from, config):
     c = cusum
     mu, sigma, l_plus, l_minus = c.mu_cusum, c.sigma_cusum, c.l_plus, c.l_minus
     refs, evicted, count, ref_sum, ref_sumsq = c.errors, c.evicted, c.count, c.ref_sum, c.ref_sumsq
-    ready, keep = c.ready, c.errors.append
+    keep = c.errors.append
     values = errors.tolist()
     n = len(values)
     e_n_col, l_plus_col, l_minus_col, alarm_col = np.empty(n), np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool)
-    k = backoff = 0
+    k = max(0, min(n, armed_from, CUSUM_BOOTSTRAP_BATCHES - evicted - count))  # the unarmed errors that seed
+    if k < n and count + k < 2:
+        raise _unarmable(armed_from, count + k)
+    if k:
+        e_n_col[:k], l_plus_col[:k], l_minus_col[:k] = math.nan, l_plus, l_minus
+        evicted, count, ref_sum, ref_sumsq, mu, sigma = _add_references(
+            refs, evicted, count, ref_sum, ref_sumsq, [(True, e) for e in values[:k]], keep, _FLOAT_OPS)
+    backoff = 0
     while k < n:
-        if block and ready and not (l_plus or l_minus):
+        if block and not (l_plus or l_minus):
             # a block stops where the set fills: before it, no error evicts; after, every one does
             m = min(block, n - k, cap - count if count < cap else cap)
             taken, e_n, moved = _cusum_block(errors[k:k + m], refs, evicted, count, ref_sum, ref_sumsq, config)
@@ -427,18 +429,11 @@ def cusum_stage(cusum, bootstrap, errors, armed_from, config):
         e_n_run, l_plus_run, l_minus_run, alarm_run = [], [], [], []
         for k in range(start, n):
             e = values[k]
-            if ready:
-                e_n, l_plus, l_minus, alarm = _limits(e, mu, sigma, l_plus, l_minus, kappa, big_gamma,
-                                                      k >= armed_from, _max)
-                joined = abs(e_n) < gamma
-                new = ((joined, e),)
-            else:
-                e_n, alarm = math.nan, False
-                new = _held_back(bootstrap, e, k >= armed_from)
-                joined = ready = bool(new)
-            if new:
-                evicted, count, ref_sum, ref_sumsq, mu, sigma = _add_references(refs, evicted, count, ref_sum,
-                                                                                ref_sumsq, new, keep, _FLOAT_OPS)
+            e_n, l_plus, l_minus, alarm = _limits(e, mu, sigma, l_plus, l_minus, kappa, big_gamma, k >= armed_from,
+                                                  _max)
+            joined = abs(e_n) < gamma
+            evicted, count, ref_sum, ref_sumsq, mu, sigma = _add_references(refs, evicted, count, ref_sum, ref_sumsq,
+                                                                            ((joined, e),), keep, _FLOAT_OPS)
             e_n_run.append(e_n)
             l_plus_run.append(l_plus)
             l_minus_run.append(l_minus)
@@ -456,9 +451,9 @@ def cusum_stage(cusum, bootstrap, errors, armed_from, config):
 
 def _cusum_block(errors, refs, evicted, count, ref_sum, ref_sumsq, config):
     """The block path of ``cusum_stage``: the next ``errors`` of a stream
-    whose reference set (``refs`` from index ``evicted``, ``count`` errors
-    with the given sums) is ready and either stays short of REFERENCE_CAP or
-    is full throughout, and whose limits are both 0.0.
+    whose reference set (``refs`` from index ``evicted``, ``count`` >= 2
+    errors with the given sums) scores them and either stays short of
+    REFERENCE_CAP or is full throughout, and whose limits are both 0.0.
 
     Assumes that every error joins the references and leaves both limits at
     0.0, and repeats the per-batch arithmetic on arrays whose entry p is
@@ -520,7 +515,7 @@ def detect(batches, config, warmup_batches, period=None):
     skews, state.rls = rls_stage(t, o_acc, config.rls_lambda)
     # stage 3: e = O_acc - S[k-1] * t, with S[k-1] the skew held before batch k
     e = o_acc - skews[:-1] * t
-    e_n, l_plus, l_minus, alarm = cusum_stage(state.cusum, state._bootstrap_errors, e, warmup_batches, config)
+    e_n, l_plus, l_minus, alarm = cusum_stage(state.cusum, e, warmup_batches, config)
     alarms = np.flatnonzero(alarm)
     return DetectionReport(
         o_avg=o_avg, o_acc=o_acc, t=t, skew=skews[1:], e=e, e_n=e_n, l_plus=l_plus, l_minus=l_minus,
@@ -531,15 +526,18 @@ def detect(batches, config, warmup_batches, period=None):
 def _branch(bases, base_index, horizon):
     """The state of S streams, stream s branched from ``bases[base_index[s]]``
     (states after their unarmed warmups), for at most ``horizon`` batches:
-    every numeric field but the batch index holds an (S,) array and the
-    bootstrap (S,) rows. The bases are read, not kept or changed.
+    every numeric field but the batch index holds an (S,) array. The bases
+    are read, not kept or changed; each must hold two reference errors, as
+    the streams' batches are armed.
 
     The inter-arrival and least-squares sums, which only snapshots read,
     are not carried. Counts are floats, as the reference sums that they
     divide are: integer counts would be cast on every step."""
-    if len({(b.config, b.period, b.batch_index, len(b._bootstrap_errors), b.cusum.ready) for b in bases}) > 1:
-        raise ValueError("base states must share one detector config and period, and stand at the same batch "
-                         "and point of the reference bootstrap")
+    if len({(b.config, b.period, b.batch_index) for b in bases}) > 1:
+        raise ValueError("base states must share one detector config and period, and stand at the same batch")
+    count = min(b.cusum.count for b in bases)
+    if count < 2:
+        raise _unarmable(bases[0].batch_index, count)
     if horizon > REFERENCE_CAP:
         raise ValueError(f"a horizon of {horizon} batches would outlive the bases' references ({REFERENCE_CAP})")
     base = np.asarray(base_index, dtype=np.intp)
@@ -547,8 +545,7 @@ def _branch(bases, base_index, horizon):
     def per_stream(values):
         return np.array(values, dtype=np.float64)[base]
 
-    # a bootstrapping base's held-back errors are the first references its streams add
-    refs = [b._bootstrap_errors or b.cusum.reference_errors for b in bases]
+    refs = [b.cusum.reference_errors for b in bases]
     start = np.cumsum([0] + [len(r) for r in refs[:-1]])
     cusums = [b.cusum for b in bases]
     cusum = CusumState(
@@ -560,7 +557,6 @@ def _branch(bases, base_index, horizon):
                    gain_denominator=per_stream([b.rls.gain_denominator for b in bases]), ot_sum=None, tt_sum=None)
     return IdsState(
         config=bases[0].config, period=bases[0].period, batch_index=bases[0].batch_index, rls=rls, cusum=cusum,
-        _bootstrap_errors=list(per_stream([b._bootstrap_errors for b in bases]).T),
         **{name: per_stream([getattr(b, name) for b in bases])
            for name in ("prev_batch_mean", "prev_last_arrival", "t_origin", "o_acc")},
     )
@@ -573,7 +569,6 @@ def _keep(state, kept):
         for name, value in list(vars(part).items()):
             if isinstance(value, np.ndarray) and value is not refs:
                 setattr(part, name, value.take(kept))
-    state._bootstrap_errors[:] = [row.take(kept) for row in state._bootstrap_errors]
 
 
 def _step(state, batch):
@@ -602,27 +597,21 @@ def _step(state, batch):
     state.batch_index += 1
     state.prev_batch_mean, state.prev_last_arrival, state.o_acc = mean, last, o_acc
     rls.skew, rls.gain_denominator = skew, p
-    return (o_avg, o_acc, t, skew, e, *_cusum_streams(state.cusum, state._bootstrap_errors, e, config))
+    return (o_avg, o_acc, t, skew, e, *_cusum_streams(state.cusum, e, config))
 
 
-def _cusum_streams(cusum, bootstrap, e, config):
+def _cusum_streams(cusum, e, config):
     """Stage 4 of ``_step``: one armed error per stream of a branched
-    ``cusum`` (see CusumState), whose streams stand at one point of the
-    reference bootstrap, which ``bootstrap`` holds as (S,) rows. Returns the
-    rows e_n, L+, L- and alarm."""
+    ``cusum`` (see CusumState), scored against the stream's references.
+    Returns the rows e_n, L+, L- and alarm."""
     if not np.logical_and.reduce(np.isfinite(e)):  # keeps the masked reference sums exact
         raise ValueError("identification errors must be finite")
     c = cusum
-    if np.maximum.reduce(c.count, initial=0.0) >= 2:  # some stream's set is ready
-        e_n, c.l_plus, c.l_minus, alarm = _limits(e, c.mu_cusum, c.sigma_cusum, c.l_plus, c.l_minus,
-                                                  config.sensitivity, config.detection_threshold, True, np.maximum)
-        new = ((np.abs(e_n) < config.update_threshold, e),)
-    else:
-        e_n, alarm = e * math.nan, np.zeros(e.shape, dtype=bool)
-        new = _held_back(bootstrap, e, True)
-    if new:
-        c.evicted, c.count, c.ref_sum, c.ref_sumsq, c.mu_cusum, c.sigma_cusum = _add_references(
-            c.errors, c.evicted, c.count, c.ref_sum, c.ref_sumsq, new, None, _ARRAY_OPS)
+    e_n, c.l_plus, c.l_minus, alarm = _limits(e, c.mu_cusum, c.sigma_cusum, c.l_plus, c.l_minus, config.sensitivity,
+                                              config.detection_threshold, True, np.maximum)
+    c.evicted, c.count, c.ref_sum, c.ref_sumsq, c.mu_cusum, c.sigma_cusum = _add_references(
+        c.errors, c.evicted, c.count, c.ref_sum, c.ref_sumsq, ((np.abs(e_n) < config.update_threshold, e),), None,
+        _ARRAY_OPS)
     return e_n, c.l_plus, c.l_minus, alarm
 
 

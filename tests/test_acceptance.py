@@ -294,8 +294,8 @@ def test_criterion_9_randomized_invariants():
     for _ in range(cases):
         cusum = CusumState()
         seed = rng.normal(0.0, 1.0, 4)
-        cusum_stage(cusum, seed[:-1].tolist(), seed[-1:], 0, cusum_config)  # the four seed the references
-        _, l_plus, l_minus, _ = cusum_stage(cusum, [], rng.normal(0.0, 8.0, 10), 0, cusum_config)
+        cusum_stage(cusum, seed, len(seed), cusum_config)  # the four, unarmed, seed the references
+        _, l_plus, l_minus, _ = cusum_stage(cusum, rng.normal(0.0, 8.0, 10), 0, cusum_config)
         if np.any(l_plus < 0.0) or np.any(l_minus < 0.0):
             nonneg = False
     checks["CUSUM non-negativity"] = nonneg

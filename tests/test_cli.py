@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from canskew import formal, traceio
+from canskew import formal, harness, traceio
 from canskew.cli import _parse_grid, build_parser, main
 from canskew.curves import SuccessCurve
 from canskew.traceio import LogFormat, parse_log
@@ -273,6 +273,25 @@ class TestBadInput:
                                 "--out", str(tmp_path / "r.csv")], capsys)
         assert code == 1 and "warmup_batches must be >= 0" in err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command, warmup", [("detect", 0), ("detect", 1), ("sweep", 1)])
+    def test_warmup_under_two_exits_1(self, capsys, tmp_path, trace, command, warmup):
+        # armed batches follow: fewer than two unarmed errors give no sigma to score them against
+        flags = ["--input", str(trace)] if command == "detect" else ["--trials", "2", "--horizon", "2"]
+        code, _, err = run_cli([command, *flags, "--warmup", str(warmup), "--out", str(tmp_path / "out.csv")],
+                               capsys)
+        assert code == 1 and err.endswith(f"error: a warmup of {warmup} batches leaves {warmup} CUSUM reference "
+                                          "errors; arming needs at least 2\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_horizon_past_the_reference_cap_exits_1(self, capsys, tmp_path, monkeypatch):
+        # refused before the trials' arrivals, 20 * 10**8 per trial here, are drawn
+        monkeypatch.setattr(harness, "_synthetic_trials", lambda *args: pytest.fail("trials were built"))
+        code, _, err = run_cli(["sweep", "--warmup", "5", "--trials", "2", "--horizon", "100000000",
+                                "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == 1 and err.endswith("error: a horizon of 100000000 batches would outlive the warm references "
+                                          "(REFERENCE_CAP = 10000)\n")
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command", ["detect", "consistency"])
     def test_zero_period_exits_1(self, capsys, tmp_path, trace, command):

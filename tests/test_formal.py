@@ -79,34 +79,6 @@ OLD_FORMAT_FORECAST = {
     "e_n_std": [1.3217272905895858, 1.4274551786005771, 1.5219120686936483],
 }
 
-# The forecast from the 300-batch NTP warmup's snapshot (the ntp_snapshot
-# fixture) cut to its first 0 and 1 references, at delta-T 0 and 0.2 us over
-# 3 batches, as the forecast computed it with its own reference update, which
-# kept sigma while the set held fewer than 2 references. Rows are delta-T.
-FEW_REFERENCES_FORECAST = {
-    0: {
-        "mu_cusum_hat": [[1.6952815622167088e-05, 4.7126871587088726e-06, 4.734783410727944e-06],
-                         [1.6952815622167088e-05, 7.122874948958802e-07, -1.2451629100851402e-06]],
-        "sigma_cusum_hat": [[2.5538695448925588e-05, 2.5538695448925588e-05, 3.124881928295674e-08],
-                            [2.5538695448925588e-05, 2.5538695448925588e-05, 2.7682529103968666e-06]],
-        "e_n_mean": [[-0.4792777488551459, 0.0017304135258796936, 2.1065660474255723],
-                     [-0.6359184696708714, -0.15329290479192195, -2.10676463404191]],
-        "e_n_std": [[0.9586392955065475, 0.9586392955837801, 783.46630621713],
-                    [0.9586392955065475, 0.9586392955182207, 8.843988538883467]],
-    },
-    1: {
-        "mu_cusum_hat": [[1.6952815622167088e-05, 7.871635521093656e-05, 5.406319669487338e-05],
-                         [1.6952815622167088e-05, 7.671615537903007e-05, 5.007656581433132e-05]],
-        "sigma_cusum_hat": [[2.5538695448925588e-05, 0.00010465699102481692, 8.543932092215341e-05],
-                            [2.5538695448925588e-05, 0.00010748570075455548, 8.891339117295967e-05]],
-        "e_n_mean": [[-0.4792777488551459, -0.7066845207756051, -0.5765797884478341],
-                     [-0.6359184696708714, -0.7435293079271207, -0.642802904041138]],
-        "e_n_std": [[0.9586392955065475, 0.23392987678655217, 0.286547186389408],
-                    [0.9586392955065475, 0.22777352561079897, 0.2753510656753161]],
-    },
-}
-
-
 def manual_snapshot(variant=Variant.SOTA, **overrides):
     fields = dict(
         config=make_config(variant),
@@ -119,7 +91,7 @@ def manual_snapshot(variant=Variant.SOTA, **overrides):
         skew=0.0,
         mu_cusum=0.0,
         sigma_cusum=1.0,
-        reference_errors=(),
+        reference_errors=(-1.0, 0.0, 1.0),  # mean 0, sample std 1
     )
     fields.update(overrides)
     return Snapshot(**fields)
@@ -174,6 +146,12 @@ class TestSnapshot:
     def test_refuses_a_bad_scalar_naming_it(self, name, value):
         with pytest.raises(ValueError, match=rf"^snapshot requires (a finite )?{name}\b.*, got {value}$"):
             manual_snapshot(**{name: value})
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_refuses_fewer_than_two_references(self, count):
+        # as arming the detector does: a set of fewer than two has no sigma
+        with pytest.raises(ValueError, match=f"^snapshot requires at least 2 reference errors, got {count}$"):
+            manual_snapshot(reference_errors=(0.5,) * count)
 
     def test_sota_snapshot_may_have_no_period(self):
         assert manual_snapshot(period=None).period is None
@@ -516,13 +494,6 @@ class TestNtpForecast:
                     # a set that kept every reference would be off by far more
                     assert abs(np.mean(held) - want[0]) > 100 * 1e-9 * sigma
         assert admitted >= horizon
-
-    def test_fewer_than_two_references_keep_sigma(self, ntp_snapshot):
-        for count, want in FEW_REFERENCES_FORECAST.items():
-            snap = replace(ntp_snapshot, reference_errors=ntp_snapshot.reference_errors[:count])
-            fc = ntp_forecast(snap, [0.0, 2e-7], 3)
-            for name, rows in want.items():
-                assert getattr(fc, name).tolist() == rows, (count, name)
 
     def test_horizon_within_reference_cap(self, ntp_snapshot):
         with pytest.raises(ValueError, match=f"at most {REFERENCE_CAP} batches"):

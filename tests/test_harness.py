@@ -15,7 +15,7 @@ from canskew.harness import (
     epsilon_msi,
     monte_carlo_ps,
 )
-from canskew.ids import Variant, run_ids
+from canskew.ids import REFERENCE_CAP, Variant, run_ids
 from conftest import MESSAGE_ID, PERIOD, make_attack, make_config
 
 
@@ -38,6 +38,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(ids=make_config(Variant.NTP), grid=None)
 
+    def test_horizon_within_reference_cap(self):
+        experiment(Variant.NTP, [0.0], horizon=REFERENCE_CAP)
+        with pytest.raises(ValueError, match=f"outlive the warm references \\(REFERENCE_CAP = {REFERENCE_CAP}\\)$"):
+            experiment(Variant.NTP, [0.0], horizon=REFERENCE_CAP + 1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_grid_rejected_naming_it(self, bad):
         with pytest.raises(ValueError, match=f"^grid must be finite, got {bad}$"):
@@ -52,6 +57,13 @@ class TestExperimentConfig:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_short_warmup_detects_a_large_delta_t(self, source, attacker_clock, matched_delta_t0, variant):
+        # 20 unarmed batches seed the references; the attack's errors are scored against them
+        attack = make_attack(matched_delta_t0, attacker_clock, start_batch=21)
+        curve = monte_carlo_ps(source, attack, experiment(variant, [-4e-3, 0.0, 4e-3], warmup=20))
+        assert curve.p_success.tolist() == [0.0, 1.0, 0.0]
+
     def test_matched_cloak_succeeds(self, source, attacker_clock, matched_delta_t0):
         attack = make_attack(matched_delta_t0, attacker_clock, start_batch=201)
         for variant in Variant:
@@ -114,15 +126,13 @@ class TestCompaction:
     arrivals per stream, it keeps exactly the live streams when
     (stepped - live) * width >= live, and all of them otherwise."""
 
-    # under 50 warmup batches the streams start with bootstrap rows; so short
-    # a warmup needs lower (kappa, Gamma) for streams to alarm on these grids
-    @pytest.mark.parametrize("variant, grid, short_thresholds", [
-        (Variant.SOTA, np.arange(-40, 41) * 10e-6, (2.0, 2.0)),
-        (Variant.NTP, np.arange(-30, 31) * 1e-7, (1.0, 1.0))])
+    # grids on which some streams alarm, and some survive, within 30 batches
+    # of warmups of 200 and of 20, whose NTP references spread the most
+    @pytest.mark.parametrize("variant, grid", [(Variant.SOTA, np.arange(-40, 41) * 10e-6),
+                                               (Variant.NTP, np.arange(-30, 31) * 1e-6)])
     @pytest.mark.parametrize("seed, warmup", [(1, 200), (2, 200), (3, 20)])
     def test_streams_compact_to_the_live_ones_by_the_rule(self, monkeypatch, source, attacker_clock,
-                                                         matched_delta_t0, variant, grid, short_thresholds, seed,
-                                                         warmup):
+                                                         matched_delta_t0, variant, grid, seed, warmup):
         # bounds, exact: after a compaction the next step has exactly the
         # live streams; where the next step has as many as this one, the
         # rule's inequality was false
@@ -136,8 +146,7 @@ class TestCompaction:
 
         monkeypatch.setattr(harness, "_step", spy)
         attack = make_attack(matched_delta_t0, attacker_clock, start_batch=warmup + 1)
-        kappa, big_gamma = short_thresholds if warmup < 50 else (8.0, 5.0)
-        config = make_config(variant, sensitivity=kappa, detection_threshold=big_gamma)
+        config = make_config(variant)
         curve = monte_carlo_ps(source, attack, ExperimentConfig(ids=config, warmup_batches=warmup, trials=6,
                                                                 horizon=30, grid=grid, seed=seed))
         assert steps[0][0] == 6 * len(grid) and steps[0][1] == (20 if variant is Variant.SOTA else 1)
@@ -308,7 +317,7 @@ class TestConsistency:
         trace = synthesize_trace(schedule, ClockSpec(skew=ppm(100), jitter_std=100e-6), NoiseModel(), 2010, seed=3)
         result = consistency_study(trace, MESSAGE_ID, [20, 40], make_config(Variant.NTP), PERIOD)
         for variant in Variant:
-            report = run_ids(trace, MESSAGE_ID, make_config(variant), warmup_batches=1, period=PERIOD)
+            report = run_ids(trace, MESSAGE_ID, make_config(variant), warmup_batches=2, period=PERIOD)
             assert result.cases[variant.value][2].skews_ppm == (report.final_state.rls.skew * 1e6,)
 
     def test_each_fit_runs_once(self, schedule, monkeypatch):

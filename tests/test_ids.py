@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canskew import _digits, ids
-from canskew.attacks import AttackSpec, attack_arrivals, compute_delta_t0
+from canskew.attacks import AttackSpec, attack_arrivals, cloaked_trace, compute_delta_t0
 from canskew.clock import (
     ClockSpec,
     InsufficientDataError,
@@ -60,10 +60,10 @@ def csv_one_by_one(report):
 
 
 def seeded_cusum(errors):
-    """A CUSUM state whose references are ``errors``, which seed them at
-    the first armed error."""
+    """A CUSUM state whose references are ``errors``, which seed them
+    unarmed."""
     state = CusumState()
-    cusum_stage(state, errors[:-1], errors[-1:], 0, make_config(Variant.NTP))
+    cusum_stage(state, errors, len(errors), make_config(Variant.NTP))
     return state
 
 
@@ -207,7 +207,7 @@ class TestRls:
 
 def cusum_errors(cusum, errors, **config):
     """The CUSUM stage over ``errors``, all armed; returns its columns."""
-    return cusum_stage(cusum, [], errors, 0, make_config(Variant.NTP, **config))
+    return cusum_stage(cusum, errors, 0, make_config(Variant.NTP, **config))
 
 
 class TestCusum:
@@ -236,18 +236,29 @@ class TestCusum:
 
     def test_unready_reference_bootstraps(self):
         config = make_config(Variant.NTP)
-        # unarmed: errors are held back until CUSUM_BOOTSTRAP_BATCHES of them seed the references
-        cusum, held = CusumState(), []
+        # unarmed: the first CUSUM_BOOTSTRAP_BATCHES errors seed the references unscored
+        cusum = CusumState()
         errors = np.random.default_rng(3).normal(0.0, 1.0, CUSUM_BOOTSTRAP_BATCHES + 5)
-        e_n, _, _, alarm = cusum_stage(cusum, held, errors, len(errors), config)
+        e_n, _, _, alarm = cusum_stage(cusum, errors, len(errors), config)
         assert np.isnan(e_n[:CUSUM_BOOTSTRAP_BATCHES]).all() and not np.isnan(e_n[CUSUM_BOOTSTRAP_BATCHES:]).any()
         assert list(cusum.reference_errors)[:CUSUM_BOOTSTRAP_BATCHES] == errors[:CUSUM_BOOTSTRAP_BATCHES].tolist()
-        assert held == [] and not alarm.any()
-        # armed: two held-back errors are enough
-        cusum, held = CusumState(), []
-        e_n, _, _, _ = cusum_stage(cusum, held, [1.0, 2.0, 3.0], 1, config)
+        assert not alarm.any()
+        # armed after two: the unarmed errors alone are the references, and every armed error is scored
+        cusum = CusumState()
+        e_n, _, _, _ = cusum_stage(cusum, [1.0, 2.0, 3.0], 2, config)
         assert np.isnan(e_n[:2]).all() and e_n[2] == pytest.approx((3.0 - 1.5) / np.std([1.0, 2.0], ddof=1))
-        assert list(cusum.reference_errors)[:2] == [1.0, 2.0] and held == []
+        assert list(cusum.reference_errors)[:2] == [1.0, 2.0]
+        # armed after fewer than two: refused, naming the warmup
+        for armed_from in (0, 1):
+            with pytest.raises(ValueError, match=f"^a warmup of {armed_from} batches leaves {armed_from} CUSUM "
+                                                 "reference errors; arming needs at least 2$"):
+                cusum_stage(CusumState(), [1.0, 2.0, 3.0], armed_from, config)
+
+    def test_one_unarmed_error_joins_with_sigma_zero(self):
+        # a column cut after its first error carries a one-error set on
+        cusum = CusumState()
+        cusum_stage(cusum, [1.5], 5, make_config(Variant.NTP))
+        assert (cusum.reference_errors, cusum.count, cusum.mu_cusum, cusum.sigma_cusum) == ([1.5], 1, 1.5, 0.0)
 
     def test_no_reference_update_above_gamma(self):
         cusum = seeded_cusum([0.0, 1.0, -1.0, 0.5, -0.5])
@@ -260,34 +271,33 @@ class TestCusum:
 def cusum_run(errors, armed_from, config, splits=(), block=None):
     """``cusum_stage`` over ``errors`` from a fresh state, called once per
     piece of the column cut at ``splits`` with the state carried over; with
-    ``block=0`` every error takes the per-batch body. Returns the columns,
-    the state and the held-back errors."""
-    cusum, held, parts = CusumState(), [], []
+    ``block=0`` every error takes the per-batch body. Returns the columns
+    and the state."""
+    cusum, parts = CusumState(), []
     bounds = [0, *splits, len(errors)]
     with pytest.MonkeyPatch.context() as patch:
         if block is not None:
             patch.setattr(ids, "CUSUM_BLOCK", block)
         for a, b in zip(bounds[:-1], bounds[1:]):
-            parts.append(cusum_stage(cusum, held, errors[a:b], armed_from - a, config))
-    return [np.concatenate(column) for column in zip(*parts)], cusum, held
+            parts.append(cusum_stage(cusum, errors[a:b], armed_from - a, config))
+    return [np.concatenate(column) for column in zip(*parts)], cusum
 
 
 def assert_same_cusum(got, want):
-    """Columns, state fields (value and type), references and held-back
-    errors equal bit for bit."""
+    """Columns, state fields (value and type) and references equal bit for
+    bit."""
     for name, a, b in zip(("e_n", "l_plus", "l_minus", "alarm"), got[0], want[0]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     for name in ("mu_cusum", "sigma_cusum", "l_plus", "l_minus", "evicted", "count", "ref_sum", "ref_sumsq"):
         a, b = getattr(got[1], name), getattr(want[1], name)
         assert type(a) is type(b) and repr(a) == repr(b), name
     assert got[1].errors == want[1].errors and all(type(e) is float for e in got[1].errors)
-    assert got[2] == want[2]
 
 
 @st.composite
 def cusum_cases(draw):
-    """A column of identification errors with what breaks a block: held-back
-    errors and any arming point, scattered outliers past gamma, a stretch
+    """A column of identification errors with what breaks a block: seeding
+    errors and any arming point from 2 on, scattered outliers past gamma, a stretch
     shifted by 5.5 to 20 reference sigmas (gamma <= |e_n| < kappa, or
     alarms), ties from quantization, and sometimes more errors than the
     reference cap, which is then small or the real one."""
@@ -308,14 +318,14 @@ def cusum_cases(draw):
                          update_threshold=draw(st.sampled_from([1.0, 4.0, 10.0])),
                          detection_threshold=draw(st.sampled_from([0.5, 5.0, 50.0])))
     splits = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
-    return cap, errors, draw(st.integers(0, n + 5)), config, splits
+    return cap, errors, draw(st.integers(2, n + 5)), config, splits
 
 
 def count_cusum_paths(monkeypatch):
     """Count the block attempts and the per-batch bodies of ``cusum_stage``
     from here on."""
     calls = {"blocks": 0, "bodies": 0}
-    block, limits, held_back = ids._cusum_block, ids._limits, ids._held_back
+    block, limits = ids._cusum_block, ids._limits
 
     def counted_block(*args):
         calls["blocks"] += 1
@@ -325,13 +335,8 @@ def count_cusum_paths(monkeypatch):
         calls["bodies"] += isinstance(e, float)
         return limits(e, *args)
 
-    def counted_held_back(*args):
-        calls["bodies"] += 1
-        return held_back(*args)
-
     monkeypatch.setattr(ids, "_cusum_block", counted_block)
     monkeypatch.setattr(ids, "_limits", counted_limits)
-    monkeypatch.setattr(ids, "_held_back", counted_held_back)
     return calls
 
 
@@ -371,9 +376,9 @@ class TestCusumBlockPath:
         config = make_config(Variant.NTP, update_threshold=1e300, sensitivity=1e300)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ids, "REFERENCE_CAP", 3)
-            want = cusum_run(errors, 0, config, block=0)
+            want = cusum_run(errors, 2, config, block=0)
             assert np.isnan(want[1].ref_sumsq)
-            assert_same_cusum(cusum_run(errors, 0, config), want)
+            assert_same_cusum(cusum_run(errors, 2, config), want)
 
 
 class TestCusumBlockCost:
@@ -381,18 +386,19 @@ class TestCusumBlockCost:
     pass if it were turned off."""
 
     def test_clean_column_takes_the_body_only_to_bootstrap(self, monkeypatch):
+        # the unarmed errors that seed the references take no body at all
         errors = np.clip(np.random.default_rng(1).normal(0.0, 1e-5, 2000), -3e-5, 3e-5)
         calls = count_cusum_paths(monkeypatch)
-        cusum_stage(CusumState(), [], errors, 1000, make_config(Variant.NTP))
-        assert calls["bodies"] <= CUSUM_BOOTSTRAP_BATCHES + 2 and calls["blocks"] <= 3, calls
+        cusum_stage(CusumState(), errors, 1000, make_config(Variant.NTP))
+        assert calls["bodies"] <= 2 and calls["blocks"] <= 3, calls
 
     def test_sparse_outliers_cost_one_short_stretch_each(self, monkeypatch):
         # after a block that runs to its end, the next early end starts the backoff over
         errors = np.clip(np.random.default_rng(2).normal(0.0, 1e-5, 12_000), -3e-5, 3e-5)
         errors[1500::1500] = 1e-4
         calls = count_cusum_paths(monkeypatch)
-        cusum_stage(CusumState(), [], errors, 1000, make_config(Variant.NTP))
-        assert calls["bodies"] <= CUSUM_BOOTSTRAP_BATCHES + 7 * (ids._BACKOFF_FIRST + 2), calls
+        cusum_stage(CusumState(), errors, 1000, make_config(Variant.NTP))
+        assert calls["bodies"] <= 7 * (ids._BACKOFF_FIRST + 2), calls
 
     @pytest.mark.parametrize("every", [1, 2], ids=["every-error", "every-other-error"])
     def test_column_where_every_block_ends_at_once(self, monkeypatch, every):
@@ -402,13 +408,13 @@ class TestCusumBlockCost:
         errors = np.concatenate([rng.normal(0.0, 1e-5, 60), rng.normal(0.0, 1e-5, k)])
         errors[60::every] = 5.5e-5 + rng.normal(0.0, 1e-9, len(errors[60::every]))
         calls = count_cusum_paths(monkeypatch)
-        cusum_stage(CusumState(), [], errors, 1000, make_config(Variant.NTP))
+        cusum_stage(CusumState(), errors, 1000, make_config(Variant.NTP))
         assert calls["blocks"] <= math.log2(k), calls
 
     def test_kappa_zero_column(self, monkeypatch):
         errors = np.random.default_rng(4).normal(0.0, 1e-5, 10_000)
         calls = count_cusum_paths(monkeypatch)
-        cusum_stage(CusumState(), [], errors, 1000, make_config(Variant.NTP, sensitivity=0.0))
+        cusum_stage(CusumState(), errors, 1000, make_config(Variant.NTP, sensitivity=0.0))
         assert calls["blocks"] <= math.log2(len(errors)), calls
 
 
@@ -492,32 +498,33 @@ class TestRunIds:
             "1,-4.47499999999e-05,4.47499999999e-05,0.499856,8.95254252966e-05,4.47499999999e-05,,0,0,0\n"
             "2,6.775e-05,0.0001125,0.999915,0.00010791605262,2.29821843645e-05,,0,0,0\n"
             "3,-7.07500000001e-05,0.00018325,1.499844,0.000117087434031,2.1392755975e-05,,0,0,0\n"
-            "4,2.75000000005e-06,0.000186,1.999794,0.000104241528068,-4.81507480496e-05,,0,0,0\n"
+            "4,2.75000000005e-06,0.000186,1.999794,0.000104241528068,"
+            "-4.81507480496e-05,-5.96589070723,0,5.46589070723,1\n"
             "5,-1.99999999995e-06,0.000188,2.499714,9.10388513362e-05,"
-            "-7.25740070939e-05,-2.05189179559,0,1.55189179559,0\n"
+            "-7.25740070939e-05,-7.83730414804,0,12.8031948553,1\n"
             "6,-1.47499999998e-05,0.00020275,2.999687,8.17571146225e-05,"
-            "-7.03380588482e-05,-1.25706049776,0,2.30895229335,1\n"
+            "-7.03380588482e-05,-7.66597633333,0,19.9691711886,1\n"
             "7,3.34999999998e-05,0.00023625,3.499681,7.67656764493e-05,"
-            "-4.98738206596e-05,-0.626179462566,0,2.43513175592,1\n"
+            "-4.98738206596e-05,-6.09791982078,0,25.5670910094,1\n"
             "8,-1.00000000003e-05,0.00024625,3.999588,7.19941206959e-05,"
-            "-6.07810783386e-05,-0.789373918142,0,2.72450567406,1\n"
+            "-6.07810783386e-05,-6.93368005187,0,32.0007710612,1\n"
             "9,0.00049875,0.000745,4.500311,9.86137407471e-05,0.000421004066697,"
-            "9.34612917554,8.84612917554,0,1\n"
+            "29.9827361548,29.4827361548,1.51803490646,1\n"
             "10,0.000108,0.000853,5.001294,0.000117328681376,0.000359803690084,"
-            "8.06816998908,16.4142991646,0,1\n"
+            "25.2933043648,54.2760405196,0,1\n"
             "11,-2.97499999997e-05,0.000882749999999,5.502227,0.000127654974703,"
-            "0.000237180961457,5.50761642407,21.4219155887,0,1\n"
+            "0.000237180961457,15.8974320906,69.6734726102,0,1\n"
             "12,-1.87500000006e-05,0.0009015,6.00324,0.000132652543092,"
-            "0.000135156549661,3.37718779745,24.2991033861,0,1\n"
+            "0.000135156549661,8.07989000176,77.2533626119,0,1\n"
             "13,-4.94999999994e-05,0.000950999999999,6.504152,0.000135456942739,"
-            "8.82076965455e-05,1.38119213102,25.1802955172,0,1\n"
+            "8.82076965455e-05,4.48247023921,81.2358328511,0,1\n"
         ),
         Variant.NTP: (
             "batch,o_avg,o_acc,t,skew,e,e_n,l_plus,l_minus,alarm\n"
             "1,2.88e-05,0.000144,0.499856,0.00028808181548,0.000144,,0,0,0\n"
             "2,-1.18e-05,8.49999999999e-05,0.999915,0.000125592837283,-0.000203057328526,,0,0,0\n"
             "3,1.42e-05,0.000156,1.499844,0.000111715498154,-3.23696634425e-05,,0,0,0\n"
-            "4,9.99999999998e-06,0.000206,1.999794,0.000107071306307,-1.74079829155e-05,,0,0,0\n"
+            "4,9.99999999998e-06,0.000206,1.999794,0.000107071306307,-1.74079829155e-05,0.0753022412261,0,0,0\n"
             "5,1.6e-05,0.000286,2.499714,0.000110409970403,1.83523566263e-05,0.321209185011,0,0,0\n"
             "6,5.40000000004e-06,0.000313,2.999687,0.000108008930658,"
             "-1.81953528889e-05,-0.000793697132824,0,0,0\n"
@@ -551,7 +558,7 @@ class TestRunIds:
         assert report.to_csv() == csv_one_by_one(report)
 
     def test_csv_rows_across_chunks(self):
-        # bootstrap rows, quiet rows and alarms, over two chunks of rows
+        # rows without e_n, quiet rows and alarms, over two chunks of rows
         rng = np.random.default_rng(3)
         n = _digits.CHUNK_ROWS + 37
         floats = [rng.normal(size=n) * 10.0 ** rng.integers(-9, 4, n) for _ in range(5)]
@@ -562,9 +569,9 @@ class TestRunIds:
         assert len(list(_digits.table([report.batch, *floats], ()))) == 2
         assert report.to_csv() == csv_one_by_one(report)
 
-    @pytest.mark.parametrize("variant, first_alarm", [(Variant.SOTA, 6), (Variant.NTP, 9)])
+    @pytest.mark.parametrize("variant, first_alarm", [(Variant.SOTA, 4), (Variant.NTP, 9)])
     def test_pinned_csv(self, variant, first_alarm):
-        # bootstrap rows carry no e_n; the clock runs off from batch 9 on
+        # the 3 unarmed rows seed the references and carry no e_n; the clock runs off from batch 9 on
         trace = synthesize_trace(MessageSchedule(0x185, 0.1, start_time=1.0),
                                  ClockSpec(skew=ppm(100), jitter_std=25e-6),
                                  NoiseModel(quantization_step=1e-6), 5 * 14, seed=3)
@@ -574,6 +581,20 @@ class TestRunIds:
         report = run_ids(Trace(times=times, ids=trace.ids), 0x185, config, 3, period=0.1)
         assert report.first_alarm_batch == first_alarm
         assert report.to_csv() == self.PINNED_CSV[variant]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("delta_t", [-4e-3, 4e-3])
+    def test_short_warmup_alarms_at_the_first_attack_batch(self, target_clock, attacker_clock, matched_delta_t0,
+                                                           variant, delta_t):
+        # 20 unarmed errors are the references; the attack's errors are scored against them, not added first
+        warmup = 20
+        spec = AttackSpec(delta_t0=matched_delta_t0, delta_t=delta_t, start_batch=warmup + 1, attack_batches=30,
+                          attacker_clock=attacker_clock)
+        schedule = MessageSchedule(0x185, 0.1)
+        trace = cloaked_trace(spec, schedule, target_clock, NoiseModel(), (warmup + 1) * 20, 20, seed=3)
+        report = run_ids(trace, 0x185, make_config(variant), warmup, period=0.1)
+        assert report.final_state.cusum.count == warmup
+        assert report.first_alarm_batch == warmup + 1
 
     def test_alarm_iff_limit_exceeds_threshold(self):
         rng = np.random.default_rng(8)
@@ -684,7 +705,7 @@ class TestIdsStreams:
         kappa=st.floats(0.0, 10.0),
         big_gamma=st.floats(0.5, 10.0),
         gamma=st.floats(0.5, 6.0),
-        warmup=st.integers(0, 80),  # below 50 the reference set is still bootstrapping
+        warmup=st.integers(2, 80),  # below 50 the unarmed errors alone are the references
         trials=st.integers(1, 3),
         shared_base=st.booleans(),
         vary=st.sampled_from(["delta_t", "mistiming"]),
@@ -733,16 +754,16 @@ class TestIdsStreams:
         bases, singles = [], {None: [], 0: []}
         for m in mids:
             cusum = CusumState()
-            cusum_stage(cusum, [m * (1 + 1e-9)], [m * (1 - 1e-9)], 0, config)
+            cusum_stage(cusum, [m * (1 + 1e-9), m * (1 - 1e-9)], 2, config)
             bases.append(dataclasses.replace(warm, cusum=cusum))
             for block, alone in singles.items():
                 alone.append(copy.deepcopy(cusum))
                 with pytest.MonkeyPatch.context() as patch:
                     if block is not None:
                         patch.setattr(ids, "CUSUM_BLOCK", block)
-                    cusum_stage(alone[-1], [], [m], 0, config)
+                    cusum_stage(alone[-1], [m], 0, config)
         streams = _branch(bases, np.arange(len(bases)), 1)
-        _cusum_streams(streams.cusum, streams._bootstrap_errors, np.array(mids), config)
+        _cusum_streams(streams.cusum, np.array(mids), config)
         for alone in singles.values():
             assert streams.cusum.mu_cusum.tolist() == [c.mu_cusum for c in alone]
             assert streams.cusum.sigma_cusum.tolist() == [c.sigma_cusum for c in alone]
@@ -780,11 +801,9 @@ class TestIdsStreams:
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_keep_takes_the_kept_streams_of_every_field(self, variant):
-        # under 50 warmup batches the bases still hold back their errors, so the streams have bootstrap rows
         config = make_config(variant)
         bases = [warm_state(config, 20, seed=s) for s in (1, 2)]
         streams = _branch(bases, np.array([0, 1, 1, 0, 1, 0]), 5)
-        assert len(streams._bootstrap_errors) == 20
         refs, want = streams.cusum.errors, copy.deepcopy(streams)
         kept = np.array([0, 2, 3, 5])
         mask = np.isin(np.arange(6), kept)
@@ -795,8 +814,6 @@ class TestIdsStreams:
                 if isinstance(value, np.ndarray):
                     value = value[mask]
                 assert np.array_equal(state_field(streams, path, name), value), (path, name)
-        assert all(np.array_equal(got, row[mask]) for got, row in zip(streams._bootstrap_errors,
-                                                                      want._bootstrap_errors, strict=True))
         assert streams.cusum.errors is refs and np.array_equal(refs, want.cusum.errors)
 
     @pytest.mark.parametrize("variant", list(Variant))
@@ -826,7 +843,7 @@ class TestIdsStreams:
             _step(streams, batch)
 
     @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("warmup", [20, 60])  # under 50 the bases still hold back their errors
+    @pytest.mark.parametrize("warmup", [20, 60])  # under 50 the unarmed errors alone are the references
     def test_zero_streams_step_to_empty_rows(self, variant, warmup):
         config = make_config(variant)
         streams = _branch([warm_state(config, warmup, seed=1)], np.zeros(0, dtype=int), 1)
@@ -835,14 +852,22 @@ class TestIdsStreams:
         assert rows[-1].dtype == bool
 
     @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("warmup", [0, 60])  # from 0, the set seeds at the second attack batch
+    @pytest.mark.parametrize("warmup", [0, 20, 60])  # under 50 the unarmed errors alone are the references
     def test_one_stream_steps_as_detect(self, variant, warmup):
         config = make_config(variant)
         horizon = 30
+        base_arrivals = warm_arrivals(config, warmup, seed=3)
         arrivals0 = np.array([cloak_arrivals(config, warmup, horizon, seed=4)])
+        if warmup < 2:  # neither path arms a set of fewer than two references
+            refused = f"^a warmup of {warmup} batches leaves {warmup} CUSUM reference errors; arming needs at least 2$"
+            with pytest.raises(ValueError, match=refused):
+                run_on(np.concatenate([base_arrivals, arrivals0[0]]), config, warmup)
+            with pytest.raises(ValueError, match=refused):
+                _branch([run_on(base_arrivals, config, warmup).final_state], np.zeros(1, dtype=int), horizon)
+            return
         shift_units = _grid_shift_units(AttackSpec(delta_t0=0.0), "delta_t", horizon * config.batch_size)
-        assert_streams_match_run_ids(config, warmup, [warm_arrivals(config, warmup, seed=3)], np.zeros(1, dtype=int),
-                                     arrivals0, shift_units, np.zeros(1), 0.0, horizon)
+        assert_streams_match_run_ids(config, warmup, [base_arrivals], np.zeros(1, dtype=int), arrivals0, shift_units,
+                                     np.zeros(1), 0.0, horizon)
 
     def test_bases_left_unchanged(self):
         config = make_config(Variant.NTP)

@@ -100,7 +100,7 @@ class TestIdsInvariants:
 class TestSnapshotInvariants:
     @given(variant=st.sampled_from(list(Variant)),
            lam=st.floats(min_value=0.9, max_value=1.0),
-           warmup=st.integers(min_value=1, max_value=80),
+           warmup=st.integers(min_value=2, max_value=80),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_history_form_gives_the_same_forecasts(self, variant, lam, warmup, seed):
@@ -164,7 +164,7 @@ class TestFormalInvariants:
         unit = sigma / 20
         snap = Snapshot(config=make_config(Variant.SOTA), period=0.1, mu=0.1, sigma=sigma,
                         prev_batch_mean=0.1 + gap * unit, o_acc=0.0, t=200.0, skew=skew, mu_cusum=0.0,
-                        sigma_cusum=ratio * sigma, reference_errors=())
+                        sigma_cusum=ratio * sigma, reference_errors=(-1.0, 1.0))
         snap = replace(snap, mu_cusum=float(sota_initial_error(snap, 0.0)[0]) - sign * shift * snap.sigma_cusum)
         grid = np.sort(np.array(steps) * unit)
         scalars = [sota_success_prob(snap, dt) for dt in grid.tolist()]
