@@ -2,11 +2,13 @@
 
 The SOTA detector gets a closed-form Gaussian bound on the first-batch
 normalized error plus a linear decay rate; the NTP detector gets a
-deterministic state forecast feeding a backward recursion over the joint
-CUSUM control-limit state. Each model takes a curve's whole delta-T grid in
-one array pass, and each point comes out exactly as it would alone: the
-closed form on (G,) arrays, the forecast and the recursion stepping the
-horizon's batches once over every grid point together.
+deterministic forecast, the detector's own step (``ids._step``) run on the
+expected arrivals from a snapshot of its state, feeding a backward recursion
+over the joint CUSUM control-limit state. Each model takes a curve's whole
+delta-T grid in one array pass, and each point comes out exactly as it would
+alone: the closed form on (G,) arrays, the forecast and the recursion
+stepping the horizon's batches once over every grid point together.
+A snapshot keeps of the RLS's past what the step reads: the skew and P.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SuccessCurve
-from .ids import _ARRAY_OPS, _SIGMA_FLOOR, REFERENCE_CAP, IdsConfig, Variant, _add_references, rls_stage
+from .ids import (_SIGMA_FLOOR, REFERENCE_CAP, RLS_INITIAL_P, CusumState, IdsConfig, IdsState, RlsState, Variant,
+                  _branch, _step, rls_stage)
 
 __all__ = [
     "Snapshot",
@@ -63,8 +66,9 @@ class Snapshot:
     mu_cusum: float
     sigma_cusum: float
     reference_errors: tuple
-    ot_sum: float = 0.0       # lambda-weighted sum of O_acc * t over batches 1..m-1
-    tt_sum: float = 0.0       # lambda-weighted sum of t * t over batches 1..m-1
+    # RLS inverse-covariance scalar P[m-1], which the NTP forecast steps on;
+    # None from a file written before snapshots carried it (see snapshot_from_csv)
+    gain_denominator: float | None = None
     start_batch: int = 1      # m
 
     def __post_init__(self):
@@ -72,12 +76,15 @@ class Snapshot:
         # read as they are used. Written so that NaN fails each check
         if len(self.reference_errors) < 2:  # as arming the detector needs
             raise ValueError(f"snapshot requires at least 2 reference errors, got {len(self.reference_errors)}")
+        if not self.start_batch >= 1:  # batch 0 initializes the detector
+            raise ValueError(f"snapshot requires start_batch >= 1, got {self.start_batch}")
         if not (self.period is None or 0.0 < self.period < math.inf):
             raise ValueError(f"snapshot requires a finite period > 0 or none, got {self.period}")
-        for name in ("sigma", "sigma_cusum"):
+        positive = ("mu", "t", "sigma", "sigma_cusum") + (() if self.gain_denominator is None else ("gain_denominator",))
+        for name in positive:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"snapshot requires a finite {name} > 0, got {getattr(self, name)}")
-        for name in ("mu", "mu_cusum", "prev_batch_mean", "o_acc", "t", "skew", "ot_sum", "tt_sum"):
+        for name in ("mu_cusum", "prev_batch_mean", "o_acc", "skew"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"snapshot requires a finite {name}, got {getattr(self, name)}")
 
@@ -161,8 +168,7 @@ def take_snapshot(report, state, m):
         mu_cusum=state.cusum.mu_cusum,
         sigma_cusum=state.cusum.sigma_cusum,
         reference_errors=tuple(state.cusum.reference_errors),
-        ot_sum=state.rls.ot_sum,
-        tt_sum=state.rls.tt_sum,
+        gain_denominator=state.rls.gain_denominator,
         start_batch=m,
     )
 
@@ -218,63 +224,46 @@ def sota_success_prob(snapshot, delta_t):
 
 def ntp_forecast(snapshot, delta_t_grid, horizon):
     """Forecast the NTP detector's state over ``horizon`` attack batches, for
-    every delta-T of a 1-d grid.
+    every delta-T of a 1-d grid, by running the detector itself.
 
-    Noise terms are taken at their means, the RLS output is approximated by
-    the lambda-weighted least-squares slope, which starts from the
-    snapshot's sums over batches 1..m-1 and takes in each forecast batch,
-    and each forecast error joins the CUSUM references by the detector's
-    rules (``ids._limits``' e_n, the strict gate, ``ids._add_references``).
-    The batches are stepped once over (G,) arrays, and each row comes out
-    exactly as a one-point grid gives it.
+    The snapshot's state is branched once per grid point (``ids._branch``)
+    and advanced by ``ids._step`` on each attack batch's last arrival, with
+    the noise terms at their means: batch j of the attack (j = 0..H-1) ends
+    at t + (j+1) N (mu + delta-T), anchored at the snapshot's last warmup
+    arrival t. The reference set starts from the snapshot's references,
+    summed afresh, with both limits at 0. The columns are the step's rows
+    and, for mu_cusum_hat, sigma_cusum_hat and e_n_std, the state before
+    each step; each row comes out exactly as a one-point grid gives it.
     """
     delta_t = np.asarray(delta_t_grid, dtype=np.float64)
     if delta_t.ndim != 1:
         raise ValueError(f"NTP forecast takes a 1-d delta-T grid, got shape {delta_t.shape}")
+    if snapshot.config.variant is not Variant.NTP:
+        raise ValueError(f"NTP forecast requires a snapshot of the NTP detector, got {snapshot.config.variant.value}")
     if snapshot.period is None:
         raise ValueError("NTP forecast requires the nominal period in the snapshot")
-    if not snapshot.tt_sum > 0.0:
-        raise ValueError("NTP forecast requires the pre-attack least-squares sums ot_sum and tt_sum "
-                         f"(tt_sum must be > 0, got {snapshot.tt_sum})")
-    if horizon > REFERENCE_CAP:  # the set would evict forecast errors, which it does not keep
-        raise ValueError(f"NTP forecast takes at most {REFERENCE_CAP} batches, got {horizon}")
-    cfg = snapshot.config
-    n, lam = cfg.batch_size, cfg.rls_lambda
+    if snapshot.gain_denominator is None:
+        raise ValueError("NTP forecast requires the RLS gain_denominator, which the snapshot does not carry")
+    if not 1 <= horizon <= REFERENCE_CAP:  # past the cap the set would evict forecast errors
+        raise ValueError(f"NTP forecast takes at least 1 and at most {REFERENCE_CAP} batches, got {horizon}")
+    refs = snapshot.reference_errors
+    cusum = CusumState(mu_cusum=snapshot.mu_cusum, sigma_cusum=snapshot.sigma_cusum, errors=list(refs),
+                       count=len(refs), ref_sum=sum(refs), ref_sumsq=sum(e * e for e in refs))
+    base = IdsState(config=snapshot.config, period=snapshot.period, batch_index=snapshot.start_batch - 1,
+                    prev_batch_mean=snapshot.prev_batch_mean, prev_last_arrival=snapshot.t, o_acc=snapshot.o_acc,
+                    rls=RlsState(skew=snapshot.skew, gain_denominator=snapshot.gain_denominator), cusum=cusum)
+    state = _branch([base], np.zeros(delta_t.shape, dtype=np.intp), horizon)
+    n = snapshot.config.batch_size
     shifted = snapshot.mu + delta_t
-    drift = (snapshot.period - snapshot.mu) - delta_t  # per-period offset O, less delta-T
-    sigma_eta = snapshot.sigma / math.sqrt(2.0)
-    size = delta_t.shape
-    skew_hat, mu_hat, sigma_hat, e_n_mean = (np.empty(size + (horizon,)) for _ in range(4))
-    # a delta-T large enough to overflow gives non-finite densities the recursion refuses
+    rows, before = [], []
+    # a delta-T large enough to overflow stops at the step's guards
     with np.errstate(all="ignore"):
-        # t and O_acc of batches j = 1..H: t + j N (mu + delta-T) and O_acc + j N O
-        steps = np.arange(1, horizon + 1) * n
-        t_hat = snapshot.t + np.multiply.outer(shifted, steps)
-        o_hat = snapshot.o_acc + np.multiply.outer(drift, steps)
-        # the least-squares slope after each batch; batch j's error takes the one before it
-        ot, tt = o_hat * t_hat, t_hat * t_hat
-        a_sum, b_sum = np.full(size, snapshot.ot_sum), np.full(size, snapshot.tt_sum)
         for j in range(horizon):
-            a_sum = lam * a_sum + ot[:, j]
-            b_sum = lam * b_sum + tt[:, j]
-            skew_hat[:, j] = a_sum / b_sum
-        skew_prev = np.column_stack((np.full(size, snapshot.ot_sum / snapshot.tt_sum), skew_hat[:, :-1]))
-        e_hat = o_hat - skew_prev * t_hat
-
-        # the references, batch by batch; float counts, as in the detector's branched streams
-        ref = snapshot.reference_errors
-        refs, evicted = np.array(ref, dtype=np.float64), np.zeros(size, dtype=np.intp)
-        ref_n, ref_sum, ref_sumsq = (np.full(size, float(v)) for v in (len(ref), sum(ref), sum(e * e for e in ref)))
-        mu_c, sigma_c = np.full(size, snapshot.mu_cusum), np.full(size, snapshot.sigma_cusum)
-        for j in range(horizon):
-            mu_hat[:, j], sigma_hat[:, j] = mu_c, sigma_c
-            e_n = e_n_mean[:, j] = (e_hat[:, j] - mu_c) / np.maximum(sigma_c, _SIGMA_FLOOR)
-            update = np.abs(e_n) < cfg.update_threshold
-            evicted, ref_n, ref_sum, ref_sumsq, mu, sigma = _add_references(
-                refs, evicted, ref_n, ref_sum, ref_sumsq, ((update, e_hat[:, j]),), None, _ARRAY_OPS)
-            mu_c = np.where(update, mu, mu_c)
-            sigma_c = np.where(update, sigma, sigma_c)
-        e_n_std = np.abs(1.0 + skew_prev) * sigma_eta / np.maximum(sigma_hat, _SIGMA_FLOOR)
+            before.append((state.rls.skew, state.cusum.mu_cusum, state.cusum.sigma_cusum))
+            rows.append(_step(state, (snapshot.t + shifted * ((j + 1) * n))[:, None]))
+        o_hat, t_hat, skew_hat, e_hat, e_n_mean = (np.stack(column, axis=1) for column in list(zip(*rows))[1:6])
+        skew_prev, mu_hat, sigma_hat = (np.stack(column, axis=1) for column in zip(*before))
+        e_n_std = np.abs(1.0 + skew_prev) * (snapshot.sigma / math.sqrt(2.0)) / np.maximum(sigma_hat, _SIGMA_FLOOR)
     m = snapshot.start_batch
     return NtpForecast(delta_t=delta_t, batches=np.arange(m, m + horizon), t_hat=t_hat, o_acc_hat=o_hat,
                        skew_hat=skew_hat, e_hat=e_hat, mu_cusum_hat=mu_hat, sigma_cusum_hat=sigma_hat,
@@ -407,7 +396,7 @@ def success_curve(snapshot, delta_t_grid, horizon=60, recursion_cfg=None):
 _CONFIG_FLOATS = ("rls_lambda", "update_threshold", "detection_threshold", "sensitivity")
 _SCALAR_FIELDS = (
     "period", "mu", "sigma", "prev_batch_mean", "o_acc", "t", "skew",
-    "mu_cusum", "sigma_cusum",
+    "mu_cusum", "sigma_cusum", "gain_denominator",
 )
 
 
@@ -427,8 +416,7 @@ def snapshot_to_csv(snapshot):
     rows.append(("start_batch", snapshot.start_batch))
     rows += [(name, "" if getattr(snapshot, name) is None else repr(getattr(snapshot, name)))
              for name in _SCALAR_FIELDS]
-    rows += [("ot_sum", repr(snapshot.ot_sum)), ("tt_sum", repr(snapshot.tt_sum)),
-             ("reference_errors", references)]
+    rows.append(("reference_errors", references))
     return "".join(f"{key},{value}\n" for key, value in rows)
 
 
@@ -453,12 +441,26 @@ def _reference_errors(text):
         raise ValueError(f"snapshot field reference_errors: {exc}") from None
 
 
+def _older_gain_denominator(raw, lam, start_batch):
+    """The RLS P of a snapshot file from before snapshots carried it: from
+    the lambda-weighted tt_sum, as 1/P_k = lam/P_{k-1} + t_k^2 while tt_k =
+    lam tt_{k-1} + t_k^2 (the file's ot_sum is unread: its skew is the RLS
+    skew); from each batch's O_acc and t by the RLS stage's fold in older
+    files; else None, which the NTP forecast refuses."""
+    if "tt_sum" in raw:
+        return 1.0 / (float(raw["tt_sum"]) + lam ** (start_batch - 1) / RLS_INITIAL_P)
+    if "t_history" in raw or "o_acc_history" in raw:
+        t, o_acc = _floats(raw.get("t_history", "")), _floats(raw.get("o_acc_history", ""))
+        return rls_stage(t, o_acc, lam)[1].gain_denominator
+    return None
+
+
 def snapshot_from_csv(text):
     """Parse what ``snapshot_to_csv`` writes. The lines are split at their
     first comma rather than read with the csv module, whose per-field size
     limit a full 10 000-entry reference set exceeds. Older files write the
-    reference errors in decimal, and older still carry each batch's O_acc
-    and t in place of the sums; the RLS stage folds them."""
+    reference errors in decimal, and carry no gain_denominator line
+    (``_older_gain_denominator``)."""
     lines = text.splitlines()
     if not lines or lines[0] != "key,value":
         raise ValueError("expected header 'key,value'")
@@ -474,16 +476,13 @@ def snapshot_from_csv(text):
         config = IdsConfig(variant=Variant(raw["variant"]), batch_size=int(raw["batch_size"]),
                            **{name: float(raw[name]) for name in _CONFIG_FLOATS})
         kwargs = {"config": config, "start_batch": int(raw.get("start_batch", 1))}
+        if "gain_denominator" not in raw:
+            kwargs["gain_denominator"] = _older_gain_denominator(raw, config.rls_lambda, kwargs["start_batch"])
         for name in _SCALAR_FIELDS:
-            value = raw[name]
-            kwargs[name] = None if value == "" else float(value)
+            if name not in kwargs:
+                value = raw[name]
+                kwargs[name] = None if value == "" else float(value)
         kwargs["reference_errors"] = _reference_errors(raw.get("reference_errors", ""))
-        if "tt_sum" in raw:
-            kwargs["ot_sum"], kwargs["tt_sum"] = float(raw["ot_sum"]), float(raw["tt_sum"])
-        else:
-            t, o_acc = _floats(raw.get("t_history", "")), _floats(raw.get("o_acc_history", ""))
-            rls = rls_stage(t, o_acc, config.rls_lambda)[1]
-            kwargs["ot_sum"], kwargs["tt_sum"] = rls.ot_sum, rls.tt_sum
     except KeyError as exc:
         raise ValueError(f"snapshot file is missing field {exc}") from exc
     return Snapshot(**kwargs)

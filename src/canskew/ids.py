@@ -4,10 +4,11 @@ tracking, and CUSUM change detection, in two variants (SOTA and NTP-based).
 ``detect`` runs one stream through stage functions that loop over its
 batches. The Monte Carlo attack phase advances S streams branched from warm
 states (``_branch``), whose numeric state fields hold (S,) arrays, one batch
-at a time (``_step``). Both call the same per-batch helpers for each
-recurrence: the offsets, the RLS update, the CUSUM limits and the reference
-set's add, evict, mean and sigma, on Python floats in the loops and on (S,)
-arrays in the step.
+at a time (``_step``), and so does the NTP forecast (``formal.ntp_forecast``,
+one stream per delta-T, on expected arrivals). The loops and the step call
+the same per-batch helpers for each recurrence: the offsets, the RLS update,
+the CUSUM limits and the reference set's add, evict, mean and sigma, on
+Python floats in the loops and on (S,) arrays in the step.
 
 Both paths follow one arming rule: the unarmed errors seed the CUSUM
 reference set, unscored, until CUSUM_BOOTSTRAP_BATCHES of them have joined
@@ -97,11 +98,6 @@ class IdsConfig:
 class RlsState:
     skew: float = 0.0
     gain_denominator: float = RLS_INITIAL_P  # inverse-covariance scalar P
-    # lambda-weighted sums of O_acc * t and t * t, kept by rls_stage; the
-    # NTP forecast starts from them. None in branched streams (_branch),
-    # which _step advances without them
-    ot_sum: float | None = 0.0
-    tt_sum: float | None = 0.0
 
     def __post_init__(self):
         if np.less_equal(self.gain_denominator, 0.0).any():
@@ -274,8 +270,7 @@ def _add_references(refs, evicted, count, ref_sum, ref_sumsq, new, keep, ops):
     and sums, and the set's mu_cusum and sigma_cusum; with no pairs, those of
     the set as given (``_cusum_block`` passes the sums of every prefix of a
     block as arrays). A set of one error, which a column cut after its first
-    unarmed error carries, has sigma 0.0. ``formal.ntp_forecast`` adds its
-    errors with it too."""
+    unarmed error carries, has sigma 0.0."""
     mx, sqrt, any_ = ops
     for add, err in new:
         full = add & (count == REFERENCE_CAP)
@@ -341,10 +336,9 @@ def arrival_stage(batches, config, period=None):
 def rls_stage(t, o_acc, lam):
     """Stage 2: the scalar exponentially weighted RLS fit of O_acc = S * t
     over the columns ``t`` and ``o_acc``, batch by batch from the prior
-    (skew 0, P = RLS_INITIAL_P), which also keeps the lambda-weighted sums
-    of O_acc * t and t * t. It reads no CUSUM state. Returns the K+1 skews
-    (entry k is the estimate after batch k, entry 0 the prior's) and the
-    final ``RlsState``."""
+    (skew 0, P = RLS_INITIAL_P). It reads no CUSUM state. Returns the K+1
+    skews (entry k is the estimate after batch k, entry 0 the prior's) and
+    the final ``RlsState``."""
     t = np.asarray(t, dtype=np.float64)
     o_acc = np.asarray(o_acc, dtype=np.float64)
     if t.shape != o_acc.shape:
@@ -353,15 +347,13 @@ def rls_stage(t, o_acc, lam):
         raise ValueError(f"expected columns of t and O_acc, got shape {t.shape}")
     if (t <= 0.0).any():
         raise ValueError("elapsed time must be > 0")
-    skew, p, ot, tt = 0.0, RLS_INITIAL_P, 0.0, 0.0
+    skew, p = 0.0, RLS_INITIAL_P
     skews = [skew]
     put = skews.append
     for t_k, y in zip(t.tolist(), o_acc.tolist()):
         skew, p = _rls_update(skew, p, t_k, y, lam)
-        ot = lam * ot + y * t_k
-        tt = lam * tt + t_k * t_k
         put(skew)
-    return np.array(skews), RlsState(skew=skew, gain_denominator=p, ot_sum=ot, tt_sum=tt)
+    return np.array(skews), RlsState(skew=skew, gain_denominator=p)
 
 
 def cusum_stage(cusum, errors, armed_from, config):
@@ -530,9 +522,9 @@ def _branch(bases, base_index, horizon):
     are read, not kept or changed; each must hold two reference errors, as
     the streams' batches are armed.
 
-    The inter-arrival and least-squares sums, which only snapshots read,
-    are not carried. Counts are floats, as the reference sums that they
-    divide are: integer counts would be cast on every step."""
+    The inter-arrival sums, which only snapshots read, are not carried.
+    Counts are floats, as the reference sums that they divide are: integer
+    counts would be cast on every step."""
     if len({(b.config, b.period, b.batch_index) for b in bases}) > 1:
         raise ValueError("base states must share one detector config and period, and stand at the same batch")
     count = min(b.cusum.count for b in bases)
@@ -554,7 +546,7 @@ def _branch(bases, base_index, horizon):
            for name in ("mu_cusum", "sigma_cusum", "l_plus", "l_minus", "count", "ref_sum", "ref_sumsq")},
     )
     rls = RlsState(skew=per_stream([b.rls.skew for b in bases]),
-                   gain_denominator=per_stream([b.rls.gain_denominator for b in bases]), ot_sum=None, tt_sum=None)
+                   gain_denominator=per_stream([b.rls.gain_denominator for b in bases]))
     return IdsState(
         config=bases[0].config, period=bases[0].period, batch_index=bases[0].batch_index, rls=rls, cusum=cusum,
         **{name: per_stream([getattr(b, name) for b in bases])

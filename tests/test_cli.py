@@ -322,11 +322,12 @@ class TestBadInput:
         snap = tmp_path / "snap.csv"
         assert run_cli(["detect", "--input", str(trace), "--warmup", "5", "--snapshot-out", str(snap),
                         "--out", str(tmp_path / "r.csv")], capsys)[0] == 0
+        # a file with neither P, the least-squares sums nor the histories
         lines = snap.read_text().splitlines(keepends=True)
-        snap.write_text("".join(line for line in lines if not line.startswith(("ot_sum,", "tt_sum,"))))
+        snap.write_text("".join(line for line in lines if not line.startswith("gain_denominator,")))
         code, _, err = run_cli(["predict", "--model", "ntp", "--snapshot", str(snap),
                                 "--grid", "-1:1:1e-7", "--horizon", "3"], capsys)
-        assert code == 1 and "least-squares sums" in err
+        assert code == 1 and "requires the RLS gain_denominator" in err
 
 
 @pytest.fixture(scope="module")
@@ -365,11 +366,12 @@ class TestNonFiniteGrids:
         assert not out.exists()
 
     def test_overflowing_forecast_exits_1(self, capsys, tmp_path, snapshot):
-        # finite grid points whose forecast overflows give no density to recurse on
+        # finite grid points whose forecast overflows stop at the detector
+        # step's guards: at -1e308 the expected arrivals run backwards
         out, forecast = tmp_path / "curve.csv", tmp_path / "forecast.csv"
         code, _, err = run_cli(["predict", "--model", "ntp", "--snapshot", str(snapshot), "--grid=-1:1:1e308",
                                 "--horizon", "3", "--forecast-out", str(forecast), "--out", str(out)], capsys)
-        assert code == 1 and "error densities must be finite" in err
+        assert code == 1 and "error: elapsed time must be > 0" in err
         assert "Warning" not in err
         assert not out.exists() and not forecast.exists()
 
@@ -389,7 +391,7 @@ class TestNanConfig:
 
     @pytest.mark.parametrize("model", ["ntp", "sota"])
     @pytest.mark.parametrize("name", ["sigma", "sigma_cusum", "mu_cusum", "mu", "prev_batch_mean", "o_acc", "t",
-                                      "skew", "ot_sum", "tt_sum", "period"])
+                                      "skew", "gain_denominator", "period"])
     def test_predict_names_a_nan_snapshot_field(self, capsys, tmp_path, snapshot, sota_snapshot, model, name):
         lines = (snapshot if model == "ntp" else sota_snapshot).read_text().splitlines(keepends=True)
         edited = [f"{name},nan\n" if line.startswith(f"{name},") else line for line in lines]
@@ -411,6 +413,20 @@ class TestNanConfig:
                                 "--horizon", "3", "--out", str(tmp_path / "curve.csv")], capsys)
         assert code == 1 and "error: snapshot requires a finite period > 0 or none, got inf\n" in err
         assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("name, value", [("start_batch", "-5"), ("start_batch", "0"), ("mu", "-0.1"),
+                                             ("t", "-3.0"), ("gain_denominator", "0.0")])
+    def test_predict_refuses_an_impossible_scalar_writing_nothing(self, capsys, tmp_path, snapshot, name, value):
+        message = f"start_batch >= 1, got {value}" if name == "start_batch" else f"a finite {name} > 0, got {value}"
+        text = snapshot.read_text()
+        bad = tmp_path / "snap.csv"
+        bad.write_text(re.sub(rf"^{name},.*$", f"{name},{value}", text, count=1, flags=re.M))
+        assert bad.read_text() != text
+        out, forecast = tmp_path / "curve.csv", tmp_path / "forecast.csv"
+        code, _, err = run_cli(["predict", "--model", "ntp", "--snapshot", str(bad), "--grid=-1:1:1e-7",
+                                "--horizon", "3", "--forecast-out", str(forecast), "--out", str(out)], capsys)
+        assert code == 1 and f"error: snapshot requires {message}\n" in err
+        assert not out.exists() and not forecast.exists()
 
     def test_predict_refuses_a_nan_config(self, capsys, tmp_path, snapshot):
         text = snapshot.read_text()
@@ -531,10 +547,10 @@ class TestWorkflows:
         lines = forecast.read_text().splitlines()
         assert lines[0] == "delta_t,batch,t_hat,o_acc_hat,skew_hat,e_hat,mu_cusum_hat,sigma_cusum_hat,e_n_mean,e_n_std"
         assert len(lines) == 1 + 3 * 4
-        # the bytes written when each delta-T's rows came from its own
-        # one-point forecast and were prefixed with the delta-T
+        # the bytes of the forecast that steps the detector, one stream per
+        # delta-T, each row as a one-point grid gives it
         assert hashlib.sha256(forecast.read_bytes()).hexdigest() == \
-            "534b3b56fd970dd14a1f1d6c01f14f7f36e24c16651c839a61a22b44697d26cb"
+            "73c092c1fa6d521b4bd590322f4136023f428124767f97c2a912c9aa34de06dc"
 
     def test_predict_forecasts_each_delta_t_once(self, capsys, tmp_path, monkeypatch):
         trace, snap = tmp_path / "trace.log", tmp_path / "snap.csv"

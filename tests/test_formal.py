@@ -27,23 +27,23 @@ from canskew.formal import (
 )
 from canskew.clock import Trace
 from canskew.harness import ExperimentConfig, SyntheticSource, synthetic_warm_state
-from canskew.ids import REFERENCE_CAP, Variant, run_ids
+from canskew.ids import REFERENCE_CAP, Variant, rls_stage, run_ids
 from conftest import BAD_REFERENCE_ROWS, MESSAGE_ID, PERIOD, bad_reference_rows, make_config
 
 # The acceptance NTP curve (61 points of 0.1 us, horizon 60, M = 100) from
-# the seed-0 warmup of 1000 batches, as the recursion computed it when it
-# evaluated the dense (M+1) x M Gaussian kernels on every step and ran all 60
-# steps for every point. The 52 points outside the middle are exactly 0.
+# the seed-0 warmup of 1000 batches, from a forecast that steps the detector
+# (ids._step) and the recursion. The 52 points outside the middle are
+# exactly 0.
 PINNED_NTP_CURVE = [0.0] * 26 + [
-    1.0852999895550252e-125, 1.8019437448357257e-12, 0.9998110617134435,
-    0.9999999994752388, 0.9999999999999394, 0.9999999864594564,
-    0.7943833772046641, 1.3619675393308855e-55, 2.8367403174385378e-255,
+    1.0852999894717848e-125, 1.801943751483524e-12, 0.999811061713338,
+    0.9999999994752395, 0.9999999999999394, 0.9999999864594565,
+    0.7943833781993389, 1.3619675406702117e-55, 2.8367405390165607e-255,
 ] + [0.0] * 26
 
 # A snapshot file of an NTP run (N = 4, warmup 5, 8 batches) as written
-# before snapshots kept the least-squares sums: the O_acc and t of every batch
-# instead, and its forecast at delta-T = 0.1 us over 3 batches from the code
-# of that time.
+# before snapshots kept the RLS gain_denominator or the least-squares sums:
+# the O_acc and t of every batch instead, and its forecast at delta-T =
+# 0.1 us over 3 batches by the stepped detector.
 OLD_FORMAT_SNAPSHOT = """key,value
 variant,ntp
 batch_size,4
@@ -70,13 +70,13 @@ t_history,0.3999901346394354 0.7999613523467526 1.1999338265008128 1.59986272727
 """
 OLD_FORMAT_FORECAST = {
     "t_hat": [3.1996877722491295, 3.5996455226299577, 3.999603273010786],
-    "o_acc_hat": [0.00031222775087093074, 0.00035447737004276137, 0.000396726989214592],
-    "skew_hat": [9.112401874348691e-05, 9.321538279600878e-05, 9.476929309793748e-05],
-    "e_hat": [3.011477550761936e-05, 2.646320396872034e-05, 2.390243908872194e-05],
-    "mu_cusum_hat": [2.9450492641132604e-05, 2.953352799944345e-05, 2.919238088491866e-05],
-    "sigma_cusum_hat": [1.607734151068919e-05, 1.488657867759147e-05, 1.3962678067524983e-05],
-    "e_n_mean": [0.04131795459125511, -0.20624779522677164, -0.37886297819186293],
-    "e_n_std": [1.3217272905895858, 1.4274551786005771, 1.5219120686936483],
+    "o_acc_hat": [0.00031222775087086374, 0.00035447737004262736, 0.000396726989214391],
+    "skew_hat": [9.112401596004691e-05, 9.321538075867354e-05, 9.476929156519806e-05],
+    "e_hat": [3.0114788068840413e-05, 2.64632139879837e-05, 2.3902447237053668e-05],
+    "mu_cusum_hat": [2.9450492641132604e-05, 2.953352956959608e-05, 2.9192383393861368e-05],
+    "sigma_cusum_hat": [1.607734151068919e-05, 1.4886578747656954e-05, 1.3962677926453927e-05],
+    "e_n_mean": [0.04131873589088999, -0.20624722669039247, -0.37886257812946444],
+    "e_n_std": [1.3217272905843975, 1.4274551718781139, 1.5219120840670928],
 }
 
 def manual_snapshot(variant=Variant.SOTA, **overrides):
@@ -138,10 +138,13 @@ class TestSnapshot:
             manual_snapshot(sigma_cusum=0.0)
 
     @pytest.mark.parametrize("name, value", [
-        *((name, value) for name in ("sigma", "sigma_cusum") for value in (math.nan, math.inf, -1.0)),
-        *((name, value) for name in ("mu", "mu_cusum", "prev_batch_mean", "o_acc", "t", "skew", "ot_sum", "tt_sum")
+        *((name, value) for name in ("sigma", "sigma_cusum", "gain_denominator")
+          for value in (math.nan, math.inf, -1.0, 0.0)),
+        *((name, value) for name in ("mu", "t") for value in (math.nan, math.inf, -math.inf, -1.0, 0.0)),
+        *((name, value) for name in ("mu_cusum", "prev_batch_mean", "o_acc", "skew")
           for value in (math.nan, math.inf, -math.inf)),
         ("period", math.nan), ("period", 0.0), ("period", -0.1),
+        ("start_batch", 0), ("start_batch", -5),
     ])
     def test_refuses_a_bad_scalar_naming_it(self, name, value):
         with pytest.raises(ValueError, match=rf"^snapshot requires (a finite )?{name}\b.*, got {value}$"):
@@ -230,16 +233,36 @@ class TestSnapshot:
         assert "eta_last,0.0" in old and snapshot_from_csv(old) == ntp_snapshot
 
     def test_csv_carries_sums_not_histories(self, ntp_snapshot):
+        # of the RLS's past a snapshot keeps the skew and P, whose reciprocal
+        # is the lambda-weighted sum of t * t plus the prior's weight
         keys = [line.split(",", 1)[0] for line in snapshot_to_csv(ntp_snapshot).splitlines()]
-        assert "ot_sum" in keys and "tt_sum" in keys
-        assert "o_acc_history" not in keys and "t_history" not in keys
+        assert "gain_denominator" in keys
+        assert not {"ot_sum", "tt_sum", "o_acc_history", "t_history"} & set(keys)
         assert keys[-1] == "reference_errors"
 
     def test_sums_are_the_detector_sums(self, warm_states):
+        # the snapshot's P is the detector's, which the NTP forecast steps on
         state = warm_states[Variant.NTP]
         snap = take_snapshot(None, state, state.batch_index + 1)
-        assert (snap.ot_sum, snap.tt_sum) == (state.rls.ot_sum, state.rls.tt_sum)
-        assert snap.tt_sum > 0.0
+        assert snap.gain_denominator == state.rls.gain_denominator > 0.0
+
+    def test_sums_form_reads_back_the_detector_p(self, warm_trace):
+        # files written while snapshots kept the lambda-weighted sums give P
+        # as 1 / (tt_sum + lambda^(m-1) / RLS_INITIAL_P). Bound, set before
+        # the run: 1e-12 relative (the sum and the RLS recursion round
+        # differently over 300 batches)
+        config = make_config(Variant.NTP)
+        report = run_ids(warm_trace, MESSAGE_ID, config, 300, period=PERIOD)
+        snap = take_snapshot(report, report.final_state, 301)
+        ot = tt = 0.0
+        for t, o_acc in zip(report.t.tolist(), report.o_acc.tolist()):
+            ot, tt = config.rls_lambda * ot + o_acc * t, config.rls_lambda * tt + t * t
+        text = snapshot_to_csv(snap).replace(f"gain_denominator,{snap.gain_denominator!r}\n",
+                                             f"ot_sum,{ot!r}\ntt_sum,{tt!r}\n")
+        assert "gain_denominator" not in text
+        old = snapshot_from_csv(text)
+        assert old.gain_denominator == pytest.approx(snap.gain_denominator, rel=1e-12, abs=0)
+        assert replace(old, gain_denominator=snap.gain_denominator) == snap
 
     def test_old_format_reads_back(self):
         snap = snapshot_from_csv(OLD_FORMAT_SNAPSHOT)
@@ -427,12 +450,13 @@ class TestNtpForecast:
             assert o_hat == pytest.approx(k * n * PERIOD - t_hat + drift, abs=1e-9)
 
     def test_zero_offset_trivial_forecast(self):
-        # with lambda = 1 the least-squares sums are plain sums
+        # the RLS state of a line of zero offset, fitted with lambda = 1
         n, t_now = 20, 100 * 20 * PERIOD
         history_t = [k * n * PERIOD for k in range(1, 101)]
+        rls = rls_stage(history_t, [0.0] * len(history_t), 1.0)[1]
         snap = manual_snapshot(
             Variant.NTP, config=make_config(Variant.NTP, rls_lambda=1.0), mu=PERIOD, sigma=1e-6,
-            o_acc=0.0, t=t_now, ot_sum=0.0, tt_sum=sum(t * t for t in history_t), start_batch=101,
+            o_acc=0.0, t=t_now, skew=rls.skew, gain_denominator=rls.gain_denominator, start_batch=101,
         )
         fc = ntp_forecast(snap, [0.0], 5)
         assert np.allclose(fc.t_hat[0], [(101 + j) * n * PERIOD for j in range(5)], atol=1e-9)
@@ -441,15 +465,16 @@ class TestNtpForecast:
 
     def test_lambda_one_recovers_exact_slope(self):
         # with mu = T the forecast continues the exact line when
-        # delta_t = -slope*mu/(1+slope), so a perfect LS slope gives e_hat = 0
+        # delta_t = -slope*mu/(1+slope), so the RLS skew of the line, which
+        # the prior moves by 6e-12 of the slope, gives e_hat = 0
         n, slope = 20, 2e-4
         history_t = [k * n * PERIOD for k in range(1, 51)]
         history_o = [slope * t for t in history_t]
+        rls = rls_stage(history_t, history_o, 1.0)[1]
         snap = manual_snapshot(
             Variant.NTP, config=make_config(Variant.NTP, rls_lambda=1.0),
             mu=PERIOD, sigma=1e-6, o_acc=history_o[-1], t=history_t[-1],
-            ot_sum=sum(o * t for o, t in zip(history_o, history_t)),
-            tt_sum=sum(t * t for t in history_t), start_batch=51,
+            skew=rls.skew, gain_denominator=rls.gain_denominator, start_batch=51,
         )
         fc = ntp_forecast(snap, [-slope * PERIOD / (1 + slope)], 1)
         assert fc.e_hat[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -496,8 +521,9 @@ class TestNtpForecast:
         assert admitted >= horizon
 
     def test_horizon_within_reference_cap(self, ntp_snapshot):
-        with pytest.raises(ValueError, match=f"at most {REFERENCE_CAP} batches"):
-            ntp_forecast(ntp_snapshot, [0.0], REFERENCE_CAP + 1)
+        for horizon in (0, REFERENCE_CAP + 1):
+            with pytest.raises(ValueError, match=f"at least 1 and at most {REFERENCE_CAP} batches, got {horizon}$"):
+                ntp_forecast(ntp_snapshot, [0.0], horizon)
 
     @pytest.mark.parametrize("delta_t", [0.0, [[0.0, 1e-7]]], ids=["scalar", "2-d"])
     def test_grid_must_be_1d(self, ntp_snapshot, delta_t):
@@ -518,9 +544,17 @@ class TestNtpForecast:
                 assert int(fields[1]) == ntp_snapshot.start_batch + j
                 assert float(fields[9]) == pytest.approx(forecast.e_n_std[g, j], rel=1e-11)
 
+    def test_refuses_a_sota_snapshot(self, sota_snapshot):
+        # the forecast steps an NTP detector, which reads only batch-last arrivals
+        with pytest.raises(ValueError, match="^NTP forecast requires a snapshot of the NTP detector, got sota$"):
+            ntp_forecast(sota_snapshot, [0.0], 5)
+
     def test_requires_history(self):
+        # a snapshot without P, as a file with neither P, the sums nor the
+        # histories reads back
         snap = manual_snapshot(Variant.NTP)
-        with pytest.raises(ValueError, match="least-squares sums"):
+        assert snap.gain_denominator is None
+        with pytest.raises(ValueError, match="requires the RLS gain_denominator"):
             ntp_forecast(snap, [0.0], 5)
 
     def test_forecast_tracks_simulated_errors(self, ntp_snapshot, warm_trace, schedule,

@@ -24,6 +24,7 @@ from canskew.harness import _attack_phase, _grid_shift_units
 from canskew.ids import (
     CUSUM_BOOTSTRAP_BATCHES,
     REFERENCE_CAP,
+    RLS_INITIAL_P,
     CusumState,
     DetectionReport,
     IdsConfig,
@@ -197,12 +198,14 @@ class TestRls:
             rls_stage([1.0, 2.0], [1.0], 1.0)
 
     def test_lambda_one_sums_are_plain_sums(self):
+        # 1/P_k = lambda/P_{k-1} + t_k^2: at lambda = 1, 1/P is the plain sum
+        # of t * t plus the prior's weight, and skew/P that of O_acc * t
         rng = np.random.default_rng(3)
         t = np.cumsum(rng.uniform(0.5, 1.5, 100))
         y = 2e-5 * t + rng.normal(0.0, 1e-6, 100)
         _, rls = rls_stage(t, y, 1.0)
-        assert rls.ot_sum == pytest.approx(float(np.dot(y, t)), rel=1e-12)
-        assert rls.tt_sum == pytest.approx(float(np.dot(t, t)), rel=1e-12)
+        assert 1.0 / rls.gain_denominator == pytest.approx(float(np.dot(t, t)) + 1.0 / RLS_INITIAL_P, rel=1e-12)
+        assert rls.skew / rls.gain_denominator == pytest.approx(float(np.dot(y, t)), rel=1e-12)
 
 
 def cusum_errors(cusum, errors, **config):
@@ -484,7 +487,7 @@ class TestRunIds:
             report = run_ids(trace, 1, make_config(variant), warmup_batches=10, period=0.1)
             state = report.final_state
             assert state.elapsed == report.t[-1] and state.o_acc == report.o_acc[-1]
-            assert state.rls.skew == report.skew[-1] and state.rls.tt_sum > 0.0
+            assert state.rls.skew == report.skew[-1] and 0.0 < state.rls.gain_denominator < RLS_INITIAL_P
 
     def test_csv_columns(self):
         trace = synthesize_trace(MessageSchedule(1, 0.1), ClockSpec(jitter_std=1e-5), NoiseModel(), 200, seed=0)

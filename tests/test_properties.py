@@ -33,7 +33,7 @@ from canskew.formal import (
     take_snapshot,
 )
 from canskew.harness import epsilon_msi
-from canskew.ids import Variant, rls_stage, run_ids
+from canskew.ids import Variant, batch_arrivals, detect, rls_stage, run_ids
 from canskew.traceio import LogFormat, parse_log, write_trace
 from conftest import make_config
 
@@ -105,8 +105,8 @@ class TestSnapshotInvariants:
     @settings(max_examples=25, deadline=None)
     def test_history_form_gives_the_same_forecasts(self, variant, lam, warmup, seed):
         # a snapshot file in the earlier form, with the O_acc and t of every
-        # batch in place of the least-squares sums, forecasts as the snapshot
-        # of the same run does
+        # batch in place of the RLS P, forecasts as the snapshot of the same
+        # run does
         n, period = 5, 0.05
         trace = synthesize_trace(MessageSchedule(1, period), ClockSpec(skew=1e-4, jitter_std=2e-5),
                                  NoiseModel(), (warmup + 3) * n, seed=seed)
@@ -114,16 +114,71 @@ class TestSnapshotInvariants:
         snap = take_snapshot(report, report.final_state, len(report) + 1)
         text = snapshot_to_csv(snap)
         assert snapshot_from_csv(text) == snap
-        sums = f"ot_sum,{snap.ot_sum!r}\ntt_sum,{snap.tt_sum!r}\n"
+        p_line = f"gain_denominator,{snap.gain_denominator!r}\n"
         histories = "".join(f"{key},{' '.join(map(repr, column.tolist()))}\n"
                             for key, column in (("o_acc_history", report.o_acc), ("t_history", report.t)))
-        assert sums in text
-        old = snapshot_from_csv(text.replace(sums, histories))
+        assert p_line in text
+        old = snapshot_from_csv(text.replace(p_line, histories))
+        assert old == snap  # the RLS stage's fold gives the detector's P
+        if variant is not Variant.NTP:
+            return
         grid = np.arange(-2, 3) * 1e-6
         new_fc, old_fc = ntp_forecast(snap, grid, 10), ntp_forecast(old, grid, 10)
         for name in ("t_hat", "o_acc_hat", "skew_hat", "e_hat", "mu_cusum_hat", "sigma_cusum_hat",
                      "e_n_mean", "e_n_std"):
             assert getattr(new_fc, name).tobytes() == getattr(old_fc, name).tobytes(), name
+
+
+def forecast_and_detector(seed, delta_ts, warmup, horizon, n=20, period=0.1):
+    """The NTP forecast from the snapshot after ``warmup`` batches of a warm
+    trace, and for each delta-T ``ids.detect`` over that trace continued by
+    ``horizon`` batches of noise-free arrivals spaced mu + delta-T from its
+    last arrival. The trace is shifted so that batch 0's last arrival, the
+    detector's time origin, is 0.0, as the forecast's branched state holds."""
+    trace = synthesize_trace(MessageSchedule(1, period), ClockSpec(skew=1e-4, jitter_std=2e-5), NoiseModel(),
+                             (warmup + 1) * n, seed=seed)
+    warm = batch_arrivals(trace, 1, n)
+    warm = warm - warm[0, -1]
+    config = make_config(Variant.NTP, batch_size=n)
+    report = detect(warm, config, warmup, period)
+    snap = take_snapshot(report, report.final_state, warmup + 1)
+    forecast = ntp_forecast(snap, delta_ts, horizon)
+    reports = []
+    for delta_t in delta_ts:
+        attack = warm[-1, -1] + (snap.mu + delta_t) * np.arange(1, horizon * n + 1)
+        reports.append(detect(np.concatenate((warm, attack.reshape(horizon, n))), config, warmup, period))
+    return forecast, reports
+
+
+FORECAST_ROWS = (("t_hat", "t"), ("o_acc_hat", "o_acc"), ("skew_hat", "skew"), ("e_hat", "e"), ("e_n_mean", "e_n"))
+
+
+class TestForecastIsTheDetector:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           delta_ts=st.lists(st.floats(min_value=-2e-5, max_value=2e-5), min_size=1, max_size=3),
+           warmup=st.integers(min_value=2, max_value=80))
+    @settings(max_examples=25, deadline=None)
+    def test_forecast_rows_are_the_detector_rows(self, seed, delta_ts, warmup):
+        # below the reference cap the forecast's fresh reference sums are
+        # the detector's running ones, so every row is bit for bit the same
+        horizon = 12
+        forecast, reports = forecast_and_detector(seed, delta_ts, warmup, horizon)
+        for g, report in enumerate(reports):
+            for name, column in FORECAST_ROWS:
+                got, want = getattr(forecast, name)[g], getattr(report, column)[warmup:]
+                assert got.tobytes() == want.tobytes(), (g, name)
+
+    def test_full_reference_set_within_the_stated_bound(self):
+        # at a full set (warmup 10 050) the fresh sums of the snapshot's
+        # 10 000 references round apart from the detector's running sums,
+        # which have evicted 50. Bound, set before the run: e_n within 1e-12;
+        # the rows that do not read the references are bit for bit the same
+        warmup, horizon = 10_050, 20
+        forecast, reports = forecast_and_detector(4, [-3e-6, 0.0, 3e-6], warmup, horizon)
+        for g, report in enumerate(reports):
+            for name, column in FORECAST_ROWS[:-1]:
+                assert getattr(forecast, name)[g].tobytes() == getattr(report, column)[warmup:].tobytes(), (g, name)
+            assert np.max(np.abs(forecast.e_n_mean[g] - report.e_n[warmup:])) <= 1e-12, g
 
 
 @st.composite
