@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# a row of the CUSUM recursion whose limit state is at most this everywhere
+# leaves it with probability 0.0 (see cusum_success_recursion)
+_NEGLIGIBLE_STATE = 1e-30
+
 _erfc = np.frompyfunc(math.erfc, 1, 1)  # per entry: numpy has no erfc, and only the recursion loads scipy
 
 
@@ -78,13 +82,17 @@ class Snapshot:
             raise ValueError(f"snapshot requires at least 2 reference errors, got {len(self.reference_errors)}")
         if not self.start_batch >= 1:  # batch 0 initializes the detector
             raise ValueError(f"snapshot requires start_batch >= 1, got {self.start_batch}")
+        if len(self.reference_errors) > self.start_batch - 1:  # batches 1..m-1 add one each at most
+            raise ValueError(f"snapshot requires at most start_batch - 1 = {self.start_batch - 1} reference errors, "
+                             f"got {len(self.reference_errors)}")
         if not (self.period is None or 0.0 < self.period < math.inf):
             raise ValueError(f"snapshot requires a finite period > 0 or none, got {self.period}")
-        positive = ("mu", "t", "sigma", "sigma_cusum") + (() if self.gain_denominator is None else ("gain_denominator",))
+        positive = ("mu", "prev_batch_mean", "t", "sigma", "sigma_cusum") + (
+            () if self.gain_denominator is None else ("gain_denominator",))
         for name in positive:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"snapshot requires a finite {name} > 0, got {getattr(self, name)}")
-        for name in ("mu_cusum", "prev_batch_mean", "o_acc", "skew"):
+        for name in ("mu_cusum", "o_acc", "skew"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"snapshot requires a finite {name}, got {getattr(self, name)}")
 
@@ -286,10 +294,19 @@ def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
     The transition kernels are Toeplitz: on grid node z_i and cell midpoint
     u_j they depend only on z_i - u_j = (i - j - 1/2) h. Each step therefore
     evaluates the Gaussian density on the 2M distinct offsets only and
-    applies the (M+1) x M kernels as a convolution of that vector with g.
-    Once both axes of a row's g are exactly 0, every earlier step keeps them
-    at 0 (the kernels act on zeros and the reset term is scaled by
-    g(0, 0) = 0), so the row leaves the recursion there with 0.0.
+    applies the (M+1) x M kernels as a convolution of that vector with g,
+    held as one (rows, 2, M+1) array of g(0, z) and g(z, 0): an
+    ``np.correlate`` with g's cell midpoints reversed, which gives
+    ``np.convolve``'s bits.
+
+    A row leaves the recursion with 0.0 once no entry of its g exceeds
+    1e-30 (``_NEGLIGIBLE_STATE``), checked before every step and after the
+    last. A step multiplies g's largest entry by at most 1 + delta, the
+    kernels' excess mass: measured delta <= 1.7e-5 on the acceptance
+    forecasts at M = 100 (warmup seeds 0-9, 0.1 us and 10 ns grids), and on
+    random densities with std >= 0.05, <= 0.01 at M = 100 and <= 0.24 at
+    M = 30. So leaving early changes a row's probability by at most
+    1e-30 (1 + delta)^H.
     """
     # loaded here, not with the module: scipy.special adds about 24 MB of
     # resident memory to every process that imports canskew, and only this
@@ -314,46 +331,46 @@ def cusum_success_recursion(error_densities, big_gamma, kappa, cfg):
     # z_i - kappa - u_j on the offsets i - j = -(M-1) .. M; the "valid" part
     # of its convolution with a length-M vector is indexed by i = 0 .. M
     lower_arg = (np.arange(1 - big_m, big_m + 1) - 0.5) * h - kappa
-    # one density call per step: the lower limit's offsets, then the upper's
-    pdf_at = np.concatenate([lower_arg, -lower_arg])
-    # one cdf call per step: kappa - z, z - kappa, -kappa, kappa
-    cdf_at = np.concatenate([kappa - z, z - kappa, [-kappa, kappa]])
+    # standardized once per step: the density's points (the lower limit's
+    # offsets, then the upper's), then the cdf's (kappa - z, z - kappa,
+    # -kappa, kappa)
+    at = np.concatenate([lower_arg, -lower_arg, kappa - z, z - kappa, [-kappa, kappa]])
     pdf_scale = math.sqrt(2.0 * math.pi)
 
     rows, horizon = densities.shape[:2]
     p = np.zeros(rows)
     live = np.arange(rows)
-    g_plus = np.ones((rows, big_m + 1))   # g(z, 0)
-    g_minus = np.ones((rows, big_m + 1))  # g(0, z)
+    g = np.ones((rows, 2, big_m + 1))  # g(0, z), g(z, 0)
     conv = np.empty((rows, 2, big_m + 1))
-    for k in range(horizon - 1, -1, -1):
-        alive = g_plus.any(axis=1) | g_minus.any(axis=1)
-        if not alive.all():
-            live, g_plus, g_minus = live[alive], g_plus[alive], g_minus[alive]
-            if not live.size:
-                break
-        mean = densities[live, k, :1]
-        std = densities[live, k, 1:]
-        g_mid_minus = 0.5 * (g_minus[:, :-1] + g_minus[:, 1:])
-        g_mid_plus = 0.5 * (g_plus[:, :-1] + g_plus[:, 1:])
-        g00 = g_minus[:, :1]
+    for k in range(horizon - 1, -2, -1):  # k = -1 takes no step, only the exit check after the last
+        alive = g.max(axis=(1, 2)) > _NEGLIGIBLE_STATE
+        live, g = live[alive], g[alive]
+        if k < 0 or not live.size:
+            break
+        n = live.size
+        mean, std = densities[live, k, :1], densities[live, k, 1:]
+        # each axis's cell midpoints, reversed: correlating with them is convolving with the midpoints
+        g_mid = 0.5 * (g[:, :, -2::-1] + g[:, :, :0:-1])
+        g00 = g[:, 0, :1]
 
-        pdf = np.exp(-0.5 * ((pdf_at - mean) / std) ** 2) / (std * pdf_scale)
-        cdf = ndtr((cdf_at - mean) / std)
-        for row in range(live.size):
-            conv[row, 0] = np.convolve(pdf[row, :2 * big_m], g_mid_minus[row], "valid")
-            conv[row, 1] = np.convolve(pdf[row, 2 * big_m:], g_mid_plus[row], "valid")
+        x = (at - mean) / std
+        pdf, cdf = x[:, :4 * big_m], ndtr(x[:, 4 * big_m:])
+        np.exp(np.multiply(np.square(pdf, out=pdf), -0.5, out=pdf), out=pdf)
+        pdf /= std * pdf_scale
+        for row in range(n):
+            conv[row, 0] = np.correlate(pdf[row, :2 * big_m], g_mid[row, 0])
+            conv[row, 1] = np.correlate(pdf[row, 2 * big_m:], g_mid[row, 1])
         # term 1: lower limit lands in (0, Gamma];  r = z_minus - kappa - u
-        term1 = h * conv[:live.size, 0]
         # term 3: upper limit lands in (0, Gamma];  r = kappa - z_plus + u
-        term3 = h * conv[:live.size, 1]
+        term1, term3 = h * conv[:n, 0], h * conv[:n, 1]
         # term 2: both limits reset to zero
         p_mid_plus = cdf[:, :big_m + 1] - cdf[:, -2:-1]
         p_mid_minus = cdf[:, -1:] - cdf[:, big_m + 1:-2]
 
-        g_plus = np.clip(term1[:, :1] + g00 * p_mid_plus + term3, 0.0, 1.0)
-        g_minus = np.clip(term1 + g00 * p_mid_minus + term3[:, :1], 0.0, 1.0)
-    p[live] = g_minus[:, 0]
+        g = np.empty((n, 2, big_m + 1))
+        np.clip(term1 + g00 * p_mid_minus + term3[:, :1], 0.0, 1.0, out=g[:, 0])
+        np.clip(term1[:, :1] + g00 * p_mid_plus + term3, 0.0, 1.0, out=g[:, 1])
+    p[live] = g[:, 0, 0]
     return float(p[0]) if single else p
 
 

@@ -428,6 +428,38 @@ class TestNanConfig:
         assert code == 1 and f"error: snapshot requires {message}\n" in err
         assert not out.exists() and not forecast.exists()
 
+    @pytest.mark.parametrize("value", ["-0.1", "0.0"])
+    def test_predict_sota_refuses_a_batch_spacing_not_above_zero(self, capsys, tmp_path, sota_snapshot, value):
+        # no detector run gives a batch of mean spacing <= 0, on which the
+        # SOTA model would read p = 0 at every point
+        text = sota_snapshot.read_text()
+        bad = tmp_path / "snap.csv"
+        bad.write_text(re.sub(r"^prev_batch_mean,.*$", f"prev_batch_mean,{value}", text, count=1, flags=re.M))
+        assert bad.read_text() != text
+        out = tmp_path / "curve.csv"
+        code, _, err = run_cli(["predict", "--model", "sota", "--snapshot", str(bad), "--grid=-1:1:1e-7",
+                                "--horizon", "3", "--out", str(out)], capsys)
+        assert code == 1 and f"error: snapshot requires a finite prev_batch_mean > 0, got {value}\n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["ntp", "sota"])
+    @pytest.mark.parametrize("start", [2, None])
+    def test_predict_refuses_more_references_than_batches(self, capsys, tmp_path, snapshot, sota_snapshot,
+                                                          model, start):
+        # batches 1..m-1 fill at most m-1 references; a file without a
+        # start_batch line reads m = 1
+        text = (snapshot if model == "ntp" else sota_snapshot).read_text()
+        bad = tmp_path / "snap.csv"
+        line = "" if start is None else f"start_batch,{start}\n"
+        bad.write_text(re.sub(r"^start_batch,.*\n", line, text, count=1, flags=re.M))
+        assert bad.read_text() != text
+        out = tmp_path / "curve.csv"
+        code, _, err = run_cli(["predict", "--model", model, "--snapshot", str(bad), "--grid=-1:1:1e-7",
+                                "--horizon", "3", "--out", str(out)], capsys)
+        message = f"error: snapshot requires at most start_batch - 1 = {(start or 1) - 1} reference errors, got "
+        assert code == 1 and message in err
+        assert not out.exists()
+
     def test_predict_refuses_a_nan_config(self, capsys, tmp_path, snapshot):
         text = snapshot.read_text()
         assert "\nsensitivity,8.0\n" in text

@@ -33,7 +33,10 @@ from conftest import BAD_REFERENCE_ROWS, MESSAGE_ID, PERIOD, bad_reference_rows,
 # The acceptance NTP curve (61 points of 0.1 us, horizon 60, M = 100) from
 # the seed-0 warmup of 1000 batches, from a forecast that steps the detector
 # (ids._step) and the recursion. The 52 points outside the middle are
-# exactly 0.
+# exactly 0, and so are points 26, 33 and 34 under the recursion's exit
+# rule (a row whose limit state stays at or below 1e-30 leaves with 0.0):
+# 55 points in all. Those three keep the values from before that rule,
+# which the curve matches within the 1e-12 bound.
 PINNED_NTP_CURVE = [0.0] * 26 + [
     1.0852999894717848e-125, 1.801943751483524e-12, 0.999811061713338,
     0.9999999994752395, 0.9999999999999394, 0.9999999864594565,
@@ -92,6 +95,7 @@ def manual_snapshot(variant=Variant.SOTA, **overrides):
         mu_cusum=0.0,
         sigma_cusum=1.0,
         reference_errors=(-1.0, 0.0, 1.0),  # mean 0, sample std 1
+        start_batch=1001,  # t is 1000 batches of 20 periods
     )
     fields.update(overrides)
     return Snapshot(**fields)
@@ -119,6 +123,15 @@ def ntp_snapshot(warm_states):
     return take_snapshot(None, warm_states[Variant.NTP], 301)
 
 
+@pytest.fixture(scope="module")
+def pinned_snapshot(schedule, target_clock, noise):
+    """The NTP detector after the seed-0 warmup of 1000 batches that
+    PINNED_NTP_CURVE is predicted from."""
+    cfg = ExperimentConfig(ids=make_config(Variant.NTP), warmup_batches=1000,
+                           trials=1, horizon=60, grid=np.array([0.0]), seed=0)
+    return take_snapshot(None, synthetic_warm_state(SyntheticSource(schedule, target_clock, noise), cfg), 1001)
+
+
 class TestGaussianCdf:
     def test_matches_reference(self):
         xs = np.linspace(-8, 8, 201)
@@ -140,8 +153,9 @@ class TestSnapshot:
     @pytest.mark.parametrize("name, value", [
         *((name, value) for name in ("sigma", "sigma_cusum", "gain_denominator")
           for value in (math.nan, math.inf, -1.0, 0.0)),
-        *((name, value) for name in ("mu", "t") for value in (math.nan, math.inf, -math.inf, -1.0, 0.0)),
-        *((name, value) for name in ("mu_cusum", "prev_batch_mean", "o_acc", "skew")
+        *((name, value) for name in ("mu", "prev_batch_mean", "t")
+          for value in (math.nan, math.inf, -math.inf, -1.0, 0.0)),
+        *((name, value) for name in ("mu_cusum", "o_acc", "skew")
           for value in (math.nan, math.inf, -math.inf)),
         ("period", math.nan), ("period", 0.0), ("period", -0.1),
         ("start_batch", 0), ("start_batch", -5),
@@ -155,6 +169,12 @@ class TestSnapshot:
         # as arming the detector does: a set of fewer than two has no sigma
         with pytest.raises(ValueError, match=f"^snapshot requires at least 2 reference errors, got {count}$"):
             manual_snapshot(reference_errors=(0.5,) * count)
+
+    def test_refuses_more_references_than_batches_before_the_attack(self):
+        # batches 1..m-1 each add at most one error to the reference set
+        assert len(manual_snapshot(start_batch=4).reference_errors) == 3
+        with pytest.raises(ValueError, match=r"^snapshot requires at most start_batch - 1 = 2 reference errors, got 3"):
+            manual_snapshot(start_batch=3)
 
     def test_sota_snapshot_may_have_no_period(self):
         assert manual_snapshot(period=None).period is None
@@ -188,7 +208,8 @@ class TestSnapshot:
 
     def test_csv_round_trip_full_reference_set(self, ntp_snapshot):
         rng = np.random.default_rng(4)
-        full = replace(ntp_snapshot, reference_errors=tuple(rng.normal(0.0, 1e-4, REFERENCE_CAP).tolist()))
+        full = replace(ntp_snapshot, reference_errors=tuple(rng.normal(0.0, 1e-4, REFERENCE_CAP).tolist()),
+                       start_batch=REFERENCE_CAP + 1)
         text = snapshot_to_csv(full)
         assert max(len(line) for line in text.splitlines()) > 131_072  # the csv module's field limit
         assert snapshot_from_csv(text) == full
@@ -202,7 +223,8 @@ class TestSnapshot:
     def test_decimal_full_reference_row_reads_back(self, ntp_snapshot):
         # snapshot files written before the hex rows hold decimal tokens
         rng = np.random.default_rng(5)
-        full = replace(ntp_snapshot, reference_errors=tuple(rng.normal(0.0, 1e-4, REFERENCE_CAP).tolist()))
+        full = replace(ntp_snapshot, reference_errors=tuple(rng.normal(0.0, 1e-4, REFERENCE_CAP).tolist()),
+                       start_batch=REFERENCE_CAP + 1)
         text = snapshot_to_csv(full)
         row = re.search(r"^reference_errors,(.*)$", text, re.M)[1]
         decimal = text.replace(row, " ".join(map(repr, full.reference_errors)))
@@ -502,7 +524,7 @@ class TestNtpForecast:
         refs = rng.normal(mu, sigma, REFERENCE_CAP)
         refs[:100] += 10.0 * sigma
         snap = replace(ntp_snapshot, reference_errors=tuple(refs.tolist()), mu_cusum=float(np.mean(refs)),
-                       sigma_cusum=float(np.std(refs, ddof=1)))
+                       sigma_cusum=float(np.std(refs, ddof=1)), start_batch=REFERENCE_CAP + 1)
         grid, horizon = np.array([-2e-7, 0.0, 2e-7]), 30
         fc = ntp_forecast(snap, grid, horizon)
         admitted = 0
@@ -597,14 +619,24 @@ class TestSuccessCurve:
         assert np.all(np.diff(p[: peak + 1]) >= -1e-6)
         assert np.all(np.diff(p[peak:]) <= 1e-6)
 
-    def test_pinned_acceptance_curve(self, schedule, target_clock, noise):
-        cfg = ExperimentConfig(ids=make_config(Variant.NTP), warmup_batches=1000,
-                               trials=1, horizon=60, grid=np.array([0.0]), seed=0)
-        snap = take_snapshot(None, synthetic_warm_state(SyntheticSource(schedule, target_clock, noise), cfg), 1001)
+    def test_pinned_acceptance_curve(self, pinned_snapshot):
         grid = np.arange(-30, 31) * 1e-7
-        p = success_curve(snap, grid, horizon=60,
+        p = success_curve(pinned_snapshot, grid, horizon=60,
                           recursion_cfg=CusumRecursionConfig(grid_resolution=100, horizon=60)).p_success
         assert np.max(np.abs(p - np.array(PINNED_NTP_CURVE))) <= 1e-12
+        assert p[26] == p[33] == p[34] == 0.0
+        assert np.count_nonzero(p == 0.0) == 55
+
+    def test_pinned_recursion_work(self, pinned_snapshot, monkeypatch):
+        # two convolutions per live row and step; with rows leaving once
+        # their limit state is negligible, 430 of the 61 x 60 row-steps run
+        forecast = ntp_forecast(pinned_snapshot, np.arange(-30, 31) * 1e-7, 60)
+        calls = []
+        correlate = np.correlate
+        monkeypatch.setattr(np, "correlate", lambda *args: calls.append(1) or correlate(*args))
+        cusum_success_recursion(np.stack([forecast.e_n_mean, forecast.e_n_std], axis=-1), 5.0, 8.0,
+                                CusumRecursionConfig(grid_resolution=100, horizon=60))
+        assert 0 < len(calls) <= 2 * 440
 
     def test_ntp_curve_is_the_pointwise_probabilities(self, ntp_snapshot):
         grid = np.arange(-25, 26) * 1e-7
